@@ -7,7 +7,8 @@ conserved quantities, and closed-form references for convergence studies.
 """
 
 from .frac_cauchy import (CauchyRhs, ContractionError, FixedPointDivergenceError,
-                          FixedPointOpts, solve_left_cauchy, solve_right_cauchy)
+                          FixedPointOpts, NonFiniteError, SingularNodeError,
+                          solve_left_cauchy, solve_right_cauchy)
 from .gl_ops import (FracCoeffs, FracOrder, Grid, TimeSeq, delta_minus,
                      delta_plus, dfibp_residual, gl_coefficients, shift)
 from .noether import (OneParamGroup, conserved_quantity, dense_matrix,
@@ -28,8 +29,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CauchyRhs", "ContractionError", "ControlUpdateError", "ConvergenceReport",
     "DegenerateDataError", "EXAMPLES", "FixedPointDivergenceError",
-    "FixedPointOpts", "FracCoeffs", "FracOrder", "Grid", "OcpProblem",
-    "OneParamGroup", "PontryaginSolution", "SweepDivergenceError", "SweepOpts",
+    "FixedPointOpts", "FracCoeffs", "FracOrder", "Grid", "NonFiniteError",
+    "OcpProblem", "OneParamGroup", "PontryaginSolution", "SingularNodeError",
+    "SweepDivergenceError", "SweepOpts",
     "TimeSeq", "adjoint_solve", "build_example", "conserved_quantity",
     "convergence_order", "cost", "delta_minus", "delta_plus", "dense_matrix",
     "dfibp_residual", "euler_lagrange_residual", "gateaux_derivative",

@@ -1,17 +1,31 @@
 """Stepwise solvers for discrete fractional Cauchy problems.
 
-The left problem marches k = 1..N through the implicit update
+The left problem marches k = 1..N through the implicit node equation
 
     Q_k = h^alpha * F(Q_k, t_k) + Q_0 - sum_{r=1..k-1} c_r (Q_{k-r} - Q_0),
 
-each step resolved by fixed-point iteration, which contracts whenever
-h^alpha * K < 1 for a Lipschitz bound K of F.  The right problem mirrors
-this from the terminal node down.  Both keep the full memory tail, so one
-solve costs O(N^2) plus the iteration work.
+and the right problem mirrors it from the terminal node down; it is the
+left march run on reversed node indices.  Both keep the full memory tail,
+so one march costs O(N^2) for the memory sums plus the work of solving
+each node equation.  One private kernel, :func:`_march`, does the marching
+for every solver in the package; only the node solve differs:
+
+- the public marches :func:`solve_left_cauchy` and :func:`solve_right_cauchy`
+  know F alone and solve each node by fixed-point iteration, which
+  contracts whenever h^alpha * K < 1 for a Lipschitz bound K of F;
+- :func:`_newton_march` is handed dF/dx as well and takes Newton steps,
+  which only need I - h^alpha dF/dx to be invertible at each node;
+- :func:`_linear_march` handles F(x, k) = A_k x + b_k with one linear
+  solve per node, using inverses built once for all nodes.
+
+Every node solver stops at once, naming the node, when a value turns NaN
+or infinite, and the two with a Jacobian stop when I - h^alpha dF/dx is
+singular.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +38,8 @@ __all__ = [
     "FixedPointOpts",
     "ContractionError",
     "FixedPointDivergenceError",
+    "NonFiniteError",
+    "SingularNodeError",
     "solve_left_cauchy",
     "solve_right_cauchy",
 ]
@@ -34,14 +50,32 @@ class ContractionError(ValueError):
 
 
 class FixedPointDivergenceError(RuntimeError):
-    """A per-node fixed point failed to converge; carries the node index."""
+    """A per-node iteration failed to converge; carries the node index."""
 
     def __init__(self, node: int, last_step: float, tol: float):
         self.node = node
         self.last_step = last_step
         super().__init__(
-            f"fixed point at node {node} still moving by {last_step:.3e} "
+            f"iteration at node {node} still off by {last_step:.3e} "
             f"after the iteration budget (tol {tol:.1e})")
+
+
+class NonFiniteError(ValueError):
+    """A right-hand side value or a node iterate is NaN or infinite."""
+
+    def __init__(self, node: int):
+        self.node = node
+        super().__init__(f"non-finite right-hand side value or iterate at node {node}")
+
+
+class SingularNodeError(ValueError):
+    """I - h^alpha dF/dx is singular or non-finite at a node."""
+
+    def __init__(self, node: int):
+        self.node = node
+        super().__init__(
+            f"node matrix I - h^alpha dF/dx is singular or non-finite at node {node}; "
+            f"is df_dx consistent with f and lipschitz_M?")
 
 
 @dataclass(frozen=True)
@@ -58,7 +92,12 @@ class CauchyRhs:
 
 @dataclass(frozen=True)
 class FixedPointOpts:
-    """Stopping rule for the per-node iterations (infinity norm)."""
+    """Stopping rule for the per-node iterations (infinity norm).
+
+    Fixed-point iteration stops once an update moves the iterate by at most
+    ``tol``; Newton iteration stops once the node residual is at most
+    ``tol * max(1, |x|)``.
+    """
 
     tol: float = 1e-12
     max_iters: int = 100
@@ -77,18 +116,64 @@ def _check_contraction(alpha: float, grid: Grid, lipschitz: float) -> None:
             f"h^alpha * K = {factor:.6g} >= 1; refine the grid or rescale")
 
 
-def _fixed_point(apply_map, start, opts, node):
-    x = start
-    gap = 0.0
-    for it in range(1, opts.max_iters + 1):
-        x_new = apply_map(x)
-        step = float(np.max(np.abs(x_new - x)))
-        if it == 1:
-            gap = step
-        x = x_new
-        if step <= opts.tol:
-            return x, it, gap
-    raise FixedPointDivergenceError(node, step, opts.tol)
+def _march(alpha: float, grid: Grid, start: np.ndarray, solve_node,
+           reverse: bool = False) -> np.ndarray:
+    """Values y_0..y_N of y_j = solve_node(const_j, j, y_{j-1}), y_0 = start.
+
+    const_j = y_0 - sum_{r=1..j-1} c_r (y_{j-r} - y_0) is the memory term of
+    the node equation y_j = h^alpha F(y_j) + const_j.  With ``reverse`` the
+    march runs on reversed node indices, so the returned row k is node k of
+    the right problem, solved by ``solve_node(const, k, y_{k+1})``.
+    """
+    n, d = grid.n, start.size
+    c = gl_coefficients(alpha, n).coeffs
+    rc = np.ascontiguousarray(c[::-1])  # rc[n - r] = c_r, so each sum is one matvec
+    y = np.empty((n + 1, d))
+    dev = np.empty((n + 1, d))          # y_j - y_0
+    y[0] = start
+    dev[0] = 0.0
+    for j in range(1, n + 1):
+        const = start - rc[n - j + 1:n] @ dev[1:j]
+        y[j] = solve_node(const, n - j if reverse else j, y[j - 1])
+        dev[j] = y[j] - start
+    return y[::-1].copy() if reverse else y
+
+
+def _fixed_point_march(alpha, grid: Grid, field, start, opts: FixedPointOpts | None,
+                       full_output: bool, reverse: bool):
+    """Public-march body: node equations solved by fixed-point iteration."""
+    opts = opts or FixedPointOpts()
+    n, d = grid.n, start.size
+    ha = grid.h ** alpha
+    tol, max_iters = opts.tol, opts.max_iters
+    iters = np.zeros(n + 1, dtype=int)
+    gaps = np.zeros(n + 1)
+
+    def solve_node(const, k, x):
+        for it in range(1, max_iters + 1):
+            fx = np.asarray(field(x, k), dtype=float).reshape(-1)
+            if fx.size != d:
+                raise ValueError(f"rhs returned size {fx.size}, expected {d}")
+            x_new = ha * fx + const
+            step = float(np.max(np.abs(x_new - x)))
+            if not math.isfinite(step):
+                raise NonFiniteError(k)
+            if it == 1:
+                gaps[k] = step
+            x = x_new
+            if step <= tol:
+                iters[k] = it
+                return x
+        raise FixedPointDivergenceError(k, step, tol)
+
+    seq = TimeSeq(_march(alpha, grid, start, solve_node, reverse))
+    if full_output:
+        return seq, {"iterations": iters, "initial_gaps": gaps}
+    return seq
+
+
+def _as_start(value) -> np.ndarray:
+    return np.atleast_1d(np.asarray(value, dtype=float)).reshape(-1)
 
 
 def solve_left_cauchy(alpha, grid: Grid, rhs: CauchyRhs, initial,
@@ -101,39 +186,10 @@ def solve_left_cauchy(alpha, grid: Grid, rhs: CauchyRhs, initial,
     and first-step gaps, which bound the contraction behaviour.
     """
     a = _order_value(alpha)
-    opts = opts or FixedPointOpts()
     _check_contraction(a, grid, rhs.lipschitz_K)
-    n = grid.n
-    c = gl_coefficients(a, n).coeffs
-    ha = grid.h ** a
     times = grid.times
-    q0 = np.atleast_1d(np.asarray(initial, dtype=float)).reshape(-1)
-    d = q0.size
-
-    q = np.empty((n + 1, d))
-    q[0] = q0
-    iters = np.zeros(n + 1, dtype=int)
-    gaps = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        if k >= 2:
-            hist = c[1:k, None] * (q[k - 1:0:-1] - q0)
-            const = q0 - hist.sum(axis=0)
-        else:
-            const = q0
-        t_k = times[k]
-
-        def step_map(x, t=t_k, const=const):
-            fx = np.asarray(rhs.eval(x, t), dtype=float).reshape(-1)
-            if fx.size != d:
-                raise ValueError(f"rhs returned size {fx.size}, expected {d}")
-            return ha * fx + const
-
-        q[k], iters[k], gaps[k] = _fixed_point(step_map, q[k - 1].copy(), opts, k)
-
-    seq = TimeSeq(q)
-    if full_output:
-        return seq, {"iterations": iters, "initial_gaps": gaps}
-    return seq
+    return _fixed_point_march(a, grid, lambda x, k: rhs.eval(x, times[k]),
+                              _as_start(initial), opts, full_output, reverse=False)
 
 
 def solve_right_cauchy(alpha, grid: Grid,
@@ -147,37 +203,100 @@ def solve_right_cauchy(alpha, grid: Grid,
     which keeps this solver ignorant of where its callers get their data.
     """
     a = _order_value(alpha)
-    opts = opts or FixedPointOpts()
     if lipschitz_K < 0:
         raise ValueError(f"Lipschitz bound must be >= 0, got {lipschitz_K}")
     _check_contraction(a, grid, lipschitz_K)
-    n = grid.n
-    c = gl_coefficients(a, n).coeffs
-    ha = grid.h ** a
-    p_n = np.atleast_1d(np.asarray(terminal, dtype=float)).reshape(-1)
-    d = p_n.size
+    return _fixed_point_march(a, grid, rhs_shifted, _as_start(terminal), opts,
+                              full_output, reverse=True)
 
-    p = np.empty((n + 1, d))
-    p[n] = p_n
-    iters = np.zeros(n + 1, dtype=int)
-    gaps = np.zeros(n + 1)
-    for k in range(n - 1, -1, -1):
-        m = n - k - 1  # number of memory terms
-        if m >= 1:
-            hist = c[1:m + 1, None] * (p[k + 1:n] - p_n)
-            const = p_n - hist.sum(axis=0)
-        else:
-            const = p_n
 
-        def step_map(x, k=k, const=const):
-            fx = np.asarray(rhs_shifted(x, k), dtype=float).reshape(-1)
-            if fx.size != d:
-                raise ValueError(f"rhs returned size {fx.size}, expected {d}")
-            return ha * fx + const
+def _newton_march(alpha: float, grid: Grid, field, jacobian, start: np.ndarray,
+                  opts: FixedPointOpts | None) -> TimeSeq:
+    """Left march with node equations solved by Newton steps.
 
-        p[k], iters[k], gaps[k] = _fixed_point(step_map, p[k + 1].copy(), opts, k)
+    ``field(x, k)`` returns F at node k as shape (d,), ``jacobian(x, k)``
+    returns dF/dx as shape (d, d).  A node is accepted on its residual
+    |x - h^alpha F(x, k) - const| <= tol * max(1, |x|), checked before each
+    of at most ``max_iters`` steps and after the last, so an inexact
+    Jacobian can only cost iterations, never change the accepted answer.
+    """
+    opts = opts or FixedPointOpts()
+    d = start.size
+    ha = grid.h ** alpha
+    tol, max_iters = opts.tol, opts.max_iters
 
-    seq = TimeSeq(p)
-    if full_output:
-        return seq, {"iterations": iters, "initial_gaps": gaps}
-    return seq
+    if d == 1:
+        def solve_node(const, k, x):
+            c0, xs = const[0], x[0]
+            for _ in range(max_iters + 1):  # up to max_iters steps, each checked
+                r = xs - ha * field(x, k)[0] - c0
+                if not math.isfinite(r):
+                    raise NonFiniteError(k)
+                if abs(r) <= tol * max(1.0, abs(xs)):
+                    return x
+                g = 1.0 - ha * jacobian(x, k)[0, 0]
+                if g == 0.0 or not math.isfinite(g):
+                    raise SingularNodeError(k)
+                xs = xs - r / g
+                x = np.array([xs])
+            raise FixedPointDivergenceError(k, abs(r), tol)
+    else:
+        eye = np.eye(d)
+
+        def solve_node(const, k, x):
+            for _ in range(max_iters + 1):  # up to max_iters steps, each checked
+                r = x - ha * field(x, k) - const
+                err = float(np.max(np.abs(r)))
+                if not math.isfinite(err):
+                    raise NonFiniteError(k)
+                if err <= tol * max(1.0, float(np.max(np.abs(x)))):
+                    return x
+                g = eye - ha * jacobian(x, k)
+                if not np.isfinite(g).all():
+                    raise SingularNodeError(k)
+                try:
+                    x = x - np.linalg.solve(g, r)
+                except np.linalg.LinAlgError:
+                    raise SingularNodeError(k) from None
+            raise FixedPointDivergenceError(k, err, tol)
+
+    return TimeSeq(_march(alpha, grid, start, solve_node))
+
+
+def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarray,
+                  start: np.ndarray, reverse: bool = False) -> TimeSeq:
+    """March F(x, k) = A_k x + b_k with one direct solve per node.
+
+    ``a_mats`` has shape (N+1, d, d) and ``b_vecs`` shape (N+1, d), both
+    indexed by node; the row of the start node is never read.  Each node
+    solves (I - h^alpha A_k) y_k = const_k + h^alpha b_k through an inverse
+    built, with every other, before the march starts.
+    """
+    n, d = grid.n, start.size
+    ha = grid.h ** alpha
+    nodes = np.arange(n - 1, -1, -1) if reverse else np.arange(1, n + 1)  # march order
+    bad = ~np.isfinite(b_vecs[nodes]).all(axis=1)
+    if bad.any():
+        raise NonFiniteError(int(nodes[np.argmax(bad)]))
+    g = np.eye(d) - ha * a_mats
+    singular = ~np.isfinite(g[nodes]).all(axis=(1, 2))
+    if singular.any():
+        raise SingularNodeError(int(nodes[np.argmax(singular)]))
+    g[n if reverse else 0] = np.eye(d)  # the start row is never read
+    try:
+        inv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:  # an exact zero pivot, which det sees too
+        singular = np.linalg.det(g[nodes]) == 0.0
+        raise SingularNodeError(int(nodes[np.argmax(singular)])) from None
+    hb = ha * b_vecs
+
+    if d == 1:
+        inv1, hb1 = inv[:, 0, 0], hb[:, 0]
+
+        def solve_node(const, k, _):
+            return inv1[k] * (const[0] + hb1[k])
+    else:
+        def solve_node(const, k, _):
+            return inv[k] @ (const + hb[k])
+
+    return TimeSeq(_march(alpha, grid, start, solve_node, reverse))

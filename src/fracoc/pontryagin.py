@@ -12,6 +12,13 @@ for k in the ranges carried by the operators.  ``solve_pontryagin`` fixes a
 control, solves the two Cauchy problems, refreshes the control from the
 stationary condition and repeats until both the stationarity defect and the
 control increment fall below tolerance.
+
+No node equation is solved by fixed-point iteration here: the state takes
+Newton steps with df/dx at each node, and the adjoint and the linearized
+state of :func:`gateaux_derivative`, both linear, take one direct solve
+per node.  Either stops with ``SingularNodeError`` when I - h^alpha df/dx
+cannot be inverted at a node, and with ``NonFiniteError`` when a callback
+returns NaN or infinity.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .frac_cauchy import (CauchyRhs, ContractionError, FixedPointOpts,
-                          solve_left_cauchy, solve_right_cauchy)
+from .frac_cauchy import (ContractionError, FixedPointOpts, _linear_march,
+                          _newton_march)
 from .gl_ops import Grid, TimeSeq, _order_value, delta_minus, delta_plus
 
 __all__ = [
@@ -136,6 +143,8 @@ class SweepOpts:
     sweep map, which the coupled benchmark problems need: their sweep maps
     have a real negative eigenvalue below -1, so any fixed lambda close to
     one diverges.  ``adaptive=False`` runs the plain fixed-lambda sweep.
+    ``inner`` sets the tolerance and budget of the per-node Newton steps of
+    the state solve.
     """
 
     tol_stationarity: float = 1e-9
@@ -187,21 +196,18 @@ def state_solve(problem: OcpProblem, u: TimeSeq,
                 opts: FixedPointOpts | None = None) -> TimeSeq:
     """Solve the state equation for a fixed control.
 
+    Each node equation is solved by Newton steps with ``df_dx``, stopping on
+    the node residual; ``opts`` sets its tolerance and iteration budget.
     The value u_0 is never read: the left operator only produces equations
     at k = 1..N.
     """
     _check_standing(problem)
     _require_control(problem, u)
-    grid = problem.grid
-    uv = u.values
-
-    def rhs(x, t):
-        k = grid.index_of(t)
-        return problem.f_at(x, uv[k], t)
-
-    return solve_left_cauchy(problem.alpha, grid,
-                             CauchyRhs(rhs, problem.lipschitz_M),
-                             problem.initial, opts)
+    uv, times = u.values, problem.grid.times
+    return _newton_march(_order_value(problem.alpha), problem.grid,
+                         lambda x, k: problem.f_at(x, uv[k], times[k]),
+                         lambda x, k: problem.fx_at(x, uv[k], times[k]),
+                         problem.initial, opts)
 
 
 def adjoint_solve(problem: OcpProblem, u: TimeSeq, q: TimeSeq,
@@ -209,24 +215,23 @@ def adjoint_solve(problem: OcpProblem, u: TimeSeq, q: TimeSeq,
     """Solve the shifted adjoint equation backward from P_N = 0.
 
     The equation at node k reads data at node k + 1, which is what makes
-    the discrete integration by parts close without boundary terms.
+    the discrete integration by parts close without boundary terms.  It is
+    linear in P, so each node is one solve of
+    (I - h^alpha fx_{k+1}^T) P_k = const_k + h^alpha lx_{k+1}; ``opts`` is
+    accepted for symmetry with :func:`state_solve` and not used.
     """
     _check_standing(problem)
     _require_control(problem, u)
-    grid, n = problem.grid, problem.grid.n
-    times = grid.times
-    lx = np.empty((n, problem.d))
-    fxT = np.empty((n, problem.d, problem.d))
+    n, d = problem.grid.n, problem.d
+    times = problem.grid.times
+    lx = np.zeros((n + 1, d))
+    fxT = np.zeros((n + 1, d, d))
     for k in range(n):
         x1, v1, t1 = q[k + 1], u[k + 1], times[k + 1]
         lx[k] = problem.lx_at(x1, v1, t1)
         fxT[k] = problem.fx_at(x1, v1, t1).T
-
-    def rhs(p, k):
-        return lx[k] + fxT[k] @ p
-
-    return solve_right_cauchy(problem.alpha, grid, rhs, problem.lipschitz_M,
-                              np.zeros(problem.d), opts)
+    return _linear_march(_order_value(problem.alpha), problem.grid, fxT, lx,
+                         np.zeros(d), reverse=True)
 
 
 def _running_cost(problem: OcpProblem, q: TimeSeq, u: TimeSeq) -> float:
@@ -250,7 +255,7 @@ def gateaux_derivative(problem: OcpProblem, u: TimeSeq, ubar: TimeSeq,
     """Directional derivative of the cost at u along ubar.
 
     Computed through the linearized state problem: solve for the first
-    variation Qbar with Qbar_0 = 0, then accumulate
+    variation Qbar with Qbar_0 = 0, one linear solve per node, then accumulate
     h * sum_k (dL/dx . Qbar_k + dL/dv . ubar_k).
     """
     _check_standing(problem)
@@ -260,20 +265,14 @@ def gateaux_derivative(problem: OcpProblem, u: TimeSeq, ubar: TimeSeq,
     times = grid.times
     q = state_solve(problem, u, opts)
 
-    fx = np.empty((n + 1, problem.d, problem.d))
-    fv_ub = np.empty((n + 1, problem.d))
+    fx = np.zeros((n + 1, problem.d, problem.d))
+    fv_ub = np.zeros((n + 1, problem.d))
     for k in range(1, n + 1):
         x, v, t = q[k], u[k], times[k]
         fx[k] = problem.fx_at(x, v, t)
         fv_ub[k] = problem.fv_at(x, v, t) @ ubar[k]
-
-    def rhs(x, t):
-        k = grid.index_of(t)
-        return fx[k] @ x + fv_ub[k]
-
-    qbar = solve_left_cauchy(problem.alpha, grid,
-                             CauchyRhs(rhs, problem.lipschitz_M),
-                             np.zeros(problem.d), opts)
+    qbar = _linear_march(_order_value(problem.alpha), grid, fx, fv_ub,
+                         np.zeros(problem.d))
     total = 0.0
     for k in range(1, n + 1):
         x, v, t = q[k], u[k], times[k]

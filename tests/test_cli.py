@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from fracoc import build_example, solve_pontryagin
+from fracoc import cli
 from fracoc.cli import build_parser, main
 
 
@@ -184,3 +187,25 @@ def test_divergence_budget_is_respected(tmp_path, capsys):
     assert code == 1
     assert not out.exists()
     assert "not converged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, says", (
+    ("f", np.nan, "non-finite"),          # a callback returns NaN at node 3
+    ("df_dx", 8.0, "singular"),           # I - h^alpha df_dx is exactly zero
+))
+def test_node_failures_exit_1_without_output(tmp_path, capsys, monkeypatch,
+                                             field, value, says):
+    def broken(name, alpha, n):
+        problem = build_example(name, alpha, n)
+        good = getattr(problem, field)
+        t3 = problem.grid.times[3]
+        return dataclasses.replace(
+            problem, **{field: lambda x, v, t: value if t == t3 else good(x, v, t)})
+
+    monkeypatch.setattr(cli, "build_example", broken)
+    code, out = run(tmp_path, "x.csv", "solve", "--example", "lq",
+                    "--alpha", "1", "--n", "8")
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert says in err and "node 3" in err

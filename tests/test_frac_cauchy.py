@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from fracoc import (CauchyRhs, ContractionError, FixedPointDivergenceError,
-                    FixedPointOpts, Grid, TimeSeq, delta_minus,
+                    FixedPointOpts, Grid, NonFiniteError, TimeSeq, delta_minus,
                     gl_coefficients, solve_left_cauchy, solve_right_cauchy)
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0)
@@ -192,6 +192,28 @@ def test_iteration_budget_exhaustion_raises():
     with pytest.raises(FixedPointDivergenceError):
         solve_left_cauchy(0.5, grid, CauchyRhs(lambda x, t: np.cos(x), 1.0),
                           np.array([0.0]), opts)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_non_finite_rhs_stops_at_its_node(bad):
+    # reported on the first evaluation that returns it, not after the budget
+    grid = Grid(0.0, 1.0, 8)
+    seen = []
+
+    def left(x, t):
+        seen.append(t)
+        return np.array([bad]) if t == grid.times[3] else -x
+
+    with pytest.raises(NonFiniteError) as exc:
+        solve_left_cauchy(0.5, grid, CauchyRhs(left, 1.0), np.array([1.0]))
+    assert exc.value.node == 3
+    assert seen.count(grid.times[3]) == 1
+
+    with pytest.raises(NonFiniteError) as exc:
+        solve_right_cauchy(0.5, grid,
+                           lambda x, k: np.array([bad]) if k == 3 else -x, 1.0,
+                           np.array([1.0]))
+    assert exc.value.node == 3
 
 
 # -- input validation --------------------------------------------------------------

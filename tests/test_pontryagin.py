@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fracoc import (ContractionError, FixedPointOpts, Grid, OcpProblem,
-                    SweepDivergenceError, SweepOpts, TimeSeq, adjoint_solve,
-                    build_example, cost, delta_minus, euler_lagrange_residual,
-                    gateaux_derivative, solve_pontryagin, state_solve,
-                    stationarity_residual)
+from fracoc import (CauchyRhs, ContractionError, FixedPointDivergenceError,
+                    FixedPointOpts, Grid, NonFiniteError, OcpProblem,
+                    SingularNodeError, SweepDivergenceError, SweepOpts,
+                    TimeSeq, adjoint_solve, build_example, cost, delta_minus,
+                    euler_lagrange_residual, gateaux_derivative,
+                    gl_coefficients, solve_left_cauchy, solve_pontryagin,
+                    state_solve, stationarity_residual)
 from fracoc.pontryagin import ControlUpdateError, _secant_root
 
 TIGHT_INNER = FixedPointOpts(tol=1e-14, max_iters=200)
@@ -90,6 +94,147 @@ def test_control_shape_validation():
         state_solve(problem, TimeSeq(np.zeros((9, 1)), 2, 8))
     # a control valid on [1, n] only is enough: slot 0 is never read
     state_solve(problem, TimeSeq(np.zeros((9, 1)), 1, 8))
+
+
+def tanh_problem(alpha, n, d):
+    """f(x, v, t) = W tanh(x) + v: nonlinear, so Newton needs several steps."""
+    w = np.array([[-0.8]]) if d == 1 else np.array([[-0.6, 0.4], [-0.3, -0.5]])
+    return OcpProblem(
+        d=d, m=d, alpha=alpha, grid=Grid(0.0, 1.0, n),
+        initial=np.array([1.0, -0.5][:d]),
+        L=lambda x, v, t: 0.5 * (float(x @ x) + float(v @ v)),
+        dL_dx=lambda x, v, t: x,
+        dL_dv=lambda x, v, t: v,
+        f=lambda x, v, t: w @ np.tanh(x) + v,
+        df_dx=lambda x, v, t: w * (1.0 - np.tanh(x) ** 2),
+        df_dv=lambda x, v, t: np.eye(d),
+        lipschitz_M=float(np.linalg.norm(w, 2)),
+    )
+
+
+def tanh_control(t, d):
+    return np.array([np.sin(3.0 * t), np.cos(2.0 * t)][:d])
+
+
+def tanh_controls(problem):
+    return TimeSeq(np.array([tanh_control(t, problem.d) for t in problem.grid.times]))
+
+
+@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("alpha", (0.3, 0.75, 1.0))
+def test_state_solve_matches_the_fixed_point_march(alpha, d):
+    problem = tanh_problem(alpha, 30, d)
+    grid, u = problem.grid, tanh_controls(problem)
+    q = state_solve(problem, u, TIGHT_INNER)
+    rhs = CauchyRhs(lambda x, t: problem.f_at(x, tanh_control(t, d), t),
+                    problem.lipschitz_M)
+    ref = solve_left_cauchy(alpha, grid, rhs, problem.initial, TIGHT_INNER)
+    npt.assert_allclose(q.values, ref.values, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_wrong_jacobian_gives_the_same_state(d):
+    # a wrong but non-singular df_dx may cost Newton steps, never the answer
+    problem = tanh_problem(0.5, 30, d)
+    wrong = dataclasses.replace(problem, df_dx=lambda x, v, t: 0.5 * np.eye(d))
+    u = tanh_controls(problem)
+    npt.assert_allclose(state_solve(wrong, u, TIGHT_INNER).values,
+                        state_solve(problem, u, TIGHT_INNER).values,
+                        rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_newton_budget_exhaustion_names_the_node(d):
+    problem = tanh_problem(0.5, 10, d)
+    u = tanh_controls(problem)
+    with pytest.raises(FixedPointDivergenceError) as exc:
+        state_solve(problem, u, FixedPointOpts(tol=1e-15, max_iters=1))
+    assert exc.value.node == 1
+
+
+def dense_adjoint_solve(problem, u, q):
+    """All adjoint node equations as one block upper-triangular system.
+
+    Row k = 0..N-1:  (I - h^a B_k) P_k + sum_{r=1..N-k-1} c_r P_{k+r} = h^a g_k
+    with B_k = df/dx^T and g_k = dL/dx, both at node k + 1, and P_N = 0.
+    """
+    grid, n, d = problem.grid, problem.grid.n, problem.d
+    c = gl_coefficients(problem.alpha, n).coeffs
+    ha = grid.h ** problem.alpha
+    m = np.zeros((n * d, n * d))
+    rhs = np.zeros(n * d)
+    for k in range(n):
+        x1, v1, t1 = q[k + 1], u[k + 1], grid.times[k + 1]
+        row = slice(k * d, (k + 1) * d)
+        m[row, row] = np.eye(d) - ha * problem.fx_at(x1, v1, t1).T
+        for r in range(1, n - k):
+            m[row, (k + r) * d:(k + r + 1) * d] += c[r] * np.eye(d)
+        rhs[row] = ha * problem.lx_at(x1, v1, t1)
+    return np.vstack([np.linalg.solve(m, rhs).reshape(n, d), np.zeros(d)])
+
+
+@pytest.mark.parametrize("alpha", (0.6, 1.0))
+def test_adjoint_matches_dense_block_triangular_solve(alpha):
+    # planar, time-varying and not symmetric, so the transpose is exercised
+    def a_of(t):
+        return np.array([[-0.5, t], [-0.6 * t, 0.3 * np.cos(3.0 * t)]])
+
+    problem = OcpProblem(
+        d=2, m=2, alpha=alpha, grid=Grid(0.0, 1.0, 24), initial=np.array([1.0, 2.0]),
+        L=lambda x, v, t: 0.5 * (float(x @ x) + float(v @ v)) + np.sin(t) * x[0],
+        dL_dx=lambda x, v, t: x + np.array([np.sin(t), 0.0]),
+        dL_dv=lambda x, v, t: v,
+        f=lambda x, v, t: a_of(t) @ x + v,
+        df_dx=lambda x, v, t: a_of(t),
+        df_dv=lambda x, v, t: np.eye(2),
+        lipschitz_M=1.5,
+    )
+    rng = np.random.default_rng(5)
+    q = TimeSeq(rng.normal(size=(25, 2)))
+    u = TimeSeq(rng.normal(size=(25, 2)))
+    p = adjoint_solve(problem, u, q)
+    npt.assert_allclose(p.values, dense_adjoint_solve(problem, u, q),
+                        rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("example", ("lq", "rotation"))
+def test_non_finite_callbacks_stop_at_their_node(example):
+    base = build_example(example, 0.5, 8)
+    t3 = base.grid.times[3]
+    u = TimeSeq.zeros(8, base.m)
+
+    def poisoned(fn):
+        return lambda x, v, t: np.full(np.shape(fn(x, v, t)), np.nan) if t == t3 else fn(x, v, t)
+
+    with pytest.raises(NonFiniteError) as exc:
+        state_solve(dataclasses.replace(base, f=poisoned(base.f)), u)
+    assert exc.value.node == 3
+    q = state_solve(base, u)
+    # the adjoint equation at node k reads its data at node k + 1
+    with pytest.raises(NonFiniteError) as exc:
+        adjoint_solve(dataclasses.replace(base, dL_dx=poisoned(base.dL_dx)), u, q)
+    assert exc.value.node == 2
+    with pytest.raises(NonFiniteError) as exc:
+        gateaux_derivative(dataclasses.replace(base, df_dv=poisoned(base.df_dv)),
+                           u, TimeSeq.constant(np.ones(base.m), 8))
+    assert exc.value.node == 3
+
+
+@pytest.mark.parametrize("example", ("lq", "rotation"))
+def test_inconsistent_jacobian_is_reported_as_singular(example):
+    # h^alpha = 1/4 and df_dx = 4 I make I - h^alpha df_dx exactly zero,
+    # though lipschitz_M = 1 passes the step-size gate
+    base = build_example(example, 1.0, 4)
+    bad = dataclasses.replace(base, df_dx=lambda x, v, t: 4.0 * np.eye(base.d))
+    u = TimeSeq.zeros(4, base.m)
+    with pytest.raises(SingularNodeError) as exc:
+        state_solve(bad, u)
+    assert exc.value.node == 1
+    with pytest.raises(SingularNodeError) as exc:
+        adjoint_solve(bad, u, state_solve(base, u))
+    assert exc.value.node == 3  # the first node the backward march reaches
+    with pytest.raises(SingularNodeError):
+        solve_pontryagin(bad)
 
 
 # -- cost and its derivative -----------------------------------------------------
