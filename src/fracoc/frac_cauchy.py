@@ -14,7 +14,8 @@ for every solver in the package; only the node solve differs:
   know F alone and solve each node by fixed-point iteration, which
   contracts whenever h^alpha * K < 1 for a Lipschitz bound K of F;
 - :func:`_newton_march` is handed dF/dx as well and takes Newton steps,
-  which only need I - h^alpha dF/dx to be invertible at each node;
+  falling back to the fixed-point step whenever a Newton step does not
+  at least halve the node residual;
 - :func:`_linear_march` handles F(x, k) = A_k x + b_k with one linear
   solve per node, using inverses built once for all nodes.
 
@@ -212,13 +213,18 @@ def solve_right_cauchy(alpha, grid: Grid,
 
 def _newton_march(alpha: float, grid: Grid, field, jacobian, start: np.ndarray,
                   opts: FixedPointOpts | None) -> TimeSeq:
-    """Left march with node equations solved by Newton steps.
+    """Left march with node equations solved by safeguarded Newton steps.
 
     ``field(x, k)`` returns F at node k as shape (d,), ``jacobian(x, k)``
     returns dF/dx as shape (d, d).  A node is accepted on its residual
-    |x - h^alpha F(x, k) - const| <= tol * max(1, |x|), checked before each
-    of at most ``max_iters`` steps and after the last, so an inexact
-    Jacobian can only cost iterations, never change the accepted answer.
+    r(x) = x - h^alpha F(x, k) - const once |r| <= tol * max(1, |x|),
+    checked before each of at most ``max_iters`` steps and after the last.
+    A Newton step is kept only if it at least halves |r|; otherwise the
+    node takes the fixed-point step x <- h^alpha F(x, k) + const = x - r,
+    which also halves |r| whenever h^alpha times the Lipschitz bound of F is
+    below 1/2 (the sweep's standing gate).  A trial point with a non-finite
+    residual is rejected the same way.  So an inexact Jacobian can cost
+    steps and callback calls, never the accepted answer.
     """
     opts = opts or FixedPointOpts()
     d = start.size
@@ -228,36 +234,54 @@ def _newton_march(alpha: float, grid: Grid, field, jacobian, start: np.ndarray,
     if d == 1:
         def solve_node(const, k, x):
             c0, xs = const[0], x[0]
-            for _ in range(max_iters + 1):  # up to max_iters steps, each checked
-                r = xs - ha * field(x, k)[0] - c0
+            r = xs - ha * field(x, k)[0] - c0
+            for it in range(max_iters + 1):
                 if not math.isfinite(r):
                     raise NonFiniteError(k)
                 if abs(r) <= tol * max(1.0, abs(xs)):
                     return x
+                if it == max_iters:
+                    break
                 g = 1.0 - ha * jacobian(x, k)[0, 0]
                 if g == 0.0 or not math.isfinite(g):
                     raise SingularNodeError(k)
-                xs = xs - r / g
-                x = np.array([xs])
+                trial = np.array([xs - r / g])
+                r_trial = trial[0] - ha * field(trial, k)[0] - c0
+                if abs(r_trial) <= 0.5 * abs(r):  # False for NaN
+                    x, xs, r = trial, trial[0], r_trial
+                else:
+                    xs = xs - r
+                    x = np.array([xs])
+                    r = xs - ha * field(x, k)[0] - c0
             raise FixedPointDivergenceError(k, abs(r), tol)
     else:
         eye = np.eye(d)
 
         def solve_node(const, k, x):
-            for _ in range(max_iters + 1):  # up to max_iters steps, each checked
-                r = x - ha * field(x, k) - const
-                err = float(np.max(np.abs(r)))
+            r = x - ha * field(x, k) - const
+            err = float(np.max(np.abs(r)))
+            for it in range(max_iters + 1):
                 if not math.isfinite(err):
                     raise NonFiniteError(k)
                 if err <= tol * max(1.0, float(np.max(np.abs(x)))):
                     return x
+                if it == max_iters:
+                    break
                 g = eye - ha * jacobian(x, k)
                 if not np.isfinite(g).all():
                     raise SingularNodeError(k)
                 try:
-                    x = x - np.linalg.solve(g, r)
+                    trial = x - np.linalg.solve(g, r)
                 except np.linalg.LinAlgError:
                     raise SingularNodeError(k) from None
+                r_trial = trial - ha * field(trial, k) - const
+                err_trial = float(np.max(np.abs(r_trial)))
+                if err_trial <= 0.5 * err:  # False for NaN
+                    x, r, err = trial, r_trial, err_trial
+                else:
+                    x = x - r
+                    r = x - ha * field(x, k) - const
+                    err = float(np.max(np.abs(r)))
             raise FixedPointDivergenceError(k, err, tol)
 
     return TimeSeq(_march(alpha, grid, start, solve_node))
@@ -290,13 +314,7 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
         raise SingularNodeError(int(nodes[np.argmax(singular)])) from None
     hb = ha * b_vecs
 
-    if d == 1:
-        inv1, hb1 = inv[:, 0, 0], hb[:, 0]
-
-        def solve_node(const, k, _):
-            return inv1[k] * (const[0] + hb1[k])
-    else:
-        def solve_node(const, k, _):
-            return inv[k] @ (const + hb[k])
+    def solve_node(const, k, _):
+        return inv[k] @ (const + hb[k])
 
     return TimeSeq(_march(alpha, grid, start, solve_node, reverse))

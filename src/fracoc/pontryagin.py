@@ -210,15 +210,14 @@ def state_solve(problem: OcpProblem, u: TimeSeq,
                          problem.initial, opts)
 
 
-def adjoint_solve(problem: OcpProblem, u: TimeSeq, q: TimeSeq,
-                  opts: FixedPointOpts | None = None) -> TimeSeq:
+def adjoint_solve(problem: OcpProblem, u: TimeSeq, q: TimeSeq) -> TimeSeq:
     """Solve the shifted adjoint equation backward from P_N = 0.
 
     The equation at node k reads data at node k + 1, which is what makes
     the discrete integration by parts close without boundary terms.  It is
     linear in P, so each node is one solve of
-    (I - h^alpha fx_{k+1}^T) P_k = const_k + h^alpha lx_{k+1}; ``opts`` is
-    accepted for symmetry with :func:`state_solve` and not used.
+    (I - h^alpha fx_{k+1}^T) P_k = const_k + h^alpha lx_{k+1}, and there is
+    no iteration to tune.
     """
     _check_standing(problem)
     _require_control(problem, u)
@@ -381,7 +380,7 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
     increment = np.inf
     for outer in range(1, opts.max_outer_iters + 1):
         q = state_solve(problem, u, opts.inner)
-        p = adjoint_solve(problem, u, q, opts.inner)
+        p = adjoint_solve(problem, u, q)
         residual = stationarity_residual(problem, q, u, p).sup_norm()
 
         step = np.zeros_like(u.values)

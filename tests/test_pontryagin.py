@@ -63,7 +63,7 @@ def test_adjoint_solve_integer_order_recurrence():
     h = problem.grid.h
     u = TimeSeq.zeros(10)
     q = state_solve(problem, u, TIGHT_INNER)
-    p = adjoint_solve(problem, u, q, TIGHT_INNER)
+    p = adjoint_solve(problem, u, q)
 
     expect = np.zeros(11)
     for k in range(9, -1, -1):
@@ -143,13 +143,40 @@ def test_wrong_jacobian_gives_the_same_state(d):
                         rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("example", ("lq", "rotation"))
+def test_diverging_newton_falls_back_to_the_fixed_point_step(example):
+    # h^alpha = 0.1 and df_dx = 40 I give I - h^alpha df_dx = -3 I against a
+    # true 0.9 I: every Newton step overshoots by 1.3 times the error
+    problem = build_example(example, 1.0, 10)
+    wrong = dataclasses.replace(problem, df_dx=lambda x, v, t: 40.0 * np.eye(problem.d))
+    u = TimeSeq(np.sin(3.0 * np.outer(problem.grid.times, np.arange(1, problem.m + 1))))
+    npt.assert_allclose(state_solve(wrong, u, TIGHT_INNER).values,
+                        state_solve(problem, u, TIGHT_INNER).values,
+                        rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("d", (1, 2))
 def test_newton_budget_exhaustion_names_the_node(d):
     problem = tanh_problem(0.5, 10, d)
+    calls = {"f": 0, "df_dx": 0}
+
+    def counted(name):
+        fn = getattr(problem, name)
+
+        def wrapped(x, v, t):
+            calls[name] += 1
+            return fn(x, v, t)
+        return wrapped
+
+    counting = dataclasses.replace(problem, f=counted("f"), df_dx=counted("df_dx"))
     u = tanh_controls(problem)
     with pytest.raises(FixedPointDivergenceError) as exc:
-        state_solve(problem, u, FixedPointOpts(tol=1e-15, max_iters=1))
+        state_solve(counting, u, FixedPointOpts(tol=1e-15, max_iters=1))
     assert exc.value.node == 1
+    # one step: the start residual, one Jacobian, the trial and at most
+    # one fixed-point fallback, and no unchecked step after it
+    assert calls["df_dx"] == 1
+    assert 2 <= calls["f"] <= 3
 
 
 def dense_adjoint_solve(problem, u, q):
