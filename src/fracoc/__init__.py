@@ -9,8 +9,8 @@ conserved quantities, and closed-form references for convergence studies.
 from .frac_cauchy import (CauchyRhs, ContractionError, FixedPointDivergenceError,
                           FixedPointOpts, NonFiniteError, SingularNodeError,
                           solve_left_cauchy, solve_right_cauchy)
-from .gl_ops import (FracCoeffs, FracOrder, Grid, TimeSeq, delta_minus,
-                     delta_plus, dfibp_residual, gl_coefficients, shift)
+from .gl_ops import (FracCoeffs, Grid, TimeSeq, delta_minus, delta_plus,
+                     dfibp_residual, gl_coefficients, shift)
 from .noether import (OneParamGroup, conserved_quantity, dense_matrix,
                       group_axiom_defect, invariance_residual, matrix_entry,
                       transfer_residual)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CauchyRhs", "ContractionError", "ControlUpdateError", "ConvergenceReport",
     "DegenerateDataError", "EXAMPLES", "FixedPointDivergenceError",
-    "FixedPointOpts", "FracCoeffs", "FracOrder", "Grid", "NonFiniteError",
+    "FixedPointOpts", "FracCoeffs", "Grid", "NonFiniteError",
     "OcpProblem", "OneParamGroup", "PontryaginSolution", "SingularNodeError",
     "SweepDivergenceError", "SweepOpts",
     "TimeSeq", "adjoint_solve", "build_example", "conserved_quantity",

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .frac_cauchy import FixedPointDivergenceError, FixedPointOpts
+from .frac_cauchy import FixedPointDivergenceError
 from .gl_ops import TimeSeq
 from .noether import conserved_quantity
 from .pontryagin import (ControlUpdateError, SweepDivergenceError, SweepOpts,
@@ -24,26 +23,11 @@ from .reference import (DegenerateDataError, convergence_order,
                         lq_exact_control, max_control_error,
                         solved_example_exact_control)
 
-__all__ = ["RunConfig", "run_solve", "run_converge", "run_noether", "main", "entry"]
+__all__ = ["run_solve", "run_converge", "run_noether", "main", "entry"]
 
 
 class UnsupportedReferenceError(ValueError):
     """No closed-form reference exists for the requested combination."""
-
-
-@dataclass
-class RunConfig:
-    example: str
-    alpha: float = 1.0
-    n: int = 100
-    n_list: tuple = ()
-    out: str = ""
-    tol_stat: float = 1e-9
-    tol_control: float = 1e-9
-    max_outer: int = 200
-    relax: float = 1.0
-    self_test: bool = False
-    zero_generator: bool = False
 
 
 def _fmt(x: float) -> str:
@@ -55,18 +39,17 @@ def _write_csv(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _sweep_opts(cfg: RunConfig) -> SweepOpts:
+def _sweep_opts(cfg: argparse.Namespace) -> SweepOpts:
     return SweepOpts(tol_stationarity=cfg.tol_stat, tol_control=cfg.tol_control,
-                     max_outer_iters=cfg.max_outer, relaxation=cfg.relax,
-                     inner=FixedPointOpts())
+                     max_outer_iters=cfg.max_outer, relaxation=cfg.relax)
 
 
-def _solve(cfg: RunConfig, n: int):
+def _solve(cfg: argparse.Namespace, n: int):
     problem = build_example(cfg.example, cfg.alpha, n)
     return solve_pontryagin(problem, opts=_sweep_opts(cfg)), problem
 
 
-def run_solve(cfg: RunConfig) -> int:
+def run_solve(cfg: argparse.Namespace) -> int:
     """Solve one instance and write the k, t, u, q, p table."""
     solution, problem = _solve(cfg, cfg.n)
     grid = problem.grid
@@ -88,7 +71,7 @@ def run_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _reference_for(cfg: RunConfig):
+def _reference_for(cfg: argparse.Namespace):
     if cfg.example == "solved":
         return lambda t: solved_example_exact_control(cfg.alpha, t)
     if cfg.example == "lq":
@@ -101,7 +84,7 @@ def _reference_for(cfg: RunConfig):
         f"no closed-form reference for example {cfg.example!r}")
 
 
-def run_converge(cfg: RunConfig) -> int:
+def run_converge(cfg: argparse.Namespace) -> int:
     """Solve a list of grids against the closed form, fit the order.
 
     Self-test mode replaces the closed form by the numerical control
@@ -139,7 +122,7 @@ def run_converge(cfg: RunConfig) -> int:
     return 0
 
 
-def run_noether(cfg: RunConfig) -> int:
+def run_noether(cfg: argparse.Namespace) -> int:
     """Evaluate the candidate invariant along a rotation-example solution."""
     if cfg.example != "rotation":
         raise ValueError("the invariant is wired to the rotation example; "
@@ -170,6 +153,8 @@ def _parse_n_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("empty N list")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"repeated grid size in N list: {text!r}")
     return values
 
 
@@ -211,18 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        example=args.example, alpha=args.alpha, out=args.out,
-        tol_stat=args.tol_stat, tol_control=args.tol_control,
-        max_outer=args.max_outer, relax=args.relax,
-        n=getattr(args, "n", 100), n_list=getattr(args, "n_list", ()),
-        self_test=getattr(args, "self_test", False),
-        zero_generator=getattr(args, "zero_generator", False),
-    )
     runner = {"solve": run_solve, "converge": run_converge,
               "noether": run_noether}[args.command]
     try:
-        return runner(cfg)
+        return runner(args)
     except (ValueError, SweepDivergenceError, FixedPointDivergenceError,
             ControlUpdateError) as exc:
         print(f"error: {exc}", file=sys.stderr)

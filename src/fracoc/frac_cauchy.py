@@ -8,19 +8,23 @@ and the right problem mirrors it from the terminal node down; it is the
 left march run on reversed node indices.  Both keep the full memory tail,
 so one march costs O(N^2) for the memory sums plus the work of solving
 each node equation.  One private kernel, :func:`_march`, does the marching
-for every solver in the package; only the node solve differs:
+for every solver in the package, and two node solves sit on it:
 
-- the public marches :func:`solve_left_cauchy` and :func:`solve_right_cauchy`
-  know F alone and solve each node by fixed-point iteration, which
-  contracts whenever h^alpha * K < 1 for a Lipschitz bound K of F;
-- :func:`_newton_march` is handed dF/dx as well and takes Newton steps,
-  falling back to the fixed-point step whenever a Newton step does not
-  at least halve the node residual;
+- :func:`_newton_march` solves nonlinear node equations.  It accepts a
+  node once its residual |x - h^alpha F(x) - const| is at most
+  tol * max(1, |x|).  Handed dF/dx it takes Newton steps, falling back to
+  the fixed-point step x <- h^alpha F(x) + const whenever a Newton step
+  does not at least halve the residual; without dF/dx it takes only the
+  fixed-point step.  The public marches :func:`solve_left_cauchy` and
+  :func:`solve_right_cauchy` know F alone, so they check h^alpha * K < 1
+  for a Lipschitz bound K of F, under which the fixed-point step contracts
+  (``ContractionError`` otherwise);
 - :func:`_linear_march` handles F(x, k) = A_k x + b_k with one linear
-  solve per node, using inverses built once for all nodes.
+  solve per node, using inverses built once for all nodes; it needs only
+  I - h^alpha A_k to be invertible.
 
-Every node solver stops at once, naming the node, when a value turns NaN
-or infinite, and the two with a Jacobian stop when I - h^alpha dF/dx is
+Every node solve stops at once, naming the node, when a value turns NaN
+or infinite, and the ones with a Jacobian stop when I - h^alpha dF/dx is
 singular.
 """
 
@@ -95,9 +99,9 @@ class CauchyRhs:
 class FixedPointOpts:
     """Stopping rule for the per-node iterations (infinity norm).
 
-    Fixed-point iteration stops once an update moves the iterate by at most
-    ``tol``; Newton iteration stops once the node residual is at most
-    ``tol * max(1, |x|)``.
+    A node is accepted once its residual |x - h^alpha F(x) - const| is at
+    most ``tol * max(1, |x|)``, checked before each of at most
+    ``max_iters`` steps and after the last.
     """
 
     tol: float = 1e-12
@@ -140,41 +144,15 @@ def _march(alpha: float, grid: Grid, start: np.ndarray, solve_node,
     return y[::-1].copy() if reverse else y
 
 
-def _fixed_point_march(alpha, grid: Grid, field, start, opts: FixedPointOpts | None,
-                       full_output: bool, reverse: bool):
-    """Public-march body: node equations solved by fixed-point iteration."""
-    opts = opts or FixedPointOpts()
-    n, d = grid.n, start.size
-    ha = grid.h ** alpha
-    tol, max_iters = opts.tol, opts.max_iters
-    iters = np.zeros(n + 1, dtype=int)
-    gaps = np.zeros(n + 1)
-
-    def solve_node(const, k, x):
-        for it in range(1, max_iters + 1):
-            fx = np.asarray(field(x, k), dtype=float).reshape(-1)
-            if fx.size != d:
-                raise ValueError(f"rhs returned size {fx.size}, expected {d}")
-            x_new = ha * fx + const
-            step = float(np.max(np.abs(x_new - x)))
-            if not math.isfinite(step):
-                raise NonFiniteError(k)
-            if it == 1:
-                gaps[k] = step
-            x = x_new
-            if step <= tol:
-                iters[k] = it
-                return x
-        raise FixedPointDivergenceError(k, step, tol)
-
-    seq = TimeSeq(_march(alpha, grid, start, solve_node, reverse))
-    if full_output:
-        return seq, {"iterations": iters, "initial_gaps": gaps}
-    return seq
-
-
 def _as_start(value) -> np.ndarray:
     return np.atleast_1d(np.asarray(value, dtype=float)).reshape(-1)
+
+
+def _sized(value, d: int) -> np.ndarray:
+    fx = np.asarray(value, dtype=float).reshape(-1)
+    if fx.size != d:
+        raise ValueError(f"rhs returned size {fx.size}, expected {d}")
+    return fx
 
 
 def solve_left_cauchy(alpha, grid: Grid, rhs: CauchyRhs, initial,
@@ -183,14 +161,18 @@ def solve_left_cauchy(alpha, grid: Grid, rhs: CauchyRhs, initial,
     """March the left fractional Cauchy problem from Q_0 = initial.
 
     Returns the solution sequence, valid on all of [0, N].  With
-    ``full_output=True`` also returns a dict with per-node iteration counts
-    and first-step gaps, which bound the contraction behaviour.
+    ``full_output=True`` also returns a dict with the per-node number of
+    residual evaluations (``iterations``) and the first residual of each
+    node (``initial_gaps``), which is the first fixed-point step.
     """
     a = _order_value(alpha)
     _check_contraction(a, grid, rhs.lipschitz_K)
-    times = grid.times
-    return _fixed_point_march(a, grid, lambda x, k: rhs.eval(x, times[k]),
-                              _as_start(initial), opts, full_output, reverse=False)
+    start, times = _as_start(initial), grid.times
+
+    def field(x, k):
+        return _sized(rhs.eval(x, times[k]), start.size)
+
+    return _newton_march(a, grid, field, start, opts, full_output=full_output)
 
 
 def solve_right_cauchy(alpha, grid: Grid,
@@ -207,13 +189,19 @@ def solve_right_cauchy(alpha, grid: Grid,
     if lipschitz_K < 0:
         raise ValueError(f"Lipschitz bound must be >= 0, got {lipschitz_K}")
     _check_contraction(a, grid, lipschitz_K)
-    return _fixed_point_march(a, grid, rhs_shifted, _as_start(terminal), opts,
-                              full_output, reverse=True)
+    start = _as_start(terminal)
+
+    def field(x, k):
+        return _sized(rhs_shifted(x, k), start.size)
+
+    return _newton_march(a, grid, field, start, opts, reverse=True,
+                         full_output=full_output)
 
 
-def _newton_march(alpha: float, grid: Grid, field, jacobian, start: np.ndarray,
-                  opts: FixedPointOpts | None) -> TimeSeq:
-    """Left march with node equations solved by safeguarded Newton steps.
+def _newton_march(alpha: float, grid: Grid, field, start: np.ndarray,
+                  opts: FixedPointOpts | None, jacobian=None, reverse: bool = False,
+                  full_output: bool = False):
+    """March with node equations solved by safeguarded Newton steps.
 
     ``field(x, k)`` returns F at node k as shape (d,), ``jacobian(x, k)``
     returns dF/dx as shape (d, d).  A node is accepted on its residual
@@ -221,38 +209,53 @@ def _newton_march(alpha: float, grid: Grid, field, jacobian, start: np.ndarray,
     checked before each of at most ``max_iters`` steps and after the last.
     A Newton step is kept only if it at least halves |r|; otherwise the
     node takes the fixed-point step x <- h^alpha F(x, k) + const = x - r,
-    which also halves |r| whenever h^alpha times the Lipschitz bound of F is
-    below 1/2 (the sweep's standing gate).  A trial point with a non-finite
-    residual is rejected the same way.  So an inexact Jacobian can cost
-    steps and callback calls, never the accepted answer.
+    which multiplies |r| by at most h^alpha K for a Lipschitz bound K of F:
+    it contracts when h^alpha K < 1 and halves |r| when h^alpha K <= 1/2
+    (the sweep's standing gate).  A trial point with a non-finite residual
+    is rejected the same way, so an inexact Jacobian can cost steps and
+    callback calls, never the accepted answer.  With no ``jacobian`` every
+    step is the fixed-point step, and an accepted node returns its
+    fixed-point image x - r, which costs no evaluation and is closer to the
+    solution by that same factor.
+
+    With ``full_output`` also returns the per-node number of residual
+    evaluations and the first residual of each node.
     """
     opts = opts or FixedPointOpts()
     d = start.size
     ha = grid.h ** alpha
     tol, max_iters = opts.tol, opts.max_iters
+    fixed_point = jacobian is None
+    iters = [0] * (grid.n + 1)
+    gaps = [0.0] * (grid.n + 1)
 
     if d == 1:
         def solve_node(const, k, x):
             c0, xs = const[0], x[0]
             r = xs - ha * field(x, k)[0] - c0
+            gaps[k], evals = abs(r), 1
             for it in range(max_iters + 1):
                 if not math.isfinite(r):
                     raise NonFiniteError(k)
                 if abs(r) <= tol * max(1.0, abs(xs)):
-                    return x
+                    iters[k] = evals
+                    return np.array([xs - r]) if fixed_point else x
                 if it == max_iters:
                     break
-                g = 1.0 - ha * jacobian(x, k)[0, 0]
-                if g == 0.0 or not math.isfinite(g):
-                    raise SingularNodeError(k)
-                trial = np.array([xs - r / g])
-                r_trial = trial[0] - ha * field(trial, k)[0] - c0
-                if abs(r_trial) <= 0.5 * abs(r):  # False for NaN
-                    x, xs, r = trial, trial[0], r_trial
-                else:
-                    xs = xs - r
-                    x = np.array([xs])
-                    r = xs - ha * field(x, k)[0] - c0
+                if not fixed_point:
+                    g = 1.0 - ha * jacobian(x, k)[0, 0]
+                    if g == 0.0 or not math.isfinite(g):
+                        raise SingularNodeError(k)
+                    trial = np.array([xs - r / g])
+                    r_trial = trial[0] - ha * field(trial, k)[0] - c0
+                    evals += 1
+                    if abs(r_trial) <= 0.5 * abs(r):  # False for NaN
+                        x, xs, r = trial, trial[0], r_trial
+                        continue
+                xs = xs - r
+                x = np.array([xs])
+                r = xs - ha * field(x, k)[0] - c0
+                evals += 1
             raise FixedPointDivergenceError(k, abs(r), tol)
     else:
         eye = np.eye(d)
@@ -260,31 +263,39 @@ def _newton_march(alpha: float, grid: Grid, field, jacobian, start: np.ndarray,
         def solve_node(const, k, x):
             r = x - ha * field(x, k) - const
             err = float(np.max(np.abs(r)))
+            gaps[k], evals = err, 1
             for it in range(max_iters + 1):
                 if not math.isfinite(err):
                     raise NonFiniteError(k)
                 if err <= tol * max(1.0, float(np.max(np.abs(x)))):
-                    return x
+                    iters[k] = evals
+                    return x - r if fixed_point else x
                 if it == max_iters:
                     break
-                g = eye - ha * jacobian(x, k)
-                if not np.isfinite(g).all():
-                    raise SingularNodeError(k)
-                try:
-                    trial = x - np.linalg.solve(g, r)
-                except np.linalg.LinAlgError:
-                    raise SingularNodeError(k) from None
-                r_trial = trial - ha * field(trial, k) - const
-                err_trial = float(np.max(np.abs(r_trial)))
-                if err_trial <= 0.5 * err:  # False for NaN
-                    x, r, err = trial, r_trial, err_trial
-                else:
-                    x = x - r
-                    r = x - ha * field(x, k) - const
-                    err = float(np.max(np.abs(r)))
+                if not fixed_point:
+                    g = eye - ha * jacobian(x, k)
+                    if not np.isfinite(g).all():
+                        raise SingularNodeError(k)
+                    try:
+                        trial = x - np.linalg.solve(g, r)
+                    except np.linalg.LinAlgError:
+                        raise SingularNodeError(k) from None
+                    r_trial = trial - ha * field(trial, k) - const
+                    err_trial = float(np.max(np.abs(r_trial)))
+                    evals += 1
+                    if err_trial <= 0.5 * err:  # False for NaN
+                        x, r, err = trial, r_trial, err_trial
+                        continue
+                x = x - r
+                r = x - ha * field(x, k) - const
+                err = float(np.max(np.abs(r)))
+                evals += 1
             raise FixedPointDivergenceError(k, err, tol)
 
-    return TimeSeq(_march(alpha, grid, start, solve_node))
+    seq = TimeSeq(_march(alpha, grid, start, solve_node, reverse))
+    if full_output:
+        return seq, {"iterations": np.array(iters), "initial_gaps": np.array(gaps)}
+    return seq
 
 
 def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarray,

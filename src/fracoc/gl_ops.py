@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "FracOrder",
     "FracCoeffs",
     "TimeSeq",
     "gl_coefficients",
@@ -36,22 +35,11 @@ __all__ = [
 
 
 def _order_value(alpha) -> float:
-    """Accept a plain float or a FracOrder and return the validated float."""
-    a = alpha.alpha if isinstance(alpha, FracOrder) else float(alpha)
+    """The order as a float, validated to lie in (0, 1]."""
+    a = float(alpha)
     if not 0.0 < a <= 1.0:
         raise ValueError(f"fractional order must lie in (0, 1], got {a}")
     return a
-
-
-@dataclass(frozen=True)
-class FracOrder:
-    """A differentiation order restricted to (0, 1]."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < float(self.alpha) <= 1.0:
-            raise ValueError(f"fractional order must lie in (0, 1], got {self.alpha}")
 
 
 @dataclass(frozen=True)

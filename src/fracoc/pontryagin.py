@@ -13,12 +13,14 @@ control, solves the two Cauchy problems, refreshes the control from the
 stationary condition and repeats until both the stationarity defect and the
 control increment fall below tolerance.
 
-No node equation is solved by fixed-point iteration here: the state takes
-Newton steps with df/dx at each node, and the adjoint and the linearized
-state of :func:`gateaux_derivative`, both linear, take one direct solve
-per node.  Either stops with ``SingularNodeError`` when I - h^alpha df/dx
-cannot be inverted at a node, and with ``NonFiniteError`` when a callback
-returns NaN or infinity.
+The state takes safeguarded Newton steps with df/dx at each node, and the
+adjoint and the linearized state of :func:`gateaux_derivative`, both
+linear, take one direct solve per node.  Either stops with
+``SingularNodeError`` when I - h^alpha df/dx cannot be inverted at a node,
+and with ``NonFiniteError`` when a callback returns NaN or infinity.  Only
+the state solve checks the standing gate 2 h^alpha M < 1, under which its
+fixed-point fallback halves the node residual; the direct solves need no
+gate, and every other entry point reaches the gate through the state.
 """
 
 from __future__ import annotations
@@ -143,8 +145,8 @@ class SweepOpts:
     sweep map, which the coupled benchmark problems need: their sweep maps
     have a real negative eigenvalue below -1, so any fixed lambda close to
     one diverges.  ``adaptive=False`` runs the plain fixed-lambda sweep.
-    ``inner`` sets the tolerance and budget of the per-node Newton steps of
-    the state solve.
+    ``inner`` sets the stopping rule of the per-node solve of the state: its
+    residual tolerance and step budget.
     """
 
     tol_stationarity: float = 1e-9
@@ -176,7 +178,8 @@ class PontryaginSolution:
 
 
 def _check_standing(problem: OcpProblem) -> None:
-    # the coupled system needs the stronger bound, twice the one-sided one
+    # h^alpha M below 1/2, so the state's fixed-point fallback halves the
+    # node residual as its Newton steps must
     factor = 2.0 * problem.grid.h ** _order_value(problem.alpha) * problem.lipschitz_M
     if not factor < 1.0:
         raise ContractionError(
@@ -198,16 +201,17 @@ def state_solve(problem: OcpProblem, u: TimeSeq,
 
     Each node equation is solved by Newton steps with ``df_dx``, stopping on
     the node residual; ``opts`` sets its tolerance and iteration budget.
-    The value u_0 is never read: the left operator only produces equations
-    at k = 1..N.
+    The fixed-point fallback of those steps is what needs 2 h^alpha M < 1
+    (``ContractionError`` otherwise).  The value u_0 is never read: the left
+    operator only produces equations at k = 1..N.
     """
     _check_standing(problem)
     _require_control(problem, u)
     uv, times = u.values, problem.grid.times
     return _newton_march(_order_value(problem.alpha), problem.grid,
                          lambda x, k: problem.f_at(x, uv[k], times[k]),
-                         lambda x, k: problem.fx_at(x, uv[k], times[k]),
-                         problem.initial, opts)
+                         problem.initial, opts,
+                         jacobian=lambda x, k: problem.fx_at(x, uv[k], times[k]))
 
 
 def adjoint_solve(problem: OcpProblem, u: TimeSeq, q: TimeSeq) -> TimeSeq:
@@ -217,9 +221,9 @@ def adjoint_solve(problem: OcpProblem, u: TimeSeq, q: TimeSeq) -> TimeSeq:
     the discrete integration by parts close without boundary terms.  It is
     linear in P, so each node is one solve of
     (I - h^alpha fx_{k+1}^T) P_k = const_k + h^alpha lx_{k+1}, and there is
-    no iteration to tune.
+    no iteration to tune and no step-size gate, only an invertible node
+    matrix (``SingularNodeError`` otherwise).
     """
-    _check_standing(problem)
     _require_control(problem, u)
     n, d = problem.grid.n, problem.d
     times = problem.grid.times
@@ -257,7 +261,6 @@ def gateaux_derivative(problem: OcpProblem, u: TimeSeq, ubar: TimeSeq,
     variation Qbar with Qbar_0 = 0, one linear solve per node, then accumulate
     h * sum_k (dL/dx . Qbar_k + dL/dv . ubar_k).
     """
-    _check_standing(problem)
     _require_control(problem, u)
     _require_control(problem, ubar)
     grid, n = problem.grid, problem.grid.n
@@ -365,7 +368,6 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
     After convergence U_0 is set to U_1; the slot is otherwise meaningless.
     """
     opts = opts or SweepOpts()
-    _check_standing(problem)
     grid, n = problem.grid, problem.grid.n
     times = grid.times
     if u_init is None:

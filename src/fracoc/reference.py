@@ -118,12 +118,14 @@ def convergence_order(errors_and_h, span: float = 1.0) -> ConvergenceReport:
 
     The fitted order is the slope of log(error) against log(h); pairwise
     orders come from consecutive rows.  Rows are reported sorted by n,
-    reconstructed as round(span / h).  At least three pairs with strictly
-    positive errors are required.
+    reconstructed as round(span / h).  At least three pairs with distinct
+    step sizes and strictly positive errors are required.
     """
     pairs = [(float(h), float(e)) for h, e in errors_and_h]
     if len(pairs) < 3:
         raise DegenerateDataError(f"need at least 3 rows, got {len(pairs)}")
+    if len({h for h, _ in pairs}) < len(pairs):
+        raise DegenerateDataError("step sizes must be distinct")
     for h, e in pairs:
         if h <= 0:
             raise DegenerateDataError(f"step sizes must be positive, got {h}")

@@ -158,6 +158,8 @@ def test_parser_rejects_bad_input():
         parser.parse_args(["converge", "--example", "lq", "--n-list", "a,b"])
     with pytest.raises(SystemExit):
         parser.parse_args(["converge", "--example", "lq", "--n-list", ""])
+    with pytest.raises(SystemExit):  # N = 20 twice would fit a nan order
+        parser.parse_args(["converge", "--example", "lq", "--n-list", "20,20,40"])
     with pytest.raises(SystemExit):
         parser.parse_args([])
 

@@ -83,6 +83,23 @@ def test_integer_order_is_implicit_euler():
         assert abs(res[0]) <= 10 * TIGHT.tol
 
 
+def test_default_tolerance_does_not_accumulate_over_the_march():
+    # an accepted node is returned as its fixed-point image, one contraction
+    # factor closer than the residual rule asks; node errors of size tol
+    # would otherwise add up to ~1e-10 over 500 implicit Euler steps
+    grid = Grid(0.0, 1.0, 500)
+    h, g = grid.h, np.cos(3.0 * grid.times)
+    rhs = CauchyRhs(lambda x, t: np.cos(3.0 * t) - 0.4 * x, 0.4)
+    q = solve_left_cauchy(1.0, grid, rhs, np.array([1.5]))
+    p = solve_right_cauchy(1.0, grid, lambda x, k: g[k] - 0.4 * x, 0.4, np.array([1.5]))
+    q_ref, p_ref = np.full(501, 1.5), np.full(501, 1.5)
+    for k in range(1, 501):
+        q_ref[k] = (q_ref[k - 1] + h * g[k]) / (1.0 + 0.4 * h)
+        p_ref[500 - k] = (p_ref[501 - k] + h * g[500 - k]) / (1.0 + 0.4 * h)
+    npt.assert_allclose(q.values[:, 0], q_ref, rtol=0.0, atol=1e-12)
+    npt.assert_allclose(p.values[:, 0], p_ref, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 @pytest.mark.parametrize("n", (1, 2, 5, 17, 64))
 def test_left_solver_matches_dense_oracle(alpha, n):
@@ -150,19 +167,26 @@ def test_solution_satisfies_the_operator_equation(alpha):
 
 # -- iteration behaviour ----------------------------------------------------------
 
-def test_full_output_reports_iteration_budget():
+@pytest.mark.parametrize("d", (1, 2))
+def test_full_output_reports_iteration_budget(d):
     grid = Grid(0.0, 1.0, 10)
     opts = FixedPointOpts(tol=1e-12)
+    start = np.array([1.0, -0.5][:d])
     q, info = solve_left_cauchy(1.0, grid, CauchyRhs(lambda x, t: 0.9 * x, 0.9),
-                                np.array([1.0]), opts, full_output=True)
+                                start, opts, full_output=True)
     assert info["iterations"][0] == 0 and np.all(info["iterations"][1:] >= 1)
     # contraction factor h^a K = 0.09: the gap shrinks 11x per pass
     assert np.all(info["iterations"][1:] <= 20)
     assert np.all(np.isfinite(info["initial_gaps"]))
+    # the first residual is the first fixed-point step, from the previous node
+    ha = grid.h
+    npt.assert_allclose(info["initial_gaps"][1],
+                        np.max(np.abs(start - ha * 0.9 * start - start)), rtol=1e-12)
 
     p, info_r = solve_right_cauchy(1.0, grid, lambda x, k: 0.9 * x, 0.9,
-                                   np.array([1.0]), opts, full_output=True)
+                                   start, opts, full_output=True)
     assert info_r["iterations"][10] == 0 and np.all(info_r["iterations"][:10] >= 1)
+    npt.assert_array_equal(info_r["iterations"][::-1], info["iterations"])
 
 
 def test_contraction_precondition_is_enforced():
@@ -195,24 +219,29 @@ def test_iteration_budget_exhaustion_raises():
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf))
-def test_non_finite_rhs_stops_at_its_node(bad):
-    # reported on the first evaluation that returns it, not after the budget
+@pytest.mark.parametrize("d", (1, 2))
+def test_non_finite_rhs_stops_at_its_node(d, bad):
+    # reported on the first evaluation that returns it, not after the budget;
+    # with d = 2 only the last component goes bad
     grid = Grid(0.0, 1.0, 8)
+    start = np.ones(d)
     seen = []
+
+    def poisoned(x):
+        return np.r_[-x[:-1], bad]
 
     def left(x, t):
         seen.append(t)
-        return np.array([bad]) if t == grid.times[3] else -x
+        return poisoned(x) if t == grid.times[3] else -x
 
     with pytest.raises(NonFiniteError) as exc:
-        solve_left_cauchy(0.5, grid, CauchyRhs(left, 1.0), np.array([1.0]))
+        solve_left_cauchy(0.5, grid, CauchyRhs(left, 1.0), start)
     assert exc.value.node == 3
     assert seen.count(grid.times[3]) == 1
 
     with pytest.raises(NonFiniteError) as exc:
         solve_right_cauchy(0.5, grid,
-                           lambda x, k: np.array([bad]) if k == 3 else -x, 1.0,
-                           np.array([1.0]))
+                           lambda x, k: poisoned(x) if k == 3 else -x, 1.0, start)
     assert exc.value.node == 3
 
 

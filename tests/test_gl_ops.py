@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracoc import (FracOrder, Grid, TimeSeq, delta_minus, delta_plus,
-                    dfibp_residual, gl_coefficients, shift)
+from fracoc import (Grid, TimeSeq, delta_minus, delta_plus, dfibp_residual,
+                    gl_coefficients, shift)
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0)
 
@@ -39,11 +39,6 @@ def test_weights_integer_order_truncate():
     npt.assert_array_equal(co.partial_sums, [1.0] + [0.0] * 6)
 
 
-def test_weights_accept_frac_order_wrapper():
-    npt.assert_array_equal(gl_coefficients(FracOrder(0.5), 3).coeffs,
-                           gl_coefficients(0.5, 3).coeffs)
-
-
 @settings(max_examples=60, deadline=None)
 @given(alpha=st.floats(min_value=1e-3, max_value=1.0),
        n=st.integers(min_value=1, max_value=80))
@@ -66,8 +61,6 @@ def test_weights_are_cached_and_read_only():
 def test_order_domain_rejected(bad):
     with pytest.raises(ValueError):
         gl_coefficients(bad, 4)
-    with pytest.raises(ValueError):
-        FracOrder(bad)
 
 
 def test_weights_need_at_least_one_step():

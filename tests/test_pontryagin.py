@@ -224,6 +224,22 @@ def test_adjoint_matches_dense_block_triangular_solve(alpha):
                         rtol=0.0, atol=1e-12)
 
 
+def test_adjoint_solve_needs_no_step_size_gate():
+    # 2 h^alpha M = 1.10 at alpha = 0.1, N = 400: the state's fixed-point
+    # fallback is refused there, the direct adjoint solve is not
+    problem = build_example("lq", 0.1, 400)
+    times = problem.grid.times
+    q = TimeSeq(np.exp(-times)[:, None])
+    u = TimeSeq(np.sin(3.0 * times)[:, None])
+    with pytest.raises(ContractionError):
+        state_solve(problem, u)
+    with pytest.raises(ContractionError):
+        gateaux_derivative(problem, u, u)
+    p = adjoint_solve(problem, u, q)
+    npt.assert_allclose(p.values, dense_adjoint_solve(problem, u, q),
+                        rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("example", ("lq", "rotation"))
 def test_non_finite_callbacks_stop_at_their_node(example):
     base = build_example(example, 0.5, 8)

@@ -172,3 +172,5 @@ def test_fit_rejects_degenerate_data():
         convergence_order([(0.1, 1.0), (0.05, 0.0), (0.025, 0.2)])
     with pytest.raises(DegenerateDataError):
         convergence_order([(0.1, 1.0), (-0.05, 0.5), (0.025, 0.2)])
+    with pytest.raises(DegenerateDataError):  # repeated step size
+        convergence_order([(0.05, 1.0), (0.05, 1.0), (0.025, 0.5)])
