@@ -178,10 +178,10 @@ def test_full_output_reports_iteration_budget(d):
     # contraction factor h^a K = 0.09: the gap shrinks 11x per pass
     assert np.all(info["iterations"][1:] <= 20)
     assert np.all(np.isfinite(info["initial_gaps"]))
-    # the first residual is the first fixed-point step, from the previous node
-    ha = grid.h
+    # node 1 starts from x_0, so its first residual, the first fixed-point
+    # step, is |h F(x_0)|
     npt.assert_allclose(info["initial_gaps"][1],
-                        np.max(np.abs(start - ha * 0.9 * start - start)), rtol=1e-12)
+                        grid.h * 0.9 * np.max(np.abs(start)), rtol=1e-12)
 
     p, info_r = solve_right_cauchy(1.0, grid, lambda x, k: 0.9 * x, 0.9,
                                    start, opts, full_output=True)
