@@ -181,6 +181,17 @@ def _require_full(seq: TimeSeq, grid: Grid, name: str) -> None:
                          f"got [{seq.lo}, {seq.hi}]")
 
 
+def _left_difference(alpha, grid: Grid, base: np.ndarray) -> np.ndarray:
+    """Columnwise sum_j c_j base_{k-j} / h^alpha at every node k = 0..n."""
+    a = _order_value(alpha)
+    c = gl_coefficients(a, grid.n).coeffs
+    out = np.empty_like(base)
+    for j in range(base.shape[1]):
+        out[:, j] = np.convolve(c, base[:, j])[: grid.n + 1]
+    out /= grid.h ** a
+    return out
+
+
 def delta_minus(alpha, grid: Grid, seq: TimeSeq, caputo: bool = False) -> TimeSeq:
     """Left fractional difference; valid on [1, n].
 
@@ -189,17 +200,11 @@ def delta_minus(alpha, grid: Grid, seq: TimeSeq, caputo: bool = False) -> TimeSe
     backward difference quotient (G_k - G_{k-1}) / h bit for bit, modulo
     the final division by h.
     """
-    a = _order_value(alpha)
     _require_full(seq, grid, "seq")
-    n = grid.n
-    c = gl_coefficients(a, n).coeffs
     base = seq.values - seq.values[0] if caputo else seq.values
-    out = np.empty_like(base)
-    for j in range(base.shape[1]):
-        out[:, j] = np.convolve(c, base[:, j])[: n + 1]
-    out /= grid.h ** a
+    out = _left_difference(alpha, grid, base)
     out[0] = 0.0  # slot kept but not part of the valid range
-    return TimeSeq(out, 1, n)
+    return TimeSeq(out, 1, grid.n)
 
 
 def delta_plus(alpha, grid: Grid, seq: TimeSeq, caputo: bool = False) -> TimeSeq:
@@ -208,16 +213,10 @@ def delta_plus(alpha, grid: Grid, seq: TimeSeq, caputo: bool = False) -> TimeSeq
     The mirror of :func:`delta_minus`: weights run forward from each node,
     and ``caputo=True`` subtracts the terminal value G_n.
     """
-    a = _order_value(alpha)
     _require_full(seq, grid, "seq")
     n = grid.n
-    c = gl_coefficients(a, n).coeffs
     base = seq.values - seq.values[n] if caputo else seq.values
-    rev = base[::-1]
-    out = np.empty_like(base)
-    for j in range(base.shape[1]):
-        out[:, j] = np.convolve(c, rev[:, j])[: n + 1][::-1]
-    out /= grid.h ** a
+    out = _left_difference(alpha, grid, base[::-1])[::-1]  # left on reversed nodes
     out[n] = 0.0
     return TimeSeq(out, 0, n - 1)
 
