@@ -18,7 +18,7 @@ from .gl_ops import TimeSeq
 from .noether import conserved_quantity
 from .pontryagin import (ControlUpdateError, SweepDivergenceError, SweepOpts,
                          solve_pontryagin)
-from .problems import EXAMPLES, build_example
+from .problems import EXAMPLES, build_example, rotation_groups
 from .reference import (DegenerateDataError, convergence_order,
                         lq_exact_control, max_control_error,
                         solved_example_exact_control)
@@ -129,11 +129,11 @@ def run_noether(cfg: argparse.Namespace) -> int:
                          "pass --example rotation")
     solution, problem = _solve(cfg, cfg.n)
     grid = problem.grid
-    q = solution.Q.values
     if cfg.zero_generator:
         gen = TimeSeq.zeros(grid.n, problem.d)
     else:
-        gen = TimeSeq(np.stack([[-q[k, 1], q[k, 0]] for k in range(grid.n + 1)]))
+        rotate = rotation_groups()[0].generator
+        gen = TimeSeq(np.stack([rotate(x) for x in solution.Q.values]))
     inv = conserved_quantity(cfg.alpha, grid, gen, solution.P)
 
     lines = ["k,t,I_k"]
@@ -208,3 +208,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

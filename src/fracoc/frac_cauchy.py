@@ -10,15 +10,15 @@ so one march costs O(N^2) for the memory sums plus the work of solving
 each node equation.  One private kernel, :func:`_march`, does the marching
 for every solver in the package, and two node solves sit on it:
 
-- :func:`_newton_march` solves nonlinear node equations.  It accepts a
-  node once its residual |x - h^alpha F(x) - const| is at most
-  tol * max(1, |x|).  Handed dF/dx it takes Newton steps, falling back to
-  the fixed-point step x <- h^alpha F(x) + const whenever a Newton step
-  does not at least halve the residual; without dF/dx it takes only the
-  fixed-point step.  The public marches :func:`solve_left_cauchy` and
-  :func:`solve_right_cauchy` know F alone, so they check h^alpha * K < 1
-  for a Lipschitz bound K of F, under which the fixed-point step contracts
-  (``ContractionError`` otherwise);
+- :func:`_newton_march` solves nonlinear node equations, once it has
+  checked h^alpha * K < 1 for the Lipschitz bound K of F its caller passes
+  (``ContractionError`` otherwise).  It accepts a node once its residual
+  |x - h^alpha F(x) - const| is at most tol * max(1, |x|).  Handed dF/dx it
+  takes Newton steps, falling back to the fixed-point step
+  x <- h^alpha F(x) + const, which contracts under that gate, whenever a
+  Newton step does not at least halve the residual; without dF/dx, as in
+  :func:`solve_left_cauchy` and :func:`solve_right_cauchy`, it takes only
+  the fixed-point step;
 - :func:`_linear_march` handles F(x, k) = A_k x + b_k with one linear
   solve per node, using inverses built once for all nodes; it needs only
   I - h^alpha A_k to be invertible.
@@ -108,17 +108,10 @@ class FixedPointOpts:
     max_iters: int = 100
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN too
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-
-
-def _check_contraction(alpha: float, grid: Grid, lipschitz: float) -> None:
-    factor = grid.h ** alpha * lipschitz
-    if not factor < 1.0:
-        raise ContractionError(
-            f"h^alpha * K = {factor:.6g} >= 1; refine the grid or rescale")
 
 
 def _march(alpha: float, grid: Grid, start: np.ndarray, solve_node,
@@ -156,89 +149,79 @@ def _sized(value, d: int) -> np.ndarray:
 
 
 def solve_left_cauchy(alpha, grid: Grid, rhs: CauchyRhs, initial,
-                      opts: FixedPointOpts | None = None,
-                      full_output: bool = False):
+                      opts: FixedPointOpts | None = None) -> TimeSeq:
     """March the left fractional Cauchy problem from Q_0 = initial.
 
-    Returns the solution sequence, valid on all of [0, N].  With
-    ``full_output=True`` also returns a dict with the per-node number of
-    residual evaluations (``iterations``) and the first residual of each
-    node (``initial_gaps``), which is the first fixed-point step.
+    Returns the solution sequence, valid on all of [0, N].  Each node takes
+    fixed-point steps, which needs h^alpha * K < 1 for the bound K of
+    ``rhs`` (``ContractionError`` otherwise).
     """
-    a = _order_value(alpha)
-    _check_contraction(a, grid, rhs.lipschitz_K)
     start, times = _as_start(initial), grid.times
 
     def field(x, k):
         return _sized(rhs.eval(x, times[k]), start.size)
 
-    return _newton_march(a, grid, field, start, opts, full_output=full_output)
+    return _newton_march(_order_value(alpha), grid, field, start,
+                         rhs.lipschitz_K, opts)
 
 
 def solve_right_cauchy(alpha, grid: Grid,
                        rhs_shifted: Callable[[np.ndarray, int], np.ndarray],
                        lipschitz_K: float, terminal,
-                       opts: FixedPointOpts | None = None,
-                       full_output: bool = False):
+                       opts: FixedPointOpts | None = None) -> TimeSeq:
     """March the right fractional Cauchy problem down from P_N = terminal.
 
     The right-hand side is indexed by node, P_k = h^alpha * rhs(P_k, k) + ...,
     which keeps this solver ignorant of where its callers get their data.
     """
-    a = _order_value(alpha)
     if lipschitz_K < 0:
         raise ValueError(f"Lipschitz bound must be >= 0, got {lipschitz_K}")
-    _check_contraction(a, grid, lipschitz_K)
     start = _as_start(terminal)
 
     def field(x, k):
         return _sized(rhs_shifted(x, k), start.size)
 
-    return _newton_march(a, grid, field, start, opts, reverse=True,
-                         full_output=full_output)
+    return _newton_march(_order_value(alpha), grid, field, start, lipschitz_K,
+                         opts, reverse=True)
 
 
 def _newton_march(alpha: float, grid: Grid, field, start: np.ndarray,
-                  opts: FixedPointOpts | None, jacobian=None, reverse: bool = False,
-                  full_output: bool = False):
+                  lipschitz: float, opts: FixedPointOpts | None, jacobian=None,
+                  reverse: bool = False) -> TimeSeq:
     """March with node equations solved by safeguarded Newton steps.
 
     ``field(x, k)`` returns F at node k as shape (d,), ``jacobian(x, k)``
-    returns dF/dx as shape (d, d).  A node is accepted on its residual
+    returns dF/dx as shape (d, d), and ``lipschitz`` is a Lipschitz bound K
+    of F in x.  A node is accepted on its residual
     r(x) = x - h^alpha F(x, k) - const once |r| <= tol * max(1, |x|),
     checked before each of at most ``max_iters`` steps and after the last.
     A Newton step is kept only if it at least halves |r|; otherwise the
     node takes the fixed-point step x <- h^alpha F(x, k) + const = x - r,
-    which multiplies |r| by at most h^alpha K for a Lipschitz bound K of F:
-    it contracts when h^alpha K < 1 and halves |r| when h^alpha K <= 1/2
-    (the sweep's standing gate).  A trial point with a non-finite residual
+    which multiplies |r| by at most h^alpha K.  The march refuses
+    h^alpha K >= 1 (``ContractionError``), so that fallback contracts,
+    though it need not halve |r|.  A trial point with a non-finite residual
     is rejected the same way, so an inexact Jacobian can cost steps and
     callback calls, never the accepted answer.  With no ``jacobian`` every
     step is the fixed-point step, and an accepted node returns its
     fixed-point image x - r, which costs no evaluation and is closer to the
     solution by that same factor.
-
-    With ``full_output`` also returns the per-node number of residual
-    evaluations and the first residual of each node.
     """
-    opts = opts or FixedPointOpts()
-    d = start.size
     ha = grid.h ** alpha
+    if not ha * lipschitz < 1.0:
+        raise ContractionError(
+            f"h^alpha * K = {ha * lipschitz:.6g} >= 1; refine the grid or rescale")
+    opts = opts or FixedPointOpts()
     tol, max_iters = opts.tol, opts.max_iters
     fixed_point = jacobian is None
-    iters = [0] * (grid.n + 1)
-    gaps = [0.0] * (grid.n + 1)
 
-    if d == 1:
+    if start.size == 1:
         def solve_node(const, k, x):
             c0, xs = const[0], x[0]
             r = xs - ha * field(x, k)[0] - c0
-            gaps[k], evals = abs(r), 1
             for it in range(max_iters + 1):
                 if not math.isfinite(r):
                     raise NonFiniteError(k)
                 if abs(r) <= tol * max(1.0, abs(xs)):
-                    iters[k] = evals
                     return np.array([xs - r]) if fixed_point else x
                 if it == max_iters:
                     break
@@ -248,27 +231,23 @@ def _newton_march(alpha: float, grid: Grid, field, start: np.ndarray,
                         raise SingularNodeError(k)
                     trial = np.array([xs - r / g])
                     r_trial = trial[0] - ha * field(trial, k)[0] - c0
-                    evals += 1
                     if abs(r_trial) <= 0.5 * abs(r):  # False for NaN
                         x, xs, r = trial, trial[0], r_trial
                         continue
                 xs = xs - r
                 x = np.array([xs])
                 r = xs - ha * field(x, k)[0] - c0
-                evals += 1
             raise FixedPointDivergenceError(k, abs(r), tol)
     else:
-        eye = np.eye(d)
+        eye = np.eye(start.size)
 
         def solve_node(const, k, x):
             r = x - ha * field(x, k) - const
             err = float(np.max(np.abs(r)))
-            gaps[k], evals = err, 1
             for it in range(max_iters + 1):
                 if not math.isfinite(err):
                     raise NonFiniteError(k)
                 if err <= tol * max(1.0, float(np.max(np.abs(x)))):
-                    iters[k] = evals
                     return x - r if fixed_point else x
                 if it == max_iters:
                     break
@@ -282,20 +261,15 @@ def _newton_march(alpha: float, grid: Grid, field, start: np.ndarray,
                         raise SingularNodeError(k) from None
                     r_trial = trial - ha * field(trial, k) - const
                     err_trial = float(np.max(np.abs(r_trial)))
-                    evals += 1
                     if err_trial <= 0.5 * err:  # False for NaN
                         x, r, err = trial, r_trial, err_trial
                         continue
                 x = x - r
                 r = x - ha * field(x, k) - const
                 err = float(np.max(np.abs(r)))
-                evals += 1
             raise FixedPointDivergenceError(k, err, tol)
 
-    seq = TimeSeq(_march(alpha, grid, start, solve_node, reverse))
-    if full_output:
-        return seq, {"iterations": np.array(iters), "initial_gaps": np.array(gaps)}
-    return seq
+    return TimeSeq(_march(alpha, grid, start, solve_node, reverse))
 
 
 def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarray,

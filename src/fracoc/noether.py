@@ -171,12 +171,10 @@ def transfer_residual(alpha, grid: Grid, g1: TimeSeq, g2: TimeSeq) -> float:
     dm = delta_minus(a, grid, g1, caputo=True)
     dp = delta_plus(a, grid, g2, caputo=False)
     scale = grid.h ** (1.0 - a) / grid.h
-    worst = 0.0
-    for k in range(1, n + 1):
-        lhs = float(g1.values[k] @ dp.values[k - 1] - dm.values[k] @ g2.values[k - 1])
-        rhs = scale * (s[k] - s[k - 1])
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    # nodewise dot products through matmul, which sums each as g1_k @ dp_{k-1} does
+    lhs = (g1.values[1:, None] @ dp.values[:-1, :, None]
+           - dm.values[1:, None] @ g2.values[:-1, :, None]).reshape(-1)
+    return float(np.max(np.abs(lhs - scale * np.diff(s))))
 
 
 def invariance_residual(problem: OcpProblem, groups: Sequence[OneParamGroup],

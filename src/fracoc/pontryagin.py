@@ -18,9 +18,9 @@ adjoint and the linearized state of :func:`gateaux_derivative`, both
 linear, take one direct solve per node.  Either stops with
 ``SingularNodeError`` when I - h^alpha df/dx cannot be inverted at a node,
 and with ``NonFiniteError`` when a callback returns NaN or infinity.  Only
-the state solve checks the standing gate 2 h^alpha M < 1, under which its
-fixed-point fallback halves the node residual; the direct solves need no
-gate, and every other entry point reaches the gate through the state.
+the state's node solve checks a step-size gate, h^alpha M < 1, under which
+its fixed-point fallback contracts; the direct solves need none, and every
+other entry point reaches the gate through the state.
 
 Every callback value the layer reads at (Q_k, U_k, t_k) comes from one walk
 over the nodes, ``_at_nodes``; the adjoint's read of node k + 1 is one roll
@@ -35,8 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .frac_cauchy import (ContractionError, FixedPointOpts, _linear_march,
-                          _newton_march)
+from .frac_cauchy import FixedPointOpts, _linear_march, _newton_march
 from .gl_ops import Grid, TimeSeq, _order_value, delta_minus, delta_plus
 
 __all__ = [
@@ -164,7 +163,7 @@ class SweepOpts:
     inner: FixedPointOpts = field(default_factory=FixedPointOpts)
 
     def __post_init__(self) -> None:
-        if self.tol_stationarity <= 0 or self.tol_control <= 0:
+        if not (self.tol_stationarity > 0 and self.tol_control > 0):  # NaN too
             raise ValueError("tolerances must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
@@ -182,15 +181,6 @@ class PontryaginSolution:
     stationarity_residual: float
     outer_iters: int
     cost: float
-
-
-def _check_standing(problem: OcpProblem) -> None:
-    # h^alpha M below 1/2, so the state's fixed-point fallback halves the
-    # node residual as its Newton steps must
-    factor = 2.0 * problem.grid.h ** _order_value(problem.alpha) * problem.lipschitz_M
-    if not factor < 1.0:
-        raise ContractionError(
-            f"2 * h^alpha * M = {factor:.6g} >= 1; refine the grid or rescale")
 
 
 def _at_nodes(problem: OcpProblem, xs: TimeSeq, vs: TimeSeq, *evals) -> list:
@@ -221,16 +211,15 @@ def state_solve(problem: OcpProblem, u: TimeSeq,
 
     Each node equation is solved by Newton steps with ``df_dx``, stopping on
     the node residual; ``opts`` sets its tolerance and iteration budget.
-    The fixed-point fallback of those steps is what needs 2 h^alpha M < 1
+    The fixed-point fallback of those steps is what needs h^alpha M < 1
     (``ContractionError`` otherwise).  The value u_0 is never read: the left
     operator only produces equations at k = 1..N.
     """
-    _check_standing(problem)
     _require_control(problem, u)
     uv, times = u.values, problem.grid.times
     return _newton_march(_order_value(problem.alpha), problem.grid,
                          lambda x, k: problem.f_at(x, uv[k], times[k]),
-                         problem.initial, opts,
+                         problem.initial, problem.lipschitz_M, opts,
                          jacobian=lambda x, k: problem.fx_at(x, uv[k], times[k]))
 
 

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -64,9 +68,9 @@ def test_solve_prints_diagnostics(tmp_path, capsys):
 
 
 def test_solve_failure_suppresses_the_output_file(tmp_path):
-    # n = 2 violates the standing step bound, so nothing must be written
+    # n = 1 violates the step bound h^alpha M < 1, so nothing must be written
     code, out = run(tmp_path, "fail.csv", "solve", "--example", "lq",
-                    "--alpha", "1", "--n", "2")
+                    "--alpha", "1", "--n", "1")
     assert code == 1
     assert not out.exists()
 
@@ -93,6 +97,15 @@ def test_converge_small_study_fits_an_order(tmp_path, capsys):
     fitted = float(comments[-1].split("=")[1])
     assert 0.5 <= fitted <= 1.5
     assert f"fitted_order={comments[-1].split('=')[1]}" in capsys.readouterr().out
+
+    # the solved example holds at every order, alpha = 0.1 on ordinary grids too
+    code, out = run(tmp_path, "c01.csv", "converge", "--example", "solved",
+                    "--alpha", "0.1", "--n-list", "100,200,400,800")
+    assert code == 0
+    _, rows, comments = read_rows(out)
+    assert [int(r[0]) for r in rows] == [100, 200, 400, 800]
+    assert all(0.9 <= float(r[3]) <= 1.1 for r in rows[1:])
+    assert 0.9 <= float(comments[-1].split("=")[1]) <= 1.1
 
 
 def test_converge_rejects_orders_without_reference(tmp_path, capsys):
@@ -170,6 +183,27 @@ def test_invalid_order_is_a_clean_failure(tmp_path, capsys):
     assert code == 1
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_nan_tolerance_is_a_clean_failure(tmp_path, capsys):
+    # no residual can meet a NaN tolerance, so it is refused before the sweep
+    code, out = run(tmp_path, "nan.csv", "solve", "--example", "lq",
+                    "--alpha", "0.5", "--n", "50", "--tol-stat", "nan")
+    assert code == 1
+    assert not out.exists()
+    assert "tolerances must be positive" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    out = tmp_path / "m.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "fracoc.cli", "solve", "--example", "zero",
+                           "--alpha", "0.5", "--n", "4", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "outer_iters=" in done.stdout
+    header, rows, _ = read_rows(out)
+    assert header[:2] == ["k", "t"] and len(rows) == 5
 
 
 def test_solver_tolerances_are_threaded_through(tmp_path, capsys):
