@@ -10,22 +10,21 @@ so one march costs O(N^2) for the memory sums plus the work of solving
 each node equation.  One private kernel, :func:`_march`, does the marching
 for every solver in the package, and two node solves sit on it:
 
-- :func:`_newton_march` solves nonlinear node equations, once it has
-  checked h^alpha * K < 1 for the Lipschitz bound K of F its caller passes
-  (``ContractionError`` otherwise).  It accepts a node once its residual
-  |x - h^alpha F(x) - const| is at most tol * max(1, |x|).  Handed dF/dx it
-  takes Newton steps, falling back to the fixed-point step
-  x <- h^alpha F(x) + const, which contracts under that gate, whenever a
-  Newton step does not at least halve the residual; without dF/dx, as in
-  :func:`solve_left_cauchy` and :func:`solve_right_cauchy`, it takes only
-  the fixed-point step;
+- :func:`_fixed_point_march` solves nonlinear node equations with the
+  fixed-point step x <- h^alpha F(x) + const, once it has checked
+  h^alpha * K < 1 for the Lipschitz bound K of F its caller passes
+  (``ContractionError`` otherwise), under which that step contracts.  It
+  accepts a node once its residual |x - h^alpha F(x) - const| is at most
+  tol * max(1, |x|).  :func:`solve_left_cauchy`, :func:`solve_right_cauchy`
+  and the fallback of the sweep's state solve use it;
 - :func:`_linear_march` handles F(x, k) = A_k x + b_k with one linear
   solve per node, using inverses built once for all nodes; it needs only
-  I - h^alpha A_k to be invertible.
+  I - h^alpha A_k to be invertible.  Every march of the Pontryagin sweep
+  is this one: the adjoint, the linearized state, and each Newton iterate
+  of the state on the whole trajectory.
 
 Every node solve stops at once, naming the node, when a value turns NaN
-or infinite, and the ones with a Jacobian stop when I - h^alpha dF/dx is
-singular.
+or infinite, and the linear one stops when I - h^alpha A_k is singular.
 """
 
 from __future__ import annotations
@@ -83,6 +82,11 @@ class SingularNodeError(ValueError):
             f"is df_dx consistent with f and lipschitz_M?")
 
 
+def _check_bound(lipschitz: float) -> None:
+    if not lipschitz >= 0:  # NaN too
+        raise ValueError(f"Lipschitz bound must be >= 0, got {lipschitz}")
+
+
 @dataclass(frozen=True)
 class CauchyRhs:
     """Right-hand side F(x, t) together with a Lipschitz bound in x."""
@@ -91,8 +95,7 @@ class CauchyRhs:
     lipschitz_K: float
 
     def __post_init__(self) -> None:
-        if self.lipschitz_K < 0:
-            raise ValueError(f"Lipschitz bound must be >= 0, got {self.lipschitz_K}")
+        _check_bound(self.lipschitz_K)
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,8 @@ class FixedPointOpts:
 
     A node is accepted once its residual |x - h^alpha F(x) - const| is at
     most ``tol * max(1, |x|)``, checked before each of at most
-    ``max_iters`` steps and after the last.
+    ``max_iters`` steps and after the last.  The sweep's state solve holds
+    its Newton iterates on the whole trajectory to the same rule and budget.
     """
 
     tol: float = 1e-12
@@ -161,8 +165,8 @@ def solve_left_cauchy(alpha, grid: Grid, rhs: CauchyRhs, initial,
     def field(x, k):
         return _sized(rhs.eval(x, times[k]), start.size)
 
-    return _newton_march(_order_value(alpha), grid, field, start,
-                         rhs.lipschitz_K, opts)
+    return _fixed_point_march(_order_value(alpha), grid, field, start,
+                              rhs.lipschitz_K, opts)
 
 
 def solve_right_cauchy(alpha, grid: Grid,
@@ -174,45 +178,42 @@ def solve_right_cauchy(alpha, grid: Grid,
     The right-hand side is indexed by node, P_k = h^alpha * rhs(P_k, k) + ...,
     which keeps this solver ignorant of where its callers get their data.
     """
-    if lipschitz_K < 0:
-        raise ValueError(f"Lipschitz bound must be >= 0, got {lipschitz_K}")
+    _check_bound(lipschitz_K)
     start = _as_start(terminal)
 
     def field(x, k):
         return _sized(rhs_shifted(x, k), start.size)
 
-    return _newton_march(_order_value(alpha), grid, field, start, lipschitz_K,
-                         opts, reverse=True)
+    return _fixed_point_march(_order_value(alpha), grid, field, start,
+                              lipschitz_K, opts, reverse=True)
 
 
-def _newton_march(alpha: float, grid: Grid, field, start: np.ndarray,
-                  lipschitz: float, opts: FixedPointOpts | None, jacobian=None,
-                  reverse: bool = False) -> TimeSeq:
-    """March with node equations solved by safeguarded Newton steps.
-
-    ``field(x, k)`` returns F at node k as shape (d,), ``jacobian(x, k)``
-    returns dF/dx as shape (d, d), and ``lipschitz`` is a Lipschitz bound K
-    of F in x.  A node is accepted on its residual
-    r(x) = x - h^alpha F(x, k) - const once |r| <= tol * max(1, |x|),
-    checked before each of at most ``max_iters`` steps and after the last.
-    A Newton step is kept only if it at least halves |r|; otherwise the
-    node takes the fixed-point step x <- h^alpha F(x, k) + const = x - r,
-    which multiplies |r| by at most h^alpha K.  The march refuses
-    h^alpha K >= 1 (``ContractionError``), so that fallback contracts,
-    though it need not halve |r|.  A trial point with a non-finite residual
-    is rejected the same way, so an inexact Jacobian can cost steps and
-    callback calls, never the accepted answer.  With no ``jacobian`` every
-    step is the fixed-point step, and an accepted node returns its
-    fixed-point image x - r, which costs no evaluation and is closer to the
-    solution by that same factor.
-    """
-    ha = grid.h ** alpha
+def _check_step(ha: float, lipschitz: float) -> None:
+    """Refuse h^alpha K >= 1, where the fixed-point step need not contract."""
     if not ha * lipschitz < 1.0:
         raise ContractionError(
             f"h^alpha * K = {ha * lipschitz:.6g} >= 1; refine the grid or rescale")
+
+
+def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
+                       lipschitz: float, opts: FixedPointOpts | None,
+                       reverse: bool = False) -> TimeSeq:
+    """March with node equations solved by fixed-point steps.
+
+    ``field(x, k)`` returns F at node k as shape (d,), and ``lipschitz`` is
+    a Lipschitz bound K of F in x.  A node is accepted on its residual
+    r(x) = x - h^alpha F(x, k) - const once |r| <= tol * max(1, |x|),
+    checked before each of at most ``max_iters`` steps and after the last.
+    Each step is x <- h^alpha F(x, k) + const = x - r, which multiplies |r|
+    by at most h^alpha K; the march refuses h^alpha K >= 1
+    (``ContractionError``), so the step contracts.  An accepted node returns
+    its fixed-point image x - r, which costs no evaluation and is closer to
+    the solution by that same factor.
+    """
+    ha = grid.h ** alpha
+    _check_step(ha, lipschitz)
     opts = opts or FixedPointOpts()
     tol, max_iters = opts.tol, opts.max_iters
-    fixed_point = jacobian is None
 
     if start.size == 1:
         def solve_node(const, k, x):
@@ -222,25 +223,13 @@ def _newton_march(alpha: float, grid: Grid, field, start: np.ndarray,
                 if not math.isfinite(r):
                     raise NonFiniteError(k)
                 if abs(r) <= tol * max(1.0, abs(xs)):
-                    return np.array([xs - r]) if fixed_point else x
+                    return np.array([xs - r])
                 if it == max_iters:
                     break
-                if not fixed_point:
-                    g = 1.0 - ha * jacobian(x, k)[0, 0]
-                    if g == 0.0 or not math.isfinite(g):
-                        raise SingularNodeError(k)
-                    trial = np.array([xs - r / g])
-                    r_trial = trial[0] - ha * field(trial, k)[0] - c0
-                    if abs(r_trial) <= 0.5 * abs(r):  # False for NaN
-                        x, xs, r = trial, trial[0], r_trial
-                        continue
                 xs = xs - r
-                x = np.array([xs])
-                r = xs - ha * field(x, k)[0] - c0
+                r = xs - ha * field(np.array([xs]), k)[0] - c0
             raise FixedPointDivergenceError(k, abs(r), tol)
     else:
-        eye = np.eye(start.size)
-
         def solve_node(const, k, x):
             r = x - ha * field(x, k) - const
             err = float(np.max(np.abs(r)))
@@ -248,22 +237,9 @@ def _newton_march(alpha: float, grid: Grid, field, start: np.ndarray,
                 if not math.isfinite(err):
                     raise NonFiniteError(k)
                 if err <= tol * max(1.0, float(np.max(np.abs(x)))):
-                    return x - r if fixed_point else x
+                    return x - r
                 if it == max_iters:
                     break
-                if not fixed_point:
-                    g = eye - ha * jacobian(x, k)
-                    if not np.isfinite(g).all():
-                        raise SingularNodeError(k)
-                    try:
-                        trial = x - np.linalg.solve(g, r)
-                    except np.linalg.LinAlgError:
-                        raise SingularNodeError(k) from None
-                    r_trial = trial - ha * field(trial, k) - const
-                    err_trial = float(np.max(np.abs(r_trial)))
-                    if err_trial <= 0.5 * err:  # False for NaN
-                        x, r, err = trial, r_trial, err_trial
-                        continue
                 x = x - r
                 r = x - ha * field(x, k) - const
                 err = float(np.max(np.abs(r)))
@@ -284,13 +260,12 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
     n, d = grid.n, start.size
     ha = grid.h ** alpha
     nodes = np.arange(n - 1, -1, -1) if reverse else np.arange(1, n + 1)  # march order
-    bad = ~np.isfinite(b_vecs[nodes]).all(axis=1)
-    if bad.any():
-        raise NonFiniteError(int(nodes[np.argmax(bad)]))
     g = np.eye(d) - ha * a_mats
     singular = ~np.isfinite(g[nodes]).all(axis=(1, 2))
-    if singular.any():
-        raise SingularNodeError(int(nodes[np.argmax(singular)]))
+    bad = singular | ~np.isfinite(b_vecs[nodes]).all(axis=1)
+    if bad.any():  # a non-finite A_k also spoils b_k of a linearization
+        j = np.argmax(bad)
+        raise (SingularNodeError if singular[j] else NonFiniteError)(int(nodes[j]))
     g[n if reverse else 0] = np.eye(d)  # the start row is never read
     try:
         inv = np.linalg.inv(g)

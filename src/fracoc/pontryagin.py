@@ -13,14 +13,14 @@ control, solves the two Cauchy problems, refreshes the control from the
 stationary condition and repeats until both the stationarity defect and the
 control increment fall below tolerance.
 
-The state takes safeguarded Newton steps with df/dx at each node, and the
-adjoint and the linearized state of :func:`gateaux_derivative`, both
-linear, take one direct solve per node.  Either stops with
-``SingularNodeError`` when I - h^alpha df/dx cannot be inverted at a node,
-and with ``NonFiniteError`` when a callback returns NaN or infinity.  Only
-the state's node solve checks a step-size gate, h^alpha M < 1, under which
-its fixed-point fallback contracts; the direct solves need none, and every
-other entry point reaches the gate through the state.
+Every march of the sweep is linear, one direct solve per node: the
+adjoint, the linearized state of :func:`gateaux_derivative`, and each
+Newton iterate of the state on the whole trajectory.  Only a stalled state
+falls back to the one nonlinear node solve, fixed-point steps node by
+node, and only the state checks h^alpha M < 1, under which they contract.
+A march stops with ``SingularNodeError`` when I - h^alpha df/dx cannot be
+inverted at a node, and with ``NonFiniteError`` when a callback returns
+NaN or infinity.
 
 Every callback value the layer reads at (Q_k, U_k, t_k) comes from one walk
 over the nodes, ``_at_nodes``; the adjoint's read of node k + 1 is one roll
@@ -35,7 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from .frac_cauchy import FixedPointOpts, _linear_march, _newton_march
+from .frac_cauchy import (FixedPointOpts, _check_bound, _check_step,
+                          _fixed_point_march, _linear_march)
 from .gl_ops import Grid, TimeSeq, _order_value, delta_minus, delta_plus
 
 __all__ = [
@@ -102,8 +103,7 @@ class OcpProblem:
         _order_value(self.alpha)
         if self.d < 1 or self.m < 1:
             raise ValueError("state and control dimensions must be >= 1")
-        if self.lipschitz_M < 0:
-            raise ValueError("lipschitz_M must be >= 0")
+        _check_bound(self.lipschitz_M)
         a = np.atleast_1d(np.asarray(self.initial, dtype=float)).reshape(-1)
         if a.size != self.d:
             raise ValueError(f"initial value has size {a.size}, expected {self.d}")
@@ -149,9 +149,10 @@ class SweepOpts:
     sweep map, which the coupled benchmark problems need: their sweep maps
     have a real negative eigenvalue below -1, so any fixed lambda close to
     one diverges.  ``adaptive=False`` runs the plain fixed-lambda sweep.
-    ``inner`` sets the stopping rule of the per-node solve of the state, its
-    residual tolerance and step budget, and nothing else: the control
-    update's fallback root solve stops at ``tol_stationarity / sqrt(m)`` per
+    ``inner`` sets the state solve's nodewise residual tolerance and the
+    budget of its trajectory Newton iterates and of its fixed-point
+    fallback's steps per node, and nothing else: the control update's
+    fallback root solve stops at ``tol_stationarity / sqrt(m)`` per
     component, so a root it returns already passes the stationarity test.
     """
 
@@ -209,18 +210,39 @@ def state_solve(problem: OcpProblem, u: TimeSeq,
                 opts: FixedPointOpts | None = None) -> TimeSeq:
     """Solve the state equation for a fixed control.
 
-    Each node equation is solved by Newton steps with ``df_dx``, stopping on
-    the node residual; ``opts`` sets its tolerance and iteration budget.
-    The fixed-point fallback of those steps is what needs h^alpha M < 1
-    (``ContractionError`` otherwise).  The value u_0 is never read: the left
-    operator only produces equations at k = 1..N.
+    Newton on the whole trajectory from Q_k = Q_0: each iterate is one
+    linear march of f linearized at the last, so an affine f takes one.  It
+    is accepted once every node residual |Q_k - h^alpha f(Q_k) - const_k| is
+    at most tol * max(1, |Q_k|), with tol and the iterate budget from
+    ``opts``.  An iterate that does not halve the largest residual, or a
+    spent budget, restarts the solve as fixed-point steps node by node,
+    which contract under h^alpha M < 1 (``ContractionError`` otherwise): a
+    wrong ``df_dx`` costs work, never the answer.  u_0 is never read.
     """
     _require_control(problem, u)
-    uv, times = u.values, problem.grid.times
-    return _newton_march(_order_value(problem.alpha), problem.grid,
-                         lambda x, k: problem.f_at(x, uv[k], times[k]),
-                         problem.initial, problem.lipschitz_M, opts,
-                         jacobian=lambda x, k: problem.fx_at(x, uv[k], times[k]))
+    opts = opts or FixedPointOpts()
+    alpha, grid = _order_value(problem.alpha), problem.grid
+    ha = grid.h ** alpha
+    _check_step(ha, problem.lipschitz_M)
+    q = TimeSeq.constant(problem.initial, grid.n)
+    f, fx = _at_nodes(problem, q, u, problem.f_at, problem.fx_at)
+    worst = ha * np.max(np.abs(f))  # the start's residual is -h^alpha f
+    for it in range(1, opts.max_iters + 1):
+        b = f - np.einsum("kij,kj->ki", fx, q.values)
+        q = _linear_march(alpha, grid, fx, b, problem.initial)
+        f, = _at_nodes(problem, q, u, problem.f_at)
+        # Q_k - const_k = h^alpha (left_reg Q)_k; row 0 is zero on both sides
+        r = ha * np.abs(delta_minus(alpha, grid, q, caputo=True).values - f).max(axis=1)
+        if (r <= opts.tol * np.maximum(1.0, np.abs(q.values).max(axis=1))).all():
+            return q
+        if not r.max() <= 0.5 * worst or it == opts.max_iters:  # NaN too
+            break
+        worst = r.max()
+        fx, = _at_nodes(problem, q, u, problem.fx_at)
+    uv, times = u.values, grid.times
+    return _fixed_point_march(alpha, grid,
+                              lambda x, k: problem.f_at(x, uv[k], times[k]),
+                              problem.initial, problem.lipschitz_M, opts)
 
 
 def adjoint_solve(problem: OcpProblem, u: TimeSeq, q: TimeSeq) -> TimeSeq:

@@ -265,6 +265,8 @@ def test_rhs_shape_mismatch_is_reported():
 def test_option_and_bound_validation():
     with pytest.raises(ValueError):
         CauchyRhs(lambda x, t: x, -1.0)
+    with pytest.raises(ValueError):  # bound < 0 is False for NaN
+        CauchyRhs(lambda x, t: x, float("nan"))
     with pytest.raises(ValueError):
         FixedPointOpts(tol=0.0)
     with pytest.raises(ValueError):  # tol <= 0 is False for NaN
@@ -272,8 +274,9 @@ def test_option_and_bound_validation():
     with pytest.raises(ValueError):
         FixedPointOpts(max_iters=0)
     grid = Grid(0.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        solve_right_cauchy(0.5, grid, lambda x, k: x, -0.5, np.array([1.0]))
+    for bad in (-0.5, float("nan")):
+        with pytest.raises(ValueError):
+            solve_right_cauchy(0.5, grid, lambda x, k: x, bad, np.array([1.0]))
 
 
 def test_scalar_initial_data_is_normalized():

@@ -157,9 +157,8 @@ def test_diverging_newton_falls_back_to_the_fixed_point_step(example):
                         rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("d", (1, 2))
-def test_newton_budget_exhaustion_names_the_node(d):
-    problem = tanh_problem(0.5, 10, d)
+def counting_problem(problem):
+    """A copy of ``problem`` whose f and df_dx count their calls."""
     calls = {"f": 0, "df_dx": 0}
 
     def counted(name):
@@ -170,15 +169,55 @@ def test_newton_budget_exhaustion_names_the_node(d):
             return fn(x, v, t)
         return wrapped
 
-    counting = dataclasses.replace(problem, f=counted("f"), df_dx=counted("df_dx"))
-    u = tanh_controls(problem)
+    return dataclasses.replace(problem, f=counted("f"), df_dx=counted("df_dx")), calls
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_state_budget_exhaustion_names_the_node(d):
+    problem = tanh_problem(0.5, 10, d)
+    counting, calls = counting_problem(problem)
+    opts = FixedPointOpts(tol=1e-15, max_iters=1)
     with pytest.raises(FixedPointDivergenceError) as exc:
-        state_solve(counting, u, FixedPointOpts(tol=1e-15, max_iters=1))
+        state_solve(counting, tanh_controls(problem), opts)
     assert exc.value.node == 1
-    # one step: the start residual, one Jacobian, the trial and at most
-    # one fixed-point fallback, and no unchecked step after it
-    assert calls["df_dx"] == 1
-    assert 2 <= calls["f"] <= 3
+    # each trajectory iterate walks df_dx at most once, the fallback never;
+    # f: the start, the one iterate, then node 1's start residual and one
+    # fixed-point step, with no unchecked step after it
+    n = problem.grid.n
+    assert calls["df_dx"] <= opts.max_iters * n
+    assert calls["f"] <= 2 * n + 2
+
+
+@pytest.mark.parametrize("example", ("lq", "rotation"))
+def test_stalled_newton_iterate_falls_back_at_once(example):
+    # df_dx = 40 I overshoots (see above): the first trajectory iterate does
+    # not halve the start's residual, so df_dx is walked once, not per iterate
+    problem = build_example(example, 1.0, 10)
+    wrong = dataclasses.replace(problem, df_dx=lambda x, v, t: 40.0 * np.eye(problem.d))
+    counting, calls = counting_problem(wrong)
+    u = TimeSeq.constant(np.ones(problem.m), 10)
+    npt.assert_allclose(state_solve(counting, u, TIGHT_INNER).values,
+                        state_solve(problem, u, TIGHT_INNER).values,
+                        rtol=0.0, atol=1e-12)
+    assert calls["df_dx"] == 10
+
+
+@pytest.mark.parametrize("example", ("lq", "rotation"))
+def test_affine_state_is_one_linear_march(example):
+    problem = build_example(example, 0.5, 40)
+    counting, calls = counting_problem(problem)
+
+    def control(t):
+        return np.sin(3.0 * t * np.arange(1, problem.m + 1))
+
+    u = TimeSeq(np.array([control(t) for t in problem.grid.times]))
+    q = state_solve(counting, u)
+    # f at the start and at the one iterate, df_dx at the start only
+    assert calls["f"] <= 2 * 40
+    assert calls["df_dx"] <= 40
+    rhs = CauchyRhs(lambda x, t: problem.f_at(x, control(t), t), problem.lipschitz_M)
+    ref = solve_left_cauchy(0.5, problem.grid, rhs, problem.initial, TIGHT_INNER)
+    npt.assert_allclose(q.values, ref.values, rtol=0.0, atol=1e-12)
 
 
 def dense_adjoint_solve(problem, u, q):
@@ -261,6 +300,23 @@ def test_non_finite_callbacks_stop_at_their_node(example):
         gateaux_derivative(dataclasses.replace(base, df_dv=poisoned(base.df_dv)),
                            u, TimeSeq.constant(np.ones(base.m), 8))
     assert exc.value.node == 3
+
+
+@pytest.mark.parametrize("example", ("lq", "rotation"))
+def test_non_finite_jacobian_is_reported_as_singular(example):
+    # the state's linearization b = f - df_dx Q goes non-finite with df_dx,
+    # but the node matrix is what is at fault
+    base = build_example(example, 0.5, 8)
+    t3 = base.grid.times[3]
+    bad = dataclasses.replace(base, df_dx=lambda x, v, t: (
+        np.full((base.d, base.d), np.nan) if t == t3 else base.df_dx(x, v, t)))
+    u = TimeSeq.zeros(8, base.m)
+    with pytest.raises(SingularNodeError) as exc:
+        state_solve(bad, u)
+    assert exc.value.node == 3
+    with pytest.raises(SingularNodeError) as exc:
+        adjoint_solve(bad, u, state_solve(base, u))
+    assert exc.value.node == 2
 
 
 @pytest.mark.parametrize("example", ("lq", "rotation"))
@@ -555,9 +611,9 @@ def test_problem_validation():
         OcpProblem(d=1, m=1, alpha=1.5, **kw)
     with pytest.raises(ValueError):
         OcpProblem(d=2, m=1, alpha=0.5, **kw)  # initial has size 1
-    kw_bad = dict(kw, lipschitz_M=-1.0)
-    with pytest.raises(ValueError):
-        OcpProblem(d=1, m=1, alpha=0.5, **kw_bad)
+    for bad in (-1.0, float("nan")):  # bound < 0 is False for NaN
+        with pytest.raises(ValueError):
+            OcpProblem(d=1, m=1, alpha=0.5, **dict(kw, lipschitz_M=bad))
 
 
 def test_hamiltonian_and_gradients_normalize_scalars():
