@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gl_ops import (Grid, TimeSeq, _order_value, delta_minus, delta_plus,
-                     gl_coefficients)
+from .gl_ops import (Grid, TimeSeq, _order_value, _require_full, delta_minus,
+                     delta_plus, gl_coefficients)
 from .pontryagin import OcpProblem, PontryaginSolution
 
 __all__ = [
@@ -48,16 +48,15 @@ class OneParamGroup:
 def group_axiom_defect(group: OneParamGroup, points: Sequence[np.ndarray],
                        s: float = 1e-5) -> float:
     """Largest sampled defect of the identity and generator axioms."""
-    worst = 0.0
+    gaps = []
     for x in points:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         at_zero = np.asarray(group.map(0.0, x), dtype=float)
-        worst = max(worst, float(np.max(np.abs(at_zero - x))))
         fd = (np.asarray(group.map(s, x), dtype=float)
               - np.asarray(group.map(-s, x), dtype=float)) / (2 * s)
         gen = np.asarray(group.generator(x), dtype=float)
-        worst = max(worst, float(np.max(np.abs(fd - gen))))
-    return worst
+        gaps += [np.max(np.abs(at_zero - x)), np.max(np.abs(fd - gen))]
+    return float(np.max(gaps, initial=0.0))  # NaN stays NaN, unlike max()
 
 
 def _band_entry(r: int, i: int, j: int, n: int) -> float:
@@ -97,35 +96,34 @@ def dense_matrix(kind: str, r: int, alpha, n: int) -> np.ndarray:
 
 def _weighted_shift_sum(alpha: float, n: int, g: np.ndarray,
                         p: np.ndarray) -> np.ndarray:
-    """S_i = sum_{r=1..n} [A_r x_r]_i with x_r(j) = g_j . p_{j+r-1}, padded.
+    """S_i = sum_{r=1..n} [A_r x_r]_i with x_r(j) = g_j . p_{j+r-1}.
 
-    Exploits the band/column structure to stay at O(n^2) work without
-    materializing any matrix.  The padded slots of sigma^{r-1}(p) never
-    meet a nonzero entry, so the padding never contributes.
+    Touches only what the band and the first column reach, in O(n^2) work,
+    and never goes through a matrix or the difference operators, which
+    ``transfer_residual`` checks against it.  The depth-1 band is the
+    identity.  Column 0 of A_r
+    is b_r - c_r (b_1 at r = 1) from row r on, so it adds two cumulative
+    sums of g_0 . p_{r-1}.  For r = 2..n-1 the band holds c_r on rows
+    1..n-1 and columns 1..n-r with 0 <= i - j <= r - 1: a window sum, one
+    prefix sum of x_r and three slice updates per depth.  At r = n the
+    window is empty.
     """
     co = gl_coefficients(alpha, n)
     c, b = co.coeffs, co.partial_sums
+    # += on zeros keeps a -0.0 product out of the result
     out = np.zeros(n + 1)
-
-    # depth 1: identity band, all rows
     out += c[1] * np.einsum("kd,kd->k", g, p)
 
-    # first-column terms, shared by the C family and the band corrections
     dots0 = p[:n] @ g[0]  # dots0[r-1] = g_0 . p_{r-1}, r = 1..n
-    out += np.concatenate(([0.0], np.cumsum(b[1:] * dots0)))
-    if n >= 2:
-        out -= np.concatenate(([0.0, 0.0], np.cumsum(c[2:] * dots0[1:])))
+    out[1:] += np.cumsum(b[1:] * dots0)
+    out[2:] -= np.cumsum(c[2:] * dots0[1:])
 
-    # banded positive parts, windowed row sums via prefix sums
-    idx = np.arange(n + 1)
-    for r in range(2, n + 1):
-        s = np.einsum("jd,jd->j", g[: n - r + 1], p[r - 1 : n])  # j = 0..n-r
-        cs = np.concatenate(([0.0], np.cumsum(s)))
-        lo = np.maximum(1, idx - r + 1)
-        hi = np.minimum(n - r, idx)
-        inside = (idx >= 1) & (idx <= n - 1) & (lo <= hi)
-        win = np.where(inside, cs[np.clip(hi, 0, n - r) + 1] - cs[np.clip(lo, 0, n - r + 1)], 0.0)
-        out += c[r] * win
+    for r in range(2, n):
+        # pre[m-1] = c_r * sum_{j=1..m} g_j . p_{j+r-1}, m = 1..n-r
+        pre = c[r] * np.cumsum(np.einsum("jd,jd->j", g[1 : n - r + 1], p[r:n]))
+        out[1 : n - r + 1] += pre           # rows 1..n-r: prefix up to j = i
+        out[n - r + 1 : n] += pre[-1]       # rows n-r+1..n-1: the whole prefix
+        out[r + 1 : n] -= pre[: n - r - 1]  # rows r+1..n-1: minus up to j = i-r
     return out
 
 
@@ -134,17 +132,17 @@ def conserved_quantity(alpha, grid: Grid, gen: TimeSeq, p: TimeSeq) -> TimeSeq:
 
     ``gen`` is the group generator evaluated along the state and ``p`` the
     adjoint of a converged solution (so p_N = 0, though that is the
-    caller's contract).  Constant in i exactly when the problem carries
-    the corresponding symmetry.
+    caller's contract).  Both must be valid on all of [0, N], since every
+    row enters the sum.  Constant in i exactly when the problem carries the
+    corresponding symmetry.
     """
     a = _order_value(alpha)
-    n = grid.n
-    if gen.n != n or p.n != n:
-        raise ValueError("sequences must live on the grid nodes")
+    _require_full(gen, grid, "gen")
+    _require_full(p, grid, "p")
     if gen.dim != p.dim:
         raise ValueError(f"dimension mismatch: {gen.dim} vs {p.dim}")
-    vals = _weighted_shift_sum(a, n, gen.values, p.values)
-    return TimeSeq(vals.reshape(-1, 1), 0, n)
+    vals = _weighted_shift_sum(a, grid.n, gen.values, p.values)
+    return TimeSeq(vals.reshape(-1, 1), 0, grid.n)
 
 
 def transfer_residual(alpha, grid: Grid, g1: TimeSeq, g2: TimeSeq) -> float:
@@ -182,37 +180,29 @@ def invariance_residual(problem: OcpProblem, groups: Sequence[OneParamGroup],
                         s_samples: Sequence[float]) -> float:
     """Sampled defect of Hamiltonian invariance along a solution.
 
-    For each parameter s the transformed bracket
-
-        H(phi1(s, Q_k), phi2(s, U_k), phi3(s, P_{k-1}), t_k)
-            - phi3(s, P_{k-1}) . (left_reg phi1(s, Q))_k
-
-    is compared with the untransformed one over k = 1..N; the maximum
-    absolute difference over all nodes and samples is returned.  Sampling
-    a handful of s values is evidence of invariance, not a proof.
+    The bracket H(Q_k, U_k, P_{k-1}, t_k) - P_{k-1} . (left_reg Q)_k,
+    k = 1..N, is evaluated once as is and once per parameter s with Q, U
+    and P moved by phi1(s, .), phi2(s, .) and phi3(s, .).  Returns the
+    largest absolute difference over all nodes and samples, NaN if any
+    bracket is NaN.  Sampling a handful of s values is evidence of
+    invariance, not a proof.
     """
     phi1, phi2, phi3 = groups
     grid, n = problem.grid, problem.grid.n
     times = grid.times
     q, p, u = solution.Q, solution.P, solution.U
 
-    dq = delta_minus(problem.alpha, grid, q, caputo=True)
-    base = np.empty(n)
-    for k in range(1, n + 1):
-        w = p[k - 1]
-        base[k - 1] = (problem.hamiltonian(q[k], u[k], w, times[k])
-                       - float(w @ dq[k]))
-
-    worst = 0.0
-    for s in s_samples:
-        s = float(s)
-        q_s = TimeSeq(np.stack([np.asarray(phi1.map(s, q[k]), dtype=float)
-                                for k in range(n + 1)]))
-        dq_s = delta_minus(problem.alpha, grid, q_s, caputo=True)
+    def bracket(move) -> np.ndarray:
+        q_m = TimeSeq(np.stack([move(phi1, q[k]) for k in range(n + 1)]))
+        dq = delta_minus(problem.alpha, grid, q_m, caputo=True)
+        out = np.empty(n)
         for k in range(1, n + 1):
-            w_s = np.asarray(phi3.map(s, p[k - 1]), dtype=float)
-            v_s = np.asarray(phi2.map(s, u[k]), dtype=float)
-            val = (problem.hamiltonian(q_s[k], v_s, w_s, times[k])
-                   - float(w_s @ dq_s[k]))
-            worst = max(worst, abs(val - base[k - 1]))
-    return worst
+            w = move(phi3, p[k - 1])
+            out[k - 1] = (problem.hamiltonian(q_m[k], move(phi2, u[k]), w, times[k])
+                          - float(w @ dq[k]))
+        return out
+
+    base = bracket(lambda phi, x: x)
+    gaps = [np.abs(bracket(lambda phi, x: np.asarray(phi.map(s, x), dtype=float))
+                   - base) for s in map(float, s_samples)]
+    return float(np.max(gaps, initial=0.0))

@@ -56,15 +56,29 @@ __all__ = [
 
 
 class SweepDivergenceError(RuntimeError):
-    """The outer sweep exhausted its iteration budget."""
+    """The outer sweep stopped unconverged; the message says why."""
 
     def __init__(self, iters: int, residual: float, increment: float):
         self.iters = iters
         self.residual = residual
         self.increment = increment
         super().__init__(
-            f"sweep not converged after {iters} iterations "
+            f"sweep not converged after {iters} passes "
             f"(stationarity {residual:.3e}, control increment {increment:.3e})")
+
+
+# on the built-in examples at alpha from 1 down to 0.05 and N from 100 to 800
+# no converging sweep's increment grew on more than three passes in a row; a
+# diverging one grows on every pass
+_GROWTH_PASSES = 5
+
+
+def _stopped(why: str, iters: int, residual: float,
+             increment: float) -> SweepDivergenceError:
+    """The sweep's error, with what ended the sweep appended to its message."""
+    err = SweepDivergenceError(iters, residual, increment)
+    err.args = (f"{err}: {why}",)
+    return err
 
 
 class ControlUpdateError(RuntimeError):
@@ -302,6 +316,9 @@ def gateaux_derivative(problem: OcpProblem, u: TimeSeq, ubar: TimeSeq,
 def stationarity_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq,
                           p: TimeSeq) -> TimeSeq:
     """Nodewise norm of dH/dv(Q_k, U_k, P_{k-1}, t_k), valid on [1, N]."""
+    _require_control(problem, u)
+    if p.n != problem.grid.n or p.lo > 0 or p.hi < p.n - 1:
+        raise ValueError(f"adjoint must be valid on [0, {problem.grid.n - 1}]")
     lv, fv = _at_nodes(problem, q, u, problem.lv_at, problem.fv_at)
     # row k pairs with P_{k-1}; the zero row 0 pairs with P_N
     g = lv + np.einsum("kdm,kd->km", fv, np.roll(p.values, 1, axis=0))
@@ -378,6 +395,9 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
     U <- (1 - lambda) U + lambda U*.  Convergence requires both the
     stationarity residual of the current triple and the control increment
     |U* - U| to be small, so the returned triple is internally consistent.
+    A sweep that goes wrong stops early with ``SweepDivergenceError``: at
+    once on a non-finite residual or increment, and when the increment has
+    grown on five passes in a row, which no converging sweep was seen to do.
     After convergence U_0 is set to U_1; the slot is otherwise meaningless.
     """
     opts = opts or SweepOpts()
@@ -392,8 +412,7 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
     root_tol = opts.tol_stationarity / np.sqrt(problem.m)
     lam = min(opts.relaxation, 0.5) if opts.adaptive else opts.relaxation
     step_prev: np.ndarray | None = None
-    residual = np.inf
-    increment = np.inf
+    increment_prev, grew = np.inf, 0
     for outer in range(1, opts.max_outer_iters + 1):
         q = state_solve(problem, u, opts.inner)
         p = adjoint_solve(problem, u, q)
@@ -412,6 +431,13 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
                                       stationarity_residual=residual,
                                       outer_iters=outer,
                                       cost=_running_cost(problem, q, u))
+        if not np.isfinite(residual + increment):
+            raise _stopped("a value is not finite", outer, residual, increment)
+        grew = grew + 1 if increment > increment_prev else 0
+        if grew == _GROWTH_PASSES:
+            raise _stopped(f"the control increment grew on {grew} passes in a row",
+                           outer, residual, increment)
+        increment_prev = increment
 
         if opts.adaptive and step_prev is not None:
             # secant retune of lambda from consecutive update directions;
@@ -423,7 +449,7 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
                 lam = min(opts.relaxation, max(1e-3, lam))
         u = TimeSeq(u.values + lam * step, 0, n)
         step_prev = step
-    raise SweepDivergenceError(opts.max_outer_iters, residual, increment)
+    raise _stopped("the pass budget ran out", opts.max_outer_iters, residual, increment)
 
 
 def euler_lagrange_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq,

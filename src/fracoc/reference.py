@@ -104,13 +104,13 @@ def max_control_error(u: TimeSeq, exact, grid: Grid) -> float:
     """
     if u.n != grid.n:
         raise ValueError("control does not live on the grid nodes")
-    worst = 0.0
+    gaps = []
     for k in range(1, grid.n + 1):
         ref = np.atleast_1d(np.asarray(exact(grid.times[k]), dtype=float))
         if ref.size != u.dim:
             raise ValueError(f"reference returned size {ref.size}, control dim {u.dim}")
-        worst = max(worst, float(np.linalg.norm(u[k] - ref)))
-    return worst
+        gaps.append(np.linalg.norm(u[k] - ref))
+    return float(np.max(gaps))  # NaN stays NaN, unlike max()
 
 
 def convergence_order(errors_and_h, span: float = 1.0) -> ConvergenceReport:
@@ -119,7 +119,7 @@ def convergence_order(errors_and_h, span: float = 1.0) -> ConvergenceReport:
     The fitted order is the slope of log(error) against log(h); pairwise
     orders come from consecutive rows.  Rows are reported sorted by n,
     reconstructed as round(span / h).  At least three pairs with distinct
-    step sizes and strictly positive errors are required.
+    step sizes are required, every step size and error positive and finite.
     """
     pairs = [(float(h), float(e)) for h, e in errors_and_h]
     if len(pairs) < 3:
@@ -127,10 +127,10 @@ def convergence_order(errors_and_h, span: float = 1.0) -> ConvergenceReport:
     if len({h for h, _ in pairs}) < len(pairs):
         raise DegenerateDataError("step sizes must be distinct")
     for h, e in pairs:
-        if h <= 0:
-            raise DegenerateDataError(f"step sizes must be positive, got {h}")
-        if e <= 0:
-            raise DegenerateDataError(f"errors must be strictly positive, got {e}")
+        if not 0 < h < np.inf:  # NaN too
+            raise DegenerateDataError(f"step sizes must be positive and finite, got {h}")
+        if not 0 < e < np.inf:
+            raise DegenerateDataError(f"errors must be positive and finite, got {e}")
     rows = sorted(((int(round(span / h)), h, e) for h, e in pairs), key=lambda r: r[0])
     log_h = np.log([r[1] for r in rows])
     log_e = np.log([r[2] for r in rows])

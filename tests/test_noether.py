@@ -110,7 +110,7 @@ def test_shift_sum_two_step_hand_cases():
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
-@pytest.mark.parametrize("n", (2, 3, 9, 24))
+@pytest.mark.parametrize("n", (1, 2, 3, 9, 24, 50))
 def test_shift_sum_matches_dense_expansion(alpha, n):
     rng = np.random.default_rng(17 * n + int(10 * alpha))
     for dim in (1, 2):
@@ -133,6 +133,11 @@ def test_conserved_quantity_validation():
         conserved_quantity(0.5, grid, TimeSeq.zeros(3), TimeSeq.zeros(4))
     with pytest.raises(ValueError):
         conserved_quantity(0.5, grid, TimeSeq.zeros(4, 2), TimeSeq.zeros(4))
+    # every row of both sequences enters the sum, slot 0 included
+    with pytest.raises(ValueError):
+        conserved_quantity(0.5, grid, TimeSeq(np.ones((5, 1)), 1, 4), TimeSeq.zeros(4))
+    with pytest.raises(ValueError):
+        conserved_quantity(0.5, grid, TimeSeq.zeros(4), TimeSeq(np.ones((5, 1)), 0, 3))
 
 
 # -- the transfer identity -----------------------------------------------------------
@@ -147,7 +152,7 @@ def test_transfer_identity_two_step_hand_case():
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
-@pytest.mark.parametrize("n", (2, 5, 17, 64))
+@pytest.mark.parametrize("n", (1, 2, 5, 17, 64))
 def test_transfer_identity_random_suite(alpha, n):
     rng = np.random.default_rng(31 * n + int(10 * alpha))
     grid = Grid(0.0, 1.0, n)
@@ -216,6 +221,37 @@ def test_rotation_bracket_is_invariant_along_solutions():
     assert res <= 1e-9
 
 
+def test_invariance_residual_reports_a_nan_group_map():
+    problem = build_example("rotation", 0.75, 20)
+    sol = solve_pontryagin(problem)
+    phi1, phi2, phi3 = rotation_groups()
+    broken = OneParamGroup(map=lambda s, x: np.full(2, np.nan),
+                           generator=phi2.generator)
+    res = invariance_residual(problem, (phi1, broken, phi3), sol, (0.5,))
+    assert np.isnan(res)
+
+
+def test_invariance_residual_moves_each_node_once_per_sample():
+    problem = build_example("rotation", 0.5, 12)
+    sol = solve_pontryagin(problem)
+    calls = [0, 0, 0]
+
+    def counted(group, i):
+        def move(s, x):
+            calls[i] += 1
+            return group.map(s, x)
+        return OneParamGroup(map=move, generator=group.generator)
+
+    groups = [counted(g, i) for i, g in enumerate(rotation_groups())]
+    samples = (-1.0, 0.25, 0.5)
+    n, s = problem.grid.n, len(samples)
+    invariance_residual(problem, groups, sol, samples)
+    # Q on nodes 0..N, U on 1..N, P on 0..N-1; the base bracket moves nothing
+    assert calls == [(n + 1) * s, n * s, n * s]
+    invariance_residual(problem, groups, sol, ())
+    assert calls == [(n + 1) * s, n * s, n * s]
+
+
 def test_anisotropic_cost_breaks_rotation_invariance():
     eye = np.eye(2)
     problem = OcpProblem(
@@ -247,3 +283,5 @@ def test_group_axioms_catch_a_wrong_generator():
     broken = OneParamGroup(map=rot.map, generator=lambda x: 2.0 * rot.generator(x))
     points = [np.array([1.0, 0.5])]
     assert group_axiom_defect(broken, points) >= 1e-3
+    silent = OneParamGroup(map=rot.map, generator=lambda x: np.full(2, np.nan))
+    assert np.isnan(group_axiom_defect(silent, points))

@@ -419,6 +419,20 @@ def test_stationarity_residual_formula():
         npt.assert_allclose(res[k][0], np.linalg.norm(g), rtol=1e-14)
 
 
+def test_stationarity_residual_checks_its_windows():
+    problem = build_example("lq", 0.75, 6)
+    full = TimeSeq(np.ones((7, 1)))
+    stationarity_residual(problem, full, full, TimeSeq(np.ones((7, 1)), 0, 5))
+    with pytest.raises(ValueError, match="adjoint"):  # P_{N-1} is read
+        stationarity_residual(problem, full, full, TimeSeq(np.ones((7, 1)), 0, 3))
+    with pytest.raises(ValueError, match="adjoint"):  # P_0 is read
+        stationarity_residual(problem, full, full, TimeSeq(np.ones((7, 1)), 1, 6))
+    with pytest.raises(ValueError, match="adjoint"):
+        stationarity_residual(problem, full, full, TimeSeq.zeros(5))
+    with pytest.raises(ValueError, match="control"):
+        stationarity_residual(problem, full, TimeSeq(np.ones((7, 1)), 2, 6), full)
+
+
 # -- the outer sweep ----------------------------------------------------------------
 
 def test_zero_problem_converges_immediately():
@@ -466,13 +480,32 @@ def test_plain_unit_relaxation_diverges_on_the_coupled_problem():
     # unrelaxed iteration cannot converge; the adaptive default handles it
     problem = build_example("lq", 1.0, 10)
     opts = SweepOpts(max_outer_iters=40, adaptive=False, relaxation=1.0)
-    with pytest.raises(SweepDivergenceError) as exc:
+    with pytest.raises(SweepDivergenceError, match="grew on 5 passes") as exc:
         solve_pontryagin(problem, opts=opts)
-    assert exc.value.iters == 40
+    assert exc.value.iters == 6  # stopped early, not at the budget of 40
     assert exc.value.increment > 1.0
 
     sol = solve_pontryagin(problem, opts=SweepOpts(max_outer_iters=40))
     assert sol.outer_iters <= 20
+
+
+def test_sweep_stops_early_when_the_increment_keeps_growing():
+    # the default sweep diverges at this small alpha, its increment growing
+    # on every pass
+    with pytest.raises(SweepDivergenceError, match="grew") as exc:
+        solve_pontryagin(build_example("lq", 0.02, 100))
+    assert exc.value.iters < 20
+
+
+def test_sweep_stops_at_once_on_a_non_finite_residual():
+    problem = build_example("lq", 0.5, 40)
+    dl_dv = problem.dL_dv
+    broken = dataclasses.replace(problem, dL_dv=lambda x, v, t: (
+        np.nan if t == problem.grid.times[20] else dl_dv(x, v, t)))
+    with pytest.raises(SweepDivergenceError, match="not finite") as exc:
+        solve_pontryagin(broken)
+    assert exc.value.iters == 1
+    assert np.isnan(exc.value.residual)
 
 
 def test_fixed_relaxation_below_threshold_converges():

@@ -119,6 +119,9 @@ def test_max_control_error_skips_the_first_node():
     u = TimeSeq(vals)
     err = max_control_error(u, lambda t: np.zeros(2), grid)
     assert err == 5.0
+    # a reference that is NaN on half the nodes makes the error NaN
+    half_nan = lambda t: np.full(2, np.nan if t > 0.5 else 0.0)
+    assert np.isnan(max_control_error(u, half_nan, grid))
 
 
 def test_max_control_error_validation():
@@ -172,5 +175,10 @@ def test_fit_rejects_degenerate_data():
         convergence_order([(0.1, 1.0), (0.05, 0.0), (0.025, 0.2)])
     with pytest.raises(DegenerateDataError):
         convergence_order([(0.1, 1.0), (-0.05, 0.5), (0.025, 0.2)])
+    for bad in (np.nan, np.inf):  # non-finite error, then step size
+        with pytest.raises(DegenerateDataError):
+            convergence_order([(0.1, 1.0), (0.05, bad), (0.025, 0.2)])
+        with pytest.raises(DegenerateDataError):
+            convergence_order([(0.1, 1.0), (bad, 0.5), (0.025, 0.2)])
     with pytest.raises(DegenerateDataError):  # repeated step size
         convergence_order([(0.05, 1.0), (0.05, 1.0), (0.025, 0.5)])
