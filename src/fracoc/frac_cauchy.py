@@ -13,9 +13,9 @@ for every solver in the package, and two node solves sit on it:
 - :func:`_fixed_point_march` solves nonlinear node equations with the
   fixed-point step x <- h^alpha F(x) + const, once it has checked
   h^alpha * K < 1 for the Lipschitz bound K of F its caller passes
-  (``ContractionError`` otherwise), under which that step contracts.  It
-  accepts a node once its residual |x - h^alpha F(x) - const| is at most
-  tol * max(1, |x|).  :func:`solve_left_cauchy`, :func:`solve_right_cauchy`
+  (``ContractionError`` otherwise), under which that step contracts.  One
+  loop, on floats at d = 1, accepts a node once |x - h^alpha F(x) - const|
+  <= tol * max(1, |x|).  :func:`solve_left_cauchy`, :func:`solve_right_cauchy`
   and the fallback of the sweep's state solve use it;
 - :func:`_linear_march` handles F(x, k) = A_k x + b_k with one linear
   solve per node, using inverses built once for all nodes; it needs only
@@ -125,7 +125,8 @@ def _march(alpha: float, grid: Grid, start: np.ndarray, solve_node,
     const_j = y_0 - sum_{r=1..j-1} c_r (y_{j-r} - y_0) is the memory term of
     the node equation y_j = h^alpha F(y_j) + const_j.  With ``reverse`` the
     march runs on reversed node indices, so the returned row k is node k of
-    the right problem, solved by ``solve_node(const, k, y_{k+1})``.
+    the right problem, solved by ``solve_node(const, k, y_{k+1})``.  A node
+    solve may return a float at d = 1, which fills its row all the same.
     """
     n, d = grid.n, start.size
     c = gl_coefficients(alpha, n).coeffs
@@ -215,35 +216,28 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
     opts = opts or FixedPointOpts()
     tol, max_iters = opts.tol, opts.max_iters
 
-    if start.size == 1:
-        def solve_node(const, k, x):
-            c0, xs = const[0], x[0]
-            r = xs - ha * field(x, k)[0] - c0
-            for it in range(max_iters + 1):
-                if not math.isfinite(r):
-                    raise NonFiniteError(k)
-                if abs(r) <= tol * max(1.0, abs(xs)):
-                    return np.array([xs - r])
-                if it == max_iters:
-                    break
-                xs = xs - r
-                r = xs - ha * field(np.array([xs]), k)[0] - c0
-            raise FixedPointDivergenceError(k, abs(r), tol)
+    if start.size == 1:  # Python floats: a one-element array costs more than the field
+        def image(x, k):
+            return ha * field(np.array([x]), k)[0]
+
+        size, unpack = abs, (lambda a: a[0])
     else:
-        def solve_node(const, k, x):
-            r = x - ha * field(x, k) - const
-            err = float(np.max(np.abs(r)))
-            for it in range(max_iters + 1):
-                if not math.isfinite(err):
-                    raise NonFiniteError(k)
-                if err <= tol * max(1.0, float(np.max(np.abs(x)))):
-                    return x - r
-                if it == max_iters:
-                    break
-                x = x - r
-                r = x - ha * field(x, k) - const
-                err = float(np.max(np.abs(r)))
-            raise FixedPointDivergenceError(k, err, tol)
+        def image(x, k):
+            return ha * field(x, k)
+
+        size, unpack = (lambda a: abs(a).max()), (lambda a: a)
+
+    def solve_node(const, k, x):
+        const, x = unpack(const), unpack(x)
+        for _ in range(max_iters + 1):
+            r = x - image(x, k) - const
+            err = size(r)
+            if not math.isfinite(err):
+                raise NonFiniteError(k)
+            if err <= tol * max(1.0, size(x)):
+                return x - r
+            x = x - r
+        raise FixedPointDivergenceError(k, err, tol)
 
     return TimeSeq(_march(alpha, grid, start, solve_node, reverse))
 

@@ -173,11 +173,14 @@ class TimeSeq:
         return f"TimeSeq(n={self.n}, dim={self.dim}, valid=[{self.lo}, {self.hi}])"
 
 
-def _require_full(seq: TimeSeq, grid: Grid, name: str) -> None:
-    if seq.n != grid.n:
-        raise ValueError(f"{name} has {seq.n + 1} slots but grid has {grid.n + 1} nodes")
-    if seq.lo != 0 or seq.hi != seq.n:
-        raise ValueError(f"{name} must be valid on all of [0, {seq.n}], "
+def _require_window(seq: TimeSeq, n: int, name: str, lo: int = 0,
+                    hi: int | None = None) -> None:
+    """Refuse ``seq`` unless it has n + 1 slots valid on [lo, hi]; hi defaults to n."""
+    hi = n if hi is None else hi
+    if seq.n != n:
+        raise ValueError(f"{name} has {seq.n + 1} slots but the grid has {n + 1} nodes")
+    if seq.lo > lo or seq.hi < hi:
+        raise ValueError(f"{name} must be valid on all of [{lo}, {hi}], "
                          f"got [{seq.lo}, {seq.hi}]")
 
 
@@ -200,7 +203,7 @@ def delta_minus(alpha, grid: Grid, seq: TimeSeq, caputo: bool = False) -> TimeSe
     backward difference quotient (G_k - G_{k-1}) / h bit for bit, modulo
     the final division by h.
     """
-    _require_full(seq, grid, "seq")
+    _require_window(seq, grid.n, "seq")
     base = seq.values - seq.values[0] if caputo else seq.values
     out = _left_difference(alpha, grid, base)
     out[0] = 0.0  # slot kept but not part of the valid range
@@ -213,7 +216,7 @@ def delta_plus(alpha, grid: Grid, seq: TimeSeq, caputo: bool = False) -> TimeSeq
     The mirror of :func:`delta_minus`: weights run forward from each node,
     and ``caputo=True`` subtracts the terminal value G_n.
     """
-    _require_full(seq, grid, "seq")
+    _require_window(seq, grid.n, "seq")
     n = grid.n
     base = seq.values - seq.values[n] if caputo else seq.values
     out = _left_difference(alpha, grid, base[::-1])[::-1]  # left on reversed nodes
@@ -256,8 +259,8 @@ def dfibp_residual(alpha, grid: Grid, g1: TimeSeq, g2: TimeSeq) -> float:
     difference of the two sides as computed.
     """
     a = _order_value(alpha)
-    _require_full(g1, grid, "g1")
-    _require_full(g2, grid, "g2")
+    _require_window(g1, grid.n, "g1")
+    _require_window(g2, grid.n, "g2")
     if g1.dim != g2.dim:
         raise ValueError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
     if np.any(g1.values[0] != 0.0):

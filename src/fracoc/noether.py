@@ -18,9 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gl_ops import (Grid, TimeSeq, _order_value, _require_full, delta_minus,
+from .gl_ops import (Grid, TimeSeq, _order_value, _require_window, delta_minus,
                      delta_plus, gl_coefficients)
-from .pontryagin import OcpProblem, PontryaginSolution
+from .pontryagin import OcpProblem, PontryaginSolution, _at_nodes
 
 __all__ = [
     "OneParamGroup",
@@ -137,8 +137,8 @@ def conserved_quantity(alpha, grid: Grid, gen: TimeSeq, p: TimeSeq) -> TimeSeq:
     corresponding symmetry.
     """
     a = _order_value(alpha)
-    _require_full(gen, grid, "gen")
-    _require_full(p, grid, "p")
+    _require_window(gen, grid.n, "gen")
+    _require_window(p, grid.n, "p")
     if gen.dim != p.dim:
         raise ValueError(f"dimension mismatch: {gen.dim} vs {p.dim}")
     vals = _weighted_shift_sum(a, grid.n, gen.values, p.values)
@@ -158,8 +158,8 @@ def transfer_residual(alpha, grid: Grid, g1: TimeSeq, g2: TimeSeq) -> float:
     """
     a = _order_value(alpha)
     n = grid.n
-    if g1.n != n or g2.n != n:
-        raise ValueError("sequences must live on the grid nodes")
+    _require_window(g1, n, "g1")
+    _require_window(g2, n, "g2")
     if g1.dim != g2.dim:
         raise ValueError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
     if np.any(g2.values[n] != 0.0):
@@ -182,25 +182,30 @@ def invariance_residual(problem: OcpProblem, groups: Sequence[OneParamGroup],
 
     The bracket H(Q_k, U_k, P_{k-1}, t_k) - P_{k-1} . (left_reg Q)_k,
     k = 1..N, is evaluated once as is and once per parameter s with Q, U
-    and P moved by phi1(s, .), phi2(s, .) and phi3(s, .).  Returns the
-    largest absolute difference over all nodes and samples, NaN if any
-    bracket is NaN.  Sampling a handful of s values is evidence of
-    invariance, not a proof.
+    and P moved by phi1(s, .), phi2(s, .) and phi3(s, .); L and f come from
+    one node walk over the moved Q and U.  Returns the largest absolute
+    difference over all nodes and samples, NaN if any bracket is NaN.
+    Sampling a handful of s values is evidence of invariance, not a proof.
     """
     phi1, phi2, phi3 = groups
     grid, n = problem.grid, problem.grid.n
-    times = grid.times
     q, p, u = solution.Q, solution.P, solution.U
+    _require_window(q, n, "state")
+    _require_window(u, n, "control", 1)
+    _require_window(p, n, "adjoint", 0, n - 1)
 
     def bracket(move) -> np.ndarray:
-        q_m = TimeSeq(np.stack([move(phi1, q[k]) for k in range(n + 1)]))
+        q_m = TimeSeq(np.stack([move(phi1, x) for x in q.values]))
+        # U_0 is never read, so it is kept as is rather than moved
+        u_m = TimeSeq(np.stack([u.values[0], *(move(phi2, v) for v in u.values[1:])]),
+                      1, n)
+        w = np.stack([move(phi3, x) for x in p.values[:n]]).reshape(n, 1, problem.d)
         dq = delta_minus(problem.alpha, grid, q_m, caputo=True)
-        out = np.empty(n)
-        for k in range(1, n + 1):
-            w = move(phi3, p[k - 1])
-            out[k - 1] = (problem.hamiltonian(q_m[k], move(phi2, u[k]), w, times[k])
-                          - float(w @ dq[k]))
-        return out
+        running, f = _at_nodes(problem, q_m, u_m,
+                               lambda x, v, t: float(problem.L(x, v, t)), problem.f_at)
+        # each row dot summed through matmul as w_k @ f_k sums it
+        return (running[1:] + (w @ f[1:, :, None]).reshape(-1)
+                - (w @ dq.values[1:, :, None]).reshape(-1))
 
     base = bracket(lambda phi, x: x)
     gaps = [np.abs(bracket(lambda phi, x: np.asarray(phi.map(s, x), dtype=float))

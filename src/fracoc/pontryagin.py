@@ -24,8 +24,9 @@ NaN or infinity.
 
 Every callback value the layer reads at (Q_k, U_k, t_k) comes from one walk
 over the nodes, ``_at_nodes``; the adjoint's read of node k + 1 is one roll
-of its rows.  Only the control update walks the nodes itself, since its
-fallback root solve names the node it fails at.
+of its rows.  The control update is the one other walk, since its fallback
+root solve names the node it fails at.  Every walk checks its inputs'
+windows once, on entry, and then reads rows.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import numpy as np
 
 from .frac_cauchy import (FixedPointOpts, _check_bound, _check_step,
                           _fixed_point_march, _linear_march)
-from .gl_ops import Grid, TimeSeq, _order_value, delta_minus, delta_plus
+from .gl_ops import (Grid, TimeSeq, _order_value, _require_window, delta_minus,
+                     delta_plus)
 
 __all__ = [
     "OcpProblem",
@@ -199,10 +201,15 @@ class PontryaginSolution:
 
 
 def _at_nodes(problem: OcpProblem, xs: TimeSeq, vs: TimeSeq, *evals) -> list:
-    """Each ``eval(x_k, v_k, t_k)`` stacked over nodes k = 1..N, row 0 zero."""
-    times = problem.grid.times
-    cols = zip(*[[ev(xs[k], vs[k], times[k]) for ev in evals]
-                 for k in range(1, problem.grid.n + 1)])
+    """Each ``eval(x_k, v_k, t_k)`` stacked over nodes k = 1..N, row 0 zero.
+
+    ``xs`` and ``vs`` are checked once to be valid on [1, N]; the walk then
+    reads their rows.
+    """
+    _require_window(xs, problem.grid.n, "state", 1)
+    _require_window(vs, problem.grid.n, "control", 1)
+    cols = zip(*[[ev(x, v, t) for ev in evals] for x, v, t
+                 in zip(xs.values[1:], vs.values[1:], problem.grid.times[1:])])
     return [np.array((np.zeros_like(col[0]), *col)) for col in cols]
 
 
@@ -212,12 +219,9 @@ def _node_norms(g: np.ndarray) -> np.ndarray:
 
 
 def _require_control(problem: OcpProblem, u: TimeSeq) -> None:
-    if u.n != problem.grid.n:
-        raise ValueError(f"control has {u.n + 1} slots, grid has {problem.grid.n + 1}")
+    _require_window(u, problem.grid.n, "control", 1)
     if u.dim != problem.m:
         raise ValueError(f"control dim {u.dim} != m = {problem.m}")
-    if u.lo > 1 or u.hi < u.n:
-        raise ValueError("control must be valid on [1, n]")
 
 
 def state_solve(problem: OcpProblem, u: TimeSeq,
@@ -317,8 +321,7 @@ def stationarity_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq,
                           p: TimeSeq) -> TimeSeq:
     """Nodewise norm of dH/dv(Q_k, U_k, P_{k-1}, t_k), valid on [1, N]."""
     _require_control(problem, u)
-    if p.n != problem.grid.n or p.lo > 0 or p.hi < p.n - 1:
-        raise ValueError(f"adjoint must be valid on [0, {problem.grid.n - 1}]")
+    _require_window(p, problem.grid.n, "adjoint", 0, problem.grid.n - 1)
     lv, fv = _at_nodes(problem, q, u, problem.lv_at, problem.fv_at)
     # row k pairs with P_{k-1}; the zero row 0 pairs with P_N
     g = lv + np.einsum("kdm,kd->km", fv, np.roll(p.values, 1, axis=0))
@@ -377,7 +380,10 @@ def _update_control(problem: OcpProblem, x, w, t, v_start, tol: float,
             def comp(s, j=j):
                 v_try = v.copy()
                 v_try[j] = s
-                return float(problem.dh_dv(x, v_try, w, t)[j])
+                dh = float(problem.dh_dv(x, v_try, w, t)[j])
+                if not np.isfinite(dh):  # no bracket can mend it
+                    raise ControlUpdateError(node, f"dH/dv not finite at v = {v_try}")
+                return dh
             new = _secant_root(comp, float(v[j]), tol, node)
             moved = max(moved, abs(new - v[j]))
             v[j] = new
@@ -402,7 +408,6 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
     """
     opts = opts or SweepOpts()
     grid, n = problem.grid, problem.grid.n
-    times = grid.times
     if u_init is None:
         u = TimeSeq.zeros(n, problem.m)
     else:
@@ -419,10 +424,9 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
         residual = stationarity_residual(problem, q, u, p).sup_norm()
 
         step = np.zeros_like(u.values)
-        for k in range(1, n + 1):
-            star = _update_control(problem, q[k], p[k - 1], times[k],
-                                   u.values[k], root_tol, k)
-            step[k] = star - u.values[k]
+        rows = zip(q.values[1:], p.values[:-1], grid.times[1:], u.values[1:])
+        for k, (x, w, t, v) in enumerate(rows, 1):
+            step[k] = _update_control(problem, x, w, t, v, root_tol, k) - v
         increment = float(np.max(np.abs(step[1:])))
 
         if residual <= opts.tol_stationarity and increment <= opts.tol_control:

@@ -13,43 +13,13 @@ from .pontryagin import OcpProblem
 __all__ = ["build_example", "rotation_groups", "EXAMPLES"]
 
 
-def _lq_problem(alpha: float, n: int, a: float = 0.0, b: float = 1.0) -> OcpProblem:
-    # quadratic cost, scalar linear dynamics x' = x + v
+def _affine_problem(alpha: float, n: int, initial, L, dL_dx) -> OcpProblem:
+    # dynamics x' = x + v and control cost |v|^2 / 2, so dH/dv = v + w and U* = -P
+    initial = np.array(initial)
+    eye = np.eye(initial.size)
     return OcpProblem(
-        d=1, m=1, alpha=alpha, grid=Grid(a, b, n), initial=np.array([1.0]),
-        L=lambda x, v, t: 0.5 * (x[0] ** 2 + v[0] ** 2),
-        dL_dx=lambda x, v, t: x,
-        dL_dv=lambda x, v, t: v,
-        f=lambda x, v, t: x + v,
-        df_dx=lambda x, v, t: 1.0,
-        df_dv=lambda x, v, t: 1.0,
-        lipschitz_M=1.0,
-        control_update=lambda x, w, t: -w,
-    )
-
-
-def _solved_problem(alpha: float, n: int, a: float = 0.0, b: float = 1.0) -> OcpProblem:
-    # linear-in-state cost with a (1 - t) weight, same dynamics as lq
-    return OcpProblem(
-        d=1, m=1, alpha=alpha, grid=Grid(a, b, n), initial=np.array([1.0]),
-        L=lambda x, v, t: (1.0 - t) * x[0] + 0.5 * v[0] ** 2,
-        dL_dx=lambda x, v, t: 1.0 - t,
-        dL_dv=lambda x, v, t: v,
-        f=lambda x, v, t: x + v,
-        df_dx=lambda x, v, t: 1.0,
-        df_dv=lambda x, v, t: 1.0,
-        lipschitz_M=1.0,
-        control_update=lambda x, w, t: -w,
-    )
-
-
-def _rotation_problem(alpha: float, n: int, a: float = 0.0, b: float = 1.0) -> OcpProblem:
-    # planar, rotation-symmetric: L = (|x|^2 + |v|^2)/2, x' = x + v
-    eye = np.eye(2)
-    return OcpProblem(
-        d=2, m=2, alpha=alpha, grid=Grid(a, b, n), initial=np.array([1.0, 2.0]),
-        L=lambda x, v, t: 0.5 * (float(x @ x) + float(v @ v)),
-        dL_dx=lambda x, v, t: x,
+        d=initial.size, m=initial.size, alpha=alpha, grid=Grid(0.0, 1.0, n),
+        initial=initial, L=L, dL_dx=dL_dx,
         dL_dv=lambda x, v, t: v,
         f=lambda x, v, t: x + v,
         df_dx=lambda x, v, t: eye,
@@ -59,10 +29,31 @@ def _rotation_problem(alpha: float, n: int, a: float = 0.0, b: float = 1.0) -> O
     )
 
 
-def _zero_problem(alpha: float, n: int, a: float = 0.0, b: float = 1.0) -> OcpProblem:
+def _lq_problem(alpha: float, n: int) -> OcpProblem:
+    # quadratic cost
+    return _affine_problem(alpha, n, [1.0],
+                           L=lambda x, v, t: 0.5 * (x[0] ** 2 + v[0] ** 2),
+                           dL_dx=lambda x, v, t: x)
+
+
+def _solved_problem(alpha: float, n: int) -> OcpProblem:
+    # linear-in-state cost with a (1 - t) weight
+    return _affine_problem(alpha, n, [1.0],
+                           L=lambda x, v, t: (1.0 - t) * x[0] + 0.5 * v[0] ** 2,
+                           dL_dx=lambda x, v, t: 1.0 - t)
+
+
+def _rotation_problem(alpha: float, n: int) -> OcpProblem:
+    # planar, rotation-symmetric: L = (|x|^2 + |v|^2)/2
+    return _affine_problem(alpha, n, [1.0, 2.0],
+                           L=lambda x, v, t: 0.5 * (float(x @ x) + float(v @ v)),
+                           dL_dx=lambda x, v, t: x)
+
+
+def _zero_problem(alpha: float, n: int) -> OcpProblem:
     # frozen dynamics and pure control cost: the optimum is u = 0, p = 0
     return OcpProblem(
-        d=1, m=1, alpha=alpha, grid=Grid(a, b, n), initial=np.array([1.0]),
+        d=1, m=1, alpha=alpha, grid=Grid(0.0, 1.0, n), initial=np.array([1.0]),
         L=lambda x, v, t: 0.5 * v[0] ** 2,
         dL_dx=lambda x, v, t: 0.0,
         dL_dv=lambda x, v, t: v,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gl_ops import Grid, TimeSeq, _order_value
+from .gl_ops import Grid, TimeSeq, _order_value, _require_window
 
 __all__ = [
     "DegenerateDataError",
@@ -102,14 +102,13 @@ def max_control_error(u: TimeSeq, exact, grid: Grid) -> float:
     Node 0 is skipped: the discrete cost never reads the control there, so
     solvers leave it unconstrained.
     """
-    if u.n != grid.n:
-        raise ValueError("control does not live on the grid nodes")
+    _require_window(u, grid.n, "control", 1)
     gaps = []
-    for k in range(1, grid.n + 1):
-        ref = np.atleast_1d(np.asarray(exact(grid.times[k]), dtype=float))
+    for t, row in zip(grid.times[1:], u.values[1:]):
+        ref = np.atleast_1d(np.asarray(exact(t), dtype=float))
         if ref.size != u.dim:
             raise ValueError(f"reference returned size {ref.size}, control dim {u.dim}")
-        gaps.append(np.linalg.norm(u[k] - ref))
+        gaps.append(np.linalg.norm(row - ref))
     return float(np.max(gaps))  # NaN stays NaN, unlike max()
 
 

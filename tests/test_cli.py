@@ -163,6 +163,11 @@ def test_noether_refuses_other_examples(tmp_path, capsys):
 
 # -- argument handling --------------------------------------------------------------
 
+def test_unknown_example_is_refused():
+    with pytest.raises(ValueError, match="unknown example 'nope'"):
+        build_example("nope", 0.5, 8)
+
+
 def test_parser_rejects_bad_input():
     parser = build_parser()
     with pytest.raises(SystemExit):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,12 @@ def test_transfer_identity_requires_terminal_zero():
         transfer_residual(0.5, grid, g, TimeSeq(np.zeros((4, 2))))
 
 
+def test_transfer_identity_checks_slot_counts():
+    grid = Grid(0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="g1 has 6 slots"):
+        transfer_residual(0.5, grid, TimeSeq(np.ones((6, 1))), TimeSeq.zeros(3))
+
+
 # -- conservation along solutions ------------------------------------------------------
 
 @pytest.mark.parametrize("alpha", (1.0, 0.5))
@@ -250,6 +257,20 @@ def test_invariance_residual_moves_each_node_once_per_sample():
     assert calls == [(n + 1) * s, n * s, n * s]
     invariance_residual(problem, groups, sol, ())
     assert calls == [(n + 1) * s, n * s, n * s]
+
+
+def test_invariance_residual_checks_its_windows():
+    problem = build_example("rotation", 0.5, 12)
+    sol = solve_pontryagin(problem)
+    off_grid = TimeSeq(np.zeros((10, 2)))
+    no_p0 = TimeSeq(sol.P.values, 1)  # P_0 is read
+    for field, seq, message in (("Q", off_grid, "state has 10 slots"),
+                                ("U", off_grid, "control has 10 slots"),
+                                ("P", off_grid, "adjoint has 10 slots"),
+                                ("P", no_p0, "adjoint must be valid")):
+        broken = dataclasses.replace(sol, **{field: seq})
+        with pytest.raises(ValueError, match=message):
+            invariance_residual(problem, rotation_groups(), broken, (0.5,))
 
 
 def test_anisotropic_cost_breaks_rotation_invariance():

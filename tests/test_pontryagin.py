@@ -433,6 +433,19 @@ def test_stationarity_residual_checks_its_windows():
         stationarity_residual(problem, full, TimeSeq(np.ones((7, 1)), 2, 6), full)
 
 
+@pytest.mark.parametrize("walk", ("adjoint", "stationarity"))
+def test_node_walks_refuse_a_state_off_their_window(walk):
+    problem = build_example("lq", 0.75, 8)
+    u, p = TimeSeq.zeros(8), TimeSeq.zeros(8)
+    run = {"adjoint": lambda q: adjoint_solve(problem, u, q),
+           "stationarity": lambda q: stationarity_residual(problem, q, u, p)}[walk]
+    run(TimeSeq(np.ones((9, 1)), 1, 8))  # Q_0 is never read
+    with pytest.raises(ValueError, match="state has 13 slots"):
+        run(TimeSeq(np.ones((13, 1))))
+    with pytest.raises(ValueError, match="state must be valid"):
+        run(TimeSeq(np.ones((9, 1)), 0, 5))
+
+
 # -- the outer sweep ----------------------------------------------------------------
 
 def test_zero_problem_converges_immediately():
@@ -551,6 +564,32 @@ def test_secant_root_finds_monotone_cubic_root():
 def test_secant_root_reports_rootless_input():
     with pytest.raises(ControlUpdateError):
         _secant_root(lambda s: 1.0 / (1.0 + s * s) + 0.5, 0.0, 1e-13, node=7)
+
+
+@pytest.mark.parametrize("dh, x0", [
+    (lambda s: float(np.clip(s - 5.0, -1.0, 1.0)), 0.0),  # a plateau stalls the secant
+    (lambda s: float(np.clip(2.0 - s, -1.0, 1.0)), 10.0),  # decreasing
+    (lambda s: 0.0 if s >= 3.0 else -1.0, 0.0),            # the bracket's top is a root
+    (lambda s: 0.0 if s <= -3.0 else 1.0, 0.0),            # and here its bottom
+])
+def test_secant_root_brackets_and_bisects_after_a_stall(dh, x0):
+    assert abs(dh(_secant_root(dh, x0, 1e-12, node=4))) <= 1e-12
+
+
+def test_fallback_root_solve_stops_on_a_non_finite_derivative():
+    calls = []
+
+    def dl_dv(x, v, t):
+        if t == problem.grid.times[20]:
+            calls.append(t)
+            return np.full(1, np.nan)
+        return v + v ** 3
+
+    problem = reduced_problem(0.5, 40, dl_dv=dl_dv)
+    with pytest.raises(ControlUpdateError, match="node 20: .*not finite") as err:
+        solve_pontryagin(problem)
+    assert err.value.node == 20
+    assert len(calls) <= 3  # not the whole bracket search
 
 
 def test_implicit_control_update_agrees_with_cardano():
