@@ -30,6 +30,7 @@ or infinite, and the linear one stops when I - h^alpha A_k is singular.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -114,8 +115,8 @@ class FixedPointOpts:
     def __post_init__(self) -> None:
         if not self.tol > 0:  # NaN too
             raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 def _march(alpha: float, grid: Grid, start: np.ndarray, solve_node,
@@ -161,13 +162,8 @@ def solve_left_cauchy(alpha, grid: Grid, rhs: CauchyRhs, initial,
     fixed-point steps, which needs h^alpha * K < 1 for the bound K of
     ``rhs`` (``ContractionError`` otherwise).
     """
-    start, times = _as_start(initial), grid.times
-
-    def field(x, k):
-        return _sized(rhs.eval(x, times[k]), start.size)
-
-    return _fixed_point_march(_order_value(alpha), grid, field, start,
-                              rhs.lipschitz_K, opts)
+    return _fixed_point_march(_order_value(alpha), grid, rhs.eval, (grid.times,),
+                              _as_start(initial), rhs.lipschitz_K, opts)
 
 
 def solve_right_cauchy(alpha, grid: Grid,
@@ -180,13 +176,9 @@ def solve_right_cauchy(alpha, grid: Grid,
     which keeps this solver ignorant of where its callers get their data.
     """
     _check_bound(lipschitz_K)
-    start = _as_start(terminal)
-
-    def field(x, k):
-        return _sized(rhs_shifted(x, k), start.size)
-
-    return _fixed_point_march(_order_value(alpha), grid, field, start,
-                              lipschitz_K, opts, reverse=True)
+    return _fixed_point_march(_order_value(alpha), grid, rhs_shifted,
+                              (range(grid.n + 1),), _as_start(terminal), lipschitz_K,
+                              opts, reverse=True)
 
 
 def _check_step(ha: float, lipschitz: float) -> None:
@@ -196,41 +188,43 @@ def _check_step(ha: float, lipschitz: float) -> None:
             f"h^alpha * K = {ha * lipschitz:.6g} >= 1; refine the grid or rescale")
 
 
-def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
+def _fixed_point_march(alpha: float, grid: Grid, field, rows, start: np.ndarray,
                        lipschitz: float, opts: FixedPointOpts | None,
                        reverse: bool = False) -> TimeSeq:
     """March with node equations solved by fixed-point steps.
 
-    ``field(x, k)`` returns F at node k as shape (d,), and ``lipschitz`` is
-    a Lipschitz bound K of F in x.  A node is accepted on its residual
-    r(x) = x - h^alpha F(x, k) - const once |r| <= tol * max(1, |x|),
-    checked before each of at most ``max_iters`` steps and after the last.
-    Each step is x <- h^alpha F(x, k) + const = x - r, which multiplies |r|
-    by at most h^alpha K; the march refuses h^alpha K >= 1
-    (``ContractionError``), so the step contracts.  An accepted node returns
-    its fixed-point image x - r, which costs no evaluation and is closer to
-    the solution by that same factor.
+    ``field(x, *row_k)`` returns F at node k, where row_k holds entry k of
+    each sequence in ``rows``; a value of any size but d raises
+    ``ValueError``.  ``lipschitz`` is a Lipschitz bound K of F in x.  A node
+    is accepted on its residual r(x) = x - h^alpha F(x, k) - const once
+    |r| <= tol * max(1, |x|), checked before each of at most ``max_iters``
+    steps and after the last.  Each step is x <- h^alpha F(x, k) + const =
+    x - r, which multiplies |r| by at most h^alpha K; the march refuses
+    h^alpha K >= 1 (``ContractionError``), so the step contracts.  An
+    accepted node returns its fixed-point image x - r, which costs no
+    evaluation and is closer to the solution by that same factor.
     """
     ha = grid.h ** alpha
     _check_step(ha, lipschitz)
     opts = opts or FixedPointOpts()
     tol, max_iters = opts.tol, opts.max_iters
 
-    if start.size == 1:  # Python floats: a one-element array costs more than the field
-        def image(x, k):
-            return ha * field(np.array([x]), k)[0]
+    d = start.size
+    if d == 1:  # Python floats: a one-element array costs more than the field
+        def image(x, row):
+            return ha * _sized(field(np.array([x]), *row), 1)[0]
 
         size, unpack = abs, (lambda a: a[0])
     else:
-        def image(x, k):
-            return ha * field(x, k)
+        def image(x, row):
+            return ha * _sized(field(x, *row), d)
 
         size, unpack = (lambda a: abs(a).max()), (lambda a: a)
 
     def solve_node(const, k, x):
-        const, x = unpack(const), unpack(x)
+        const, x, row = unpack(const), unpack(x), [seq[k] for seq in rows]
         for _ in range(max_iters + 1):
-            r = x - image(x, k) - const
+            r = x - image(x, row) - const
             err = size(r)
             if not math.isfinite(err):
                 raise NonFiniteError(k)

@@ -17,6 +17,7 @@ backward and forward difference quotients.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,8 +54,9 @@ class Grid:
     def __post_init__(self) -> None:
         if not self.a < self.b:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
-        if self.n < 1:
-            raise ValueError(f"need at least one subinterval, got n={self.n}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError(
+                f"need an integer number n >= 1 of subintervals, got n={self.n!r}")
 
     @property
     def h(self) -> float:
@@ -107,8 +109,8 @@ def _gl_cached(alpha: float, n: int) -> FracCoeffs:
 
 def gl_coefficients(alpha, n: int) -> FracCoeffs:
     """Weights and partial sums for order alpha on n + 1 nodes."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"need an integer n >= 1, got n={n!r}")
     return _gl_cached(_order_value(alpha), int(n))
 
 
@@ -174,14 +176,17 @@ class TimeSeq:
 
 
 def _require_window(seq: TimeSeq, n: int, name: str, lo: int = 0,
-                    hi: int | None = None) -> None:
-    """Refuse ``seq`` unless it has n + 1 slots valid on [lo, hi]; hi defaults to n."""
+                    hi: int | None = None, dim: int | None = None) -> None:
+    """Refuse ``seq`` unless it has n + 1 slots valid on [lo, hi], hi defaulting
+    to n, and rows of size ``dim`` unless that is None."""
     hi = n if hi is None else hi
     if seq.n != n:
         raise ValueError(f"{name} has {seq.n + 1} slots but the grid has {n + 1} nodes")
     if seq.lo > lo or seq.hi < hi:
         raise ValueError(f"{name} must be valid on all of [{lo}, {hi}], "
                          f"got [{seq.lo}, {seq.hi}]")
+    if dim is not None and seq.dim != dim:
+        raise ValueError(f"{name} has dimension {seq.dim}, expected {dim}")
 
 
 def _left_difference(alpha, grid: Grid, base: np.ndarray) -> np.ndarray:
@@ -260,9 +265,7 @@ def dfibp_residual(alpha, grid: Grid, g1: TimeSeq, g2: TimeSeq) -> float:
     """
     a = _order_value(alpha)
     _require_window(g1, grid.n, "g1")
-    _require_window(g2, grid.n, "g2")
-    if g1.dim != g2.dim:
-        raise ValueError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
+    _require_window(g2, grid.n, "g2", dim=g1.dim)
     if np.any(g1.values[0] != 0.0):
         raise ValueError("g1 must vanish at the first node")
     if np.any(g2.values[grid.n] != 0.0):

@@ -138,9 +138,7 @@ def conserved_quantity(alpha, grid: Grid, gen: TimeSeq, p: TimeSeq) -> TimeSeq:
     """
     a = _order_value(alpha)
     _require_window(gen, grid.n, "gen")
-    _require_window(p, grid.n, "p")
-    if gen.dim != p.dim:
-        raise ValueError(f"dimension mismatch: {gen.dim} vs {p.dim}")
+    _require_window(p, grid.n, "p", dim=gen.dim)
     vals = _weighted_shift_sum(a, grid.n, gen.values, p.values)
     return TimeSeq(vals.reshape(-1, 1), 0, grid.n)
 
@@ -159,9 +157,7 @@ def transfer_residual(alpha, grid: Grid, g1: TimeSeq, g2: TimeSeq) -> float:
     a = _order_value(alpha)
     n = grid.n
     _require_window(g1, n, "g1")
-    _require_window(g2, n, "g2")
-    if g1.dim != g2.dim:
-        raise ValueError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
+    _require_window(g2, n, "g2", dim=g1.dim)
     if np.any(g2.values[n] != 0.0):
         raise ValueError("g2 must vanish at the last node")
 
@@ -192,7 +188,7 @@ def invariance_residual(problem: OcpProblem, groups: Sequence[OneParamGroup],
     q, p, u = solution.Q, solution.P, solution.U
     _require_window(q, n, "state")
     _require_window(u, n, "control", 1)
-    _require_window(p, n, "adjoint", 0, n - 1)
+    _require_window(p, n, "adjoint", 0, n - 1, dim=problem.d)
 
     def bracket(move) -> np.ndarray:
         q_m = TimeSeq(np.stack([move(phi1, x) for x in q.values]))

@@ -26,11 +26,12 @@ Every callback value the layer reads at (Q_k, U_k, t_k) comes from one walk
 over the nodes, ``_at_nodes``; the adjoint's read of node k + 1 is one roll
 of its rows.  The control update is the one other walk, since its fallback
 root solve names the node it fails at.  Every walk checks its inputs'
-windows once, on entry, and then reads rows.
+windows and row sizes once, on entry, and then reads rows.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -60,27 +61,20 @@ __all__ = [
 class SweepDivergenceError(RuntimeError):
     """The outer sweep stopped unconverged; the message says why."""
 
-    def __init__(self, iters: int, residual: float, increment: float):
+    def __init__(self, iters: int, residual: float, increment: float, why: str = ""):
         self.iters = iters
         self.residual = residual
         self.increment = increment
         super().__init__(
             f"sweep not converged after {iters} passes "
-            f"(stationarity {residual:.3e}, control increment {increment:.3e})")
+            f"(stationarity {residual:.3e}, control increment {increment:.3e})"
+            + (f": {why}" if why else ""))
 
 
 # on the built-in examples at alpha from 1 down to 0.05 and N from 100 to 800
 # no converging sweep's increment grew on more than three passes in a row; a
 # diverging one grows on every pass
 _GROWTH_PASSES = 5
-
-
-def _stopped(why: str, iters: int, residual: float,
-             increment: float) -> SweepDivergenceError:
-    """The sweep's error, with what ended the sweep appended to its message."""
-    err = SweepDivergenceError(iters, residual, increment)
-    err.args = (f"{err}: {why}",)
-    return err
 
 
 class ControlUpdateError(RuntimeError):
@@ -97,8 +91,9 @@ class OcpProblem:
 
     Callbacks may return scalars or nested lists for one-dimensional
     problems; they are normalized to arrays of shape (d,), (m,), (d, d)
-    and (d, m) on use.  ``lipschitz_M`` must bound both the Lipschitz
-    constant of f in (x, v) and the operator norms of df/dx and df/dv.
+    and (d, m) on use.  ``lipschitz_M`` is read only as a Lipschitz bound
+    of f in x, which gates the state's fixed-point fallback; it need not
+    bound df/dv.  ``alpha`` is stored as the validated float order.
     """
 
     d: int
@@ -116,7 +111,7 @@ class OcpProblem:
     control_update: Callable | None = None
 
     def __post_init__(self) -> None:
-        _order_value(self.alpha)
+        object.__setattr__(self, "alpha", _order_value(self.alpha))
         if self.d < 1 or self.m < 1:
             raise ValueError("state and control dimensions must be >= 1")
         _check_bound(self.lipschitz_M)
@@ -169,7 +164,9 @@ class SweepOpts:
     budget of its trajectory Newton iterates and of its fixed-point
     fallback's steps per node, and nothing else: the control update's
     fallback root solve stops at ``tol_stationarity / sqrt(m)`` per
-    component, so a root it returns already passes the stationarity test.
+    component.  At m = 1 a root it returns already passes the stationarity
+    test; at m > 1 its few coupling passes may stop short of it, and what
+    guarantees the result is the sweep's own stationarity test.
     """
 
     tol_stationarity: float = 1e-9
@@ -182,8 +179,9 @@ class SweepOpts:
     def __post_init__(self) -> None:
         if not (self.tol_stationarity > 0 and self.tol_control > 0):  # NaN too
             raise ValueError("tolerances must be positive")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
+        count = self.max_outer_iters
+        if not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"max_outer_iters must be an integer >= 1, got {count!r}")
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation must be in (0, 1]")
 
@@ -203,11 +201,11 @@ class PontryaginSolution:
 def _at_nodes(problem: OcpProblem, xs: TimeSeq, vs: TimeSeq, *evals) -> list:
     """Each ``eval(x_k, v_k, t_k)`` stacked over nodes k = 1..N, row 0 zero.
 
-    ``xs`` and ``vs`` are checked once to be valid on [1, N]; the walk then
-    reads their rows.
+    ``xs`` and ``vs`` are checked once to be valid on [1, N], with rows of
+    size d and m; the walk then reads their rows.
     """
-    _require_window(xs, problem.grid.n, "state", 1)
-    _require_window(vs, problem.grid.n, "control", 1)
+    _require_window(xs, problem.grid.n, "state", 1, dim=problem.d)
+    _require_window(vs, problem.grid.n, "control", 1, dim=problem.m)
     cols = zip(*[[ev(x, v, t) for ev in evals] for x, v, t
                  in zip(xs.values[1:], vs.values[1:], problem.grid.times[1:])])
     return [np.array((np.zeros_like(col[0]), *col)) for col in cols]
@@ -216,12 +214,6 @@ def _at_nodes(problem: OcpProblem, xs: TimeSeq, vs: TimeSeq, *evals) -> list:
 def _node_norms(g: np.ndarray) -> np.ndarray:
     """Row norms, each summed through matmul as np.linalg.norm(g[k]) sums it."""
     return np.sqrt(g[:, None] @ g[..., None]).reshape(-1)
-
-
-def _require_control(problem: OcpProblem, u: TimeSeq) -> None:
-    _require_window(u, problem.grid.n, "control", 1)
-    if u.dim != problem.m:
-        raise ValueError(f"control dim {u.dim} != m = {problem.m}")
 
 
 def state_solve(problem: OcpProblem, u: TimeSeq,
@@ -237,9 +229,8 @@ def state_solve(problem: OcpProblem, u: TimeSeq,
     which contract under h^alpha M < 1 (``ContractionError`` otherwise): a
     wrong ``df_dx`` costs work, never the answer.  u_0 is never read.
     """
-    _require_control(problem, u)
     opts = opts or FixedPointOpts()
-    alpha, grid = _order_value(problem.alpha), problem.grid
+    alpha, grid = problem.alpha, problem.grid
     ha = grid.h ** alpha
     _check_step(ha, problem.lipschitz_M)
     q = TimeSeq.constant(problem.initial, grid.n)
@@ -257,9 +248,7 @@ def state_solve(problem: OcpProblem, u: TimeSeq,
             break
         worst = r.max()
         fx, = _at_nodes(problem, q, u, problem.fx_at)
-    uv, times = u.values, grid.times
-    return _fixed_point_march(alpha, grid,
-                              lambda x, k: problem.f_at(x, uv[k], times[k]),
+    return _fixed_point_march(alpha, grid, problem.f, (u.values, grid.times),
                               problem.initial, problem.lipschitz_M, opts)
 
 
@@ -273,13 +262,11 @@ def adjoint_solve(problem: OcpProblem, u: TimeSeq, q: TimeSeq) -> TimeSeq:
     no iteration to tune and no step-size gate, only an invertible node
     matrix (``SingularNodeError`` otherwise).
     """
-    _require_control(problem, u)
     lx, fx = _at_nodes(problem, q, u, problem.lx_at, problem.fx_at)
     # row k takes node k + 1; row N takes the zero row 0, never read
     lx, fx = np.roll(lx, -1, axis=0), np.roll(fx, -1, axis=0)
-    return _linear_march(_order_value(problem.alpha), problem.grid,
-                         fx.transpose(0, 2, 1), lx, np.zeros(problem.d),
-                         reverse=True)
+    return _linear_march(problem.alpha, problem.grid, fx.transpose(0, 2, 1), lx,
+                         np.zeros(problem.d), reverse=True)
 
 
 def _running_cost(problem: OcpProblem, q: TimeSeq, u: TimeSeq) -> float:
@@ -303,16 +290,14 @@ def gateaux_derivative(problem: OcpProblem, u: TimeSeq, ubar: TimeSeq,
     variation Qbar with Qbar_0 = 0, one linear solve per node, then accumulate
     h * sum_k (dL/dx . Qbar_k + dL/dv . ubar_k).
     """
-    _require_control(problem, u)
-    _require_control(problem, ubar)
+    _require_window(ubar, problem.grid.n, "ubar", 1, dim=problem.m)
     q = state_solve(problem, u, opts)
     fx, fv, lx, lv = _at_nodes(problem, q, u, problem.fx_at, problem.fv_at,
                                problem.lx_at, problem.lv_at)
     ub = ubar.values[1:]
     fv_ub = np.zeros((problem.grid.n + 1, problem.d))
     fv_ub[1:] = np.einsum("kdm,km->kd", fv[1:], ub)
-    qbar = _linear_march(_order_value(problem.alpha), problem.grid, fx, fv_ub,
-                         np.zeros(problem.d))
+    qbar = _linear_march(problem.alpha, problem.grid, fx, fv_ub, np.zeros(problem.d))
     return problem.grid.h * float(np.sum(lx[1:] * qbar.values[1:])
                                   + np.sum(lv[1:] * ub))
 
@@ -320,8 +305,7 @@ def gateaux_derivative(problem: OcpProblem, u: TimeSeq, ubar: TimeSeq,
 def stationarity_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq,
                           p: TimeSeq) -> TimeSeq:
     """Nodewise norm of dH/dv(Q_k, U_k, P_{k-1}, t_k), valid on [1, N]."""
-    _require_control(problem, u)
-    _require_window(p, problem.grid.n, "adjoint", 0, problem.grid.n - 1)
+    _require_window(p, problem.grid.n, "adjoint", 0, problem.grid.n - 1, dim=problem.d)
     lv, fv = _at_nodes(problem, q, u, problem.lv_at, problem.fv_at)
     # row k pairs with P_{k-1}; the zero row 0 pairs with P_N
     g = lv + np.einsum("kdm,kd->km", fv, np.roll(p.values, 1, axis=0))
@@ -411,7 +395,7 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
     if u_init is None:
         u = TimeSeq.zeros(n, problem.m)
     else:
-        _require_control(problem, u_init)
+        _require_window(u_init, n, "control", 1, dim=problem.m)
         u = TimeSeq(u_init.values.copy(), 0, n)
 
     root_tol = opts.tol_stationarity / np.sqrt(problem.m)
@@ -436,11 +420,13 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
                                       outer_iters=outer,
                                       cost=_running_cost(problem, q, u))
         if not np.isfinite(residual + increment):
-            raise _stopped("a value is not finite", outer, residual, increment)
+            raise SweepDivergenceError(outer, residual, increment,
+                                       "a value is not finite")
         grew = grew + 1 if increment > increment_prev else 0
         if grew == _GROWTH_PASSES:
-            raise _stopped(f"the control increment grew on {grew} passes in a row",
-                           outer, residual, increment)
+            raise SweepDivergenceError(
+                outer, residual, increment,
+                f"the control increment grew on {grew} passes in a row")
         increment_prev = increment
 
         if opts.adaptive and step_prev is not None:
@@ -453,7 +439,8 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
                 lam = min(opts.relaxation, max(1e-3, lam))
         u = TimeSeq(u.values + lam * step, 0, n)
         step_prev = step
-    raise _stopped("the pass budget ran out", opts.max_outer_iters, residual, increment)
+    raise SweepDivergenceError(opts.max_outer_iters, residual, increment,
+                               "the pass budget ran out")
 
 
 def euler_lagrange_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq,
@@ -480,7 +467,7 @@ def euler_lagrange_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq,
         if not np.allclose(problem.f_at(x, v, t), v, atol=1e-12):
             raise ValueError("dynamics are not identity in v; no reduced form")
 
-    _require_control(problem, u)
+    _require_window(u, n, "control", 1, dim=problem.m)
     dq = delta_minus(problem.alpha, grid, q, caputo=True)
     mismatch = float(np.max(np.abs(u.values[1:] - dq.values[1:])))
     if mismatch > u_tol:

@@ -273,6 +273,9 @@ def test_option_and_bound_validation():
         FixedPointOpts(tol=float("nan"))
     with pytest.raises(ValueError):
         FixedPointOpts(max_iters=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        FixedPointOpts(max_iters=2.5)
+    FixedPointOpts(max_iters=np.int64(3))
     grid = Grid(0.0, 1.0, 4)
     for bad in (-0.5, float("nan")):
         with pytest.raises(ValueError):

@@ -66,6 +66,9 @@ def test_order_domain_rejected(bad):
 def test_weights_need_at_least_one_step():
     with pytest.raises(ValueError):
         gl_coefficients(0.5, 0)
+    with pytest.raises(ValueError, match="n=2.5"):  # not the n = 2 weights
+        gl_coefficients(0.5, 2.5)
+    assert gl_coefficients(0.5, np.int64(3)) is gl_coefficients(0.5, 3)
 
 
 # -- grid and sequence containers ---------------------------------------------
@@ -82,7 +85,8 @@ def test_grid_nodes_and_index_lookup():
         grid.index_of(2.3)  # outside [a, b]
 
 
-@pytest.mark.parametrize("a,b,n", [(1.0, 1.0, 4), (2.0, 1.0, 4), (0.0, 1.0, 0)])
+@pytest.mark.parametrize("a,b,n", [(1.0, 1.0, 4), (2.0, 1.0, 4), (0.0, 1.0, 0),
+                                   (0.0, 1.0, 2.5)])
 def test_grid_rejects_degenerate_input(a, b, n):
     with pytest.raises(ValueError):
         Grid(a, b, n)

@@ -134,6 +134,8 @@ def test_conserved_quantity_validation():
         conserved_quantity(0.5, grid, TimeSeq.zeros(3), TimeSeq.zeros(4))
     with pytest.raises(ValueError):
         conserved_quantity(0.5, grid, TimeSeq.zeros(4, 2), TimeSeq.zeros(4))
+    with pytest.raises(ValueError, match="p has dimension 2, expected 1"):
+        conserved_quantity(0.5, grid, TimeSeq.zeros(4), TimeSeq.zeros(4, 2))
     # every row of both sequences enters the sum, slot 0 included
     with pytest.raises(ValueError):
         conserved_quantity(0.5, grid, TimeSeq(np.ones((5, 1)), 1, 4), TimeSeq.zeros(4))
@@ -180,6 +182,8 @@ def test_transfer_identity_checks_slot_counts():
     grid = Grid(0.0, 1.0, 3)
     with pytest.raises(ValueError, match="g1 has 6 slots"):
         transfer_residual(0.5, grid, TimeSeq(np.ones((6, 1))), TimeSeq.zeros(3))
+    with pytest.raises(ValueError, match="g2 has dimension 1, expected 2"):
+        transfer_residual(0.5, grid, TimeSeq(np.ones((4, 2))), TimeSeq.zeros(3))
 
 
 # -- conservation along solutions ------------------------------------------------------
@@ -267,7 +271,9 @@ def test_invariance_residual_checks_its_windows():
     for field, seq, message in (("Q", off_grid, "state has 10 slots"),
                                 ("U", off_grid, "control has 10 slots"),
                                 ("P", off_grid, "adjoint has 10 slots"),
-                                ("P", no_p0, "adjoint must be valid")):
+                                ("P", no_p0, "adjoint must be valid"),
+                                ("P", TimeSeq(np.zeros((13, 1))),
+                                 "adjoint has dimension 1, expected 2")):
         broken = dataclasses.replace(sol, **{field: seq})
         with pytest.raises(ValueError, match=message):
             invariance_residual(problem, rotation_groups(), broken, (0.5,))

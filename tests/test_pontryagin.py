@@ -96,6 +96,8 @@ def test_control_shape_validation():
         state_solve(problem, TimeSeq(np.zeros((9, 1)), 2, 8))
     # a control valid on [1, n] only is enough: slot 0 is never read
     state_solve(problem, TimeSeq(np.zeros((9, 1)), 1, 8))
+    with pytest.raises(ValueError, match="ubar has dimension 2, expected 1"):
+        gateaux_derivative(problem, TimeSeq.zeros(8), TimeSeq.zeros(8, 2))
 
 
 def tanh_problem(alpha, n, d):
@@ -429,6 +431,9 @@ def test_stationarity_residual_checks_its_windows():
         stationarity_residual(problem, full, full, TimeSeq(np.ones((7, 1)), 1, 6))
     with pytest.raises(ValueError, match="adjoint"):
         stationarity_residual(problem, full, full, TimeSeq.zeros(5))
+    # einsum would broadcast a second column into the residual
+    with pytest.raises(ValueError, match="adjoint has dimension 2, expected 1"):
+        stationarity_residual(problem, full, full, TimeSeq(np.ones((7, 2))))
     with pytest.raises(ValueError, match="control"):
         stationarity_residual(problem, full, TimeSeq(np.ones((7, 1)), 2, 6), full)
 
@@ -444,6 +449,8 @@ def test_node_walks_refuse_a_state_off_their_window(walk):
         run(TimeSeq(np.ones((13, 1))))
     with pytest.raises(ValueError, match="state must be valid"):
         run(TimeSeq(np.ones((9, 1)), 0, 5))
+    with pytest.raises(ValueError, match="state has dimension 2, expected 1"):
+        run(TimeSeq(np.ones((9, 2))))
 
 
 # -- the outer sweep ----------------------------------------------------------------
@@ -510,6 +517,13 @@ def test_sweep_stops_early_when_the_increment_keeps_growing():
     assert exc.value.iters < 20
 
 
+def test_sweep_says_when_its_pass_budget_runs_out():
+    opts = SweepOpts(max_outer_iters=3)
+    with pytest.raises(SweepDivergenceError, match=r"\): the pass budget ran out$") as exc:
+        solve_pontryagin(build_example("lq", 0.5, 40), opts=opts)
+    assert exc.value.iters == 3
+
+
 def test_sweep_stops_at_once_on_a_non_finite_residual():
     problem = build_example("lq", 0.5, 40)
     dl_dv = problem.dL_dv
@@ -548,6 +562,9 @@ def test_sweep_option_validation():
         SweepOpts(tol_control=float("nan"))
     with pytest.raises(ValueError):
         SweepOpts(max_outer_iters=0)
+    with pytest.raises(ValueError, match="max_outer_iters"):
+        SweepOpts(max_outer_iters=2.5)
+    SweepOpts(max_outer_iters=np.int64(3))
     with pytest.raises(ValueError):
         SweepOpts(relaxation=0.0)
     with pytest.raises(ValueError):
@@ -614,6 +631,28 @@ def test_implicit_control_update_agrees_with_cardano():
         sol_i = solve_pontryagin(implicit, opts=SweepOpts(inner=inner))
         npt.assert_allclose(sol_i.U.values, sol_e.U.values, atol=1e-8)
         assert sol_i.stationarity_residual <= 1e-9
+
+
+def test_implicit_control_update_couples_two_components():
+    # dH/dv = v + s^3 (1, 1) + w with s = v_1 + v_2, so s solves
+    # 2 s^3 + s + (w_1 + w_2) = 0 and v = -w - s^3; the root solve must
+    # pass between the components to find it
+    def closed_form(x, w, t):
+        c = float(w[0] + w[1])
+        disc = np.sqrt(c ** 2 / 16.0 + 1.0 / 216.0)
+        s = np.cbrt(-c / 4.0 + disc) + np.cbrt(-c / 4.0 - disc)
+        return -np.asarray(w, dtype=float) - s ** 3
+
+    eye = np.eye(2)
+    kw = dict(d=2, m=2, alpha=0.5, grid=Grid(0.0, 1.0, 20), initial=np.array([1.0, -0.5]),
+              L=lambda x, v, t: 0.5 * float(x @ x + v @ v) + 0.25 * (v[0] + v[1]) ** 4,
+              dL_dx=lambda x, v, t: x, dL_dv=lambda x, v, t: v + (v[0] + v[1]) ** 3,
+              f=lambda x, v, t: x + v, df_dx=lambda x, v, t: eye,
+              df_dv=lambda x, v, t: eye, lipschitz_M=1.0)
+    sol_e = solve_pontryagin(OcpProblem(**kw, control_update=closed_form))
+    sol_i = solve_pontryagin(OcpProblem(**kw))
+    npt.assert_allclose(sol_i.U.values, sol_e.U.values, atol=1e-8)
+    assert sol_i.stationarity_residual <= 1e-9
 
 
 # -- the reduced second-order form ------------------------------------------------------
