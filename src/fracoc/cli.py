@@ -169,10 +169,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=1.0,
                        help="fractional order in (0, 1]")
         p.add_argument("--out", default=default_out, help="output CSV path")
-        p.add_argument("--tol-stat", type=float, default=1e-9)
-        p.add_argument("--tol-control", type=float, default=1e-9)
-        p.add_argument("--max-outer", type=int, default=200)
-        p.add_argument("--relax", type=float, default=1.0)
+        p.add_argument("--tol-stat", type=float, default=1e-9,
+                       help="the sweep stops once the largest node norm of "
+                            "dH/dv is at most this (and the control increment "
+                            "meets --tol-control)")
+        p.add_argument("--tol-control", type=float, default=1e-9,
+                       help="the sweep stops once the largest control change "
+                            "of a pass is at most this (and --tol-stat is met)")
+        p.add_argument("--max-outer", type=int, default=200,
+                       help="budget of outer sweep passes; the run fails "
+                            "(exit 1) when it is spent")
+        p.add_argument("--relax", type=float, default=1.0,
+                       help="in (0, 1]; the sweep's Anderson mixing is damped "
+                            "by min(RELAX, 0.5)")
 
     p_solve = sub.add_parser("solve", help="solve one instance, write u/q/p table")
     add_common(p_solve, "solve.csv")

@@ -30,13 +30,12 @@ or infinite, and the linear one stops when I - h^alpha A_k is singular.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .gl_ops import Grid, TimeSeq, _order_value, gl_coefficients
+from .gl_ops import Grid, TimeSeq, _integer, _order_value, gl_coefficients
 
 __all__ = [
     "CauchyRhs",
@@ -115,8 +114,7 @@ class FixedPointOpts:
     def __post_init__(self) -> None:
         if not self.tol > 0:  # NaN too
             raise ValueError("tol must be positive")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        _integer(self.max_iters, "max_iters", 1)
 
 
 def _march(alpha: float, grid: Grid, start: np.ndarray, solve_node,

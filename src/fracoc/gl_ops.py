@@ -35,6 +35,16 @@ __all__ = [
 ]
 
 
+def _integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int, refused unless it is an integer (numpy's too)
+    and, when ``least`` is given, at least ``least``; floats are never
+    truncated."""
+    if not isinstance(value, numbers.Integral) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {name}={value!r}")
+    return int(value)
+
+
 def _order_value(alpha) -> float:
     """The order as a float, validated to lie in (0, 1]."""
     a = float(alpha)
@@ -54,9 +64,7 @@ class Grid:
     def __post_init__(self) -> None:
         if not self.a < self.b:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
-        if not isinstance(self.n, numbers.Integral) or self.n < 1:
-            raise ValueError(
-                f"need an integer number n >= 1 of subintervals, got n={self.n!r}")
+        _integer(self.n, "n", 1)
 
     @property
     def h(self) -> float:
@@ -109,9 +117,7 @@ def _gl_cached(alpha: float, n: int) -> FracCoeffs:
 
 def gl_coefficients(alpha, n: int) -> FracCoeffs:
     """Weights and partial sums for order alpha on n + 1 nodes."""
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"need an integer n >= 1, got n={n!r}")
-    return _gl_cached(_order_value(alpha), int(n))
+    return _gl_cached(_order_value(alpha), _integer(n, "n", 1))
 
 
 class TimeSeq:
@@ -131,8 +137,8 @@ class TimeSeq:
         if arr.ndim != 2 or arr.shape[0] < 2:
             raise ValueError(f"expected (n+1, dim) data with n >= 1, got shape {arr.shape}")
         n = arr.shape[0] - 1
-        hi = n if hi is None else int(hi)
-        lo = int(lo)
+        lo = _integer(lo, "lo")
+        hi = n if hi is None else _integer(hi, "hi")
         if not 0 <= lo <= hi <= n:
             raise ValueError(f"invalid range [{lo}, {hi}] for n={n}")
         self.values = arr
@@ -237,7 +243,7 @@ def shift(seq: TimeSeq, k: int, pad_with_zero: bool = False) -> TimeSeq:
     every slot is valid and out-of-range reads are zero.
     """
     n = seq.n
-    k = int(k)
+    k = _integer(k, "k")
     if abs(k) > n:
         raise ValueError(f"|shift| must not exceed n={n}, got {k}")
     out = np.zeros_like(seq.values)

@@ -106,6 +106,12 @@ def test_timeseq_reshapes_and_guards_range():
         TimeSeq(np.zeros((3, 1)), 2, 1)
     with pytest.raises(ValueError):
         TimeSeq(np.zeros(1))  # a single node is not a sequence
+    with pytest.raises(ValueError, match="lo=1.7"):  # not the window [1, 3]
+        TimeSeq(np.arange(5.0), 1.7, 3.9)
+    with pytest.raises(ValueError, match="hi=3.0"):
+        TimeSeq(np.arange(5.0), 1, 3.0)
+    numpy_window = TimeSeq(np.arange(5.0), np.int64(1), np.int64(3))
+    assert (numpy_window.lo, numpy_window.hi) == (1, 3)
 
 
 def test_timeseq_constructors_and_norm():
@@ -253,6 +259,9 @@ def test_shift_rejects_oversized_or_empty_results():
         shift(narrow, 1)
     padded = shift(narrow, 1, pad_with_zero=True)
     npt.assert_array_equal(padded.values, 0.0)
+    with pytest.raises(ValueError, match="k=1.5"):  # not a shift by 1
+        shift(seq, 1.5)
+    npt.assert_array_equal(shift(seq, np.int64(1)).values, shift(seq, 1).values)
 
 
 # -- summation by parts ---------------------------------------------------------

@@ -511,10 +511,30 @@ def test_plain_unit_relaxation_diverges_on_the_coupled_problem():
 
 def test_sweep_stops_early_when_the_increment_keeps_growing():
     # the default sweep diverges at this small alpha, its increment growing
-    # on every pass
-    with pytest.raises(SweepDivergenceError, match="grew") as exc:
-        solve_pontryagin(build_example("lq", 0.02, 100))
-    assert exc.value.iters < 20
+    # on five passes in a row well before the pass budget
+    opts = SweepOpts()
+    with pytest.raises(SweepDivergenceError, match="grew on 5 passes") as exc:
+        solve_pontryagin(build_example("lq", 0.01, 400), opts=opts)
+    assert exc.value.iters < opts.max_outer_iters
+
+
+def test_anderson_sweep_converges_at_small_alpha():
+    # the secant retune this replaced diverged here
+    problem = build_example("lq", 0.02, 100)
+    opts = SweepOpts()
+    sol = solve_pontryagin(problem, opts=opts)
+    assert sol.stationarity_residual <= opts.tol_stationarity
+
+
+@pytest.mark.parametrize("example", ("lq", "rotation"))
+def test_anderson_sweep_pass_counts(example):
+    # the secant retune this replaced took 50 (lq) and 54 (rotation) passes
+    problem = build_example(example, 0.1, 100)
+    sol = solve_pontryagin(problem)
+    assert sol.outer_iters <= 30
+    tight = solve_pontryagin(problem, opts=SweepOpts(tol_stationarity=1e-13,
+                                                     tol_control=1e-13))
+    npt.assert_allclose(sol.U.values, tight.U.values, rtol=0, atol=1e-8)
 
 
 def test_sweep_says_when_its_pass_budget_runs_out():
@@ -718,6 +738,11 @@ def test_problem_validation():
               lipschitz_M=1.0)
     with pytest.raises(ValueError):
         OcpProblem(d=0, m=1, alpha=0.5, **kw)
+    with pytest.raises(ValueError, match="d=1.0"):  # not a failure in reshape
+        OcpProblem(d=1.0, m=1, alpha=0.5, **kw)
+    with pytest.raises(ValueError, match="m=1.0"):
+        OcpProblem(d=1, m=1.0, alpha=0.5, **kw)
+    assert OcpProblem(d=np.int64(1), m=np.int64(1), alpha=0.5, **kw).d == 1
     with pytest.raises(ValueError):
         OcpProblem(d=1, m=1, alpha=1.5, **kw)
     with pytest.raises(ValueError):
