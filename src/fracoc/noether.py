@@ -197,8 +197,7 @@ def invariance_residual(problem: OcpProblem, groups: Sequence[OneParamGroup],
                       1, n)
         w = np.stack([move(phi3, x) for x in p.values[:n]]).reshape(n, 1, problem.d)
         dq = delta_minus(problem.alpha, grid, q_m, caputo=True)
-        running, f = _at_nodes(problem, q_m, u_m,
-                               lambda x, v, t: float(problem.L(x, v, t)), problem.f_at)
+        running, f = _at_nodes(problem, q_m, u_m, "L", "f")
         # each row dot summed through matmul as w_k @ f_k sums it
         return (running[1:] + (w @ f[1:, :, None]).reshape(-1)
                 - (w @ dq.values[1:, :, None]).reshape(-1))

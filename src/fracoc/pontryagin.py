@@ -23,14 +23,17 @@ inverted at a node, and with ``NonFiniteError`` when a callback returns
 NaN or infinity.
 
 Every callback value the layer reads at (Q_k, U_k, t_k) comes from one walk
-over the nodes, ``_at_nodes``; the adjoint's read of node k + 1 is one roll
-of its rows.  The control update is the one other walk, since its fallback
-root solve names the node it fails at.  Every walk checks its inputs'
+over the nodes, ``_at_nodes``, which makes one call per callback on a
+vectorized problem and one per node otherwise; the adjoint's read of node
+k + 1 is one roll of its rows.  A closed-form control update is one such
+call too.  Only the fallback root solve of the control update goes node by
+node, since it names the node it fails at.  Every walk checks its inputs'
 windows and row sizes once, on entry, and then reads rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -99,11 +102,23 @@ class ControlUpdateError(RuntimeError):
 class OcpProblem:
     """Data of one control problem: dynamics, running cost, derivatives.
 
-    Callbacks may return scalars or nested lists for one-dimensional
-    problems; they are normalized to arrays of shape (d,), (m,), (d, d)
-    and (d, m) on use.  ``lipschitz_M`` is read only as a Lipschitz bound
-    of f in x, which gates the state's fixed-point fallback; it need not
-    bound df/dv.  ``alpha`` is stored as the validated float order.
+    Each callback's value at one node is normalized on use to an array of
+    shape () for ``L``, (d,) for ``f`` and ``dL_dx``, (m,) for ``dL_dv`` and
+    ``control_update``, (d, d) for ``df_dx`` and (d, m) for ``df_dv``; any
+    nesting or scalar of the right size will do.  By default a callback
+    takes one node, x of shape (d,), v of shape (m,) and a float t, and is
+    called once per node.  With ``vectorized`` set it always takes K
+    stacked nodes, x of shape (K, d), v of shape (K, m) and t of shape
+    (K,), and is called once per walk over the nodes.  It returns either K
+    stacked values, node first, or one value that holds at every node
+    (``df_dx = lambda x, v, t: np.eye(d)``); a return of any other size,
+    or with another leading axis than K, raises ``ValueError`` naming the
+    callback.  ``control_update(x, w, t)`` follows the same convention,
+    with w stacked as x is.  A callback written with ``x[..., 0]`` and
+    ``(x * x).sum(-1)`` serves both conventions.  ``lipschitz_M`` is read
+    only as a Lipschitz bound of f in x, which gates the state's
+    fixed-point fallback; it need not bound df/dv.  ``alpha`` is stored as
+    the validated float order.
     """
 
     d: int
@@ -119,6 +134,7 @@ class OcpProblem:
     df_dv: Callable
     lipschitz_M: float
     control_update: Callable | None = None
+    vectorized: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _order_value(self.alpha))
@@ -131,25 +147,59 @@ class OcpProblem:
         object.__setattr__(self, "initial", a)
 
     # -- normalized callback evaluation -------------------------------------
+    def _rows(self, name: str, x: np.ndarray, v: np.ndarray,
+              t: np.ndarray) -> np.ndarray:
+        """Callback ``name`` at K stacked nodes, normalized to (K, *shape).
+
+        One call if the problem is vectorized, else one call per row.
+        """
+        d, m = self.d, self.m
+        shape = {"L": (), "f": (d,), "dL_dx": (d,), "dL_dv": (m,),
+                 "df_dx": (d, d), "df_dv": (d, m), "control_update": (m,)}[name]
+        size, fn, k = math.prod(shape), getattr(self, name), len(t)
+        if not self.vectorized:
+            rows = []
+            for xk, vk, tk in zip(x, v, t):
+                value = np.asarray(fn(xk, vk, tk), dtype=float)
+                if value.size != size:
+                    raise ValueError(f"{name} returned {value.size} values at "
+                                     f"t = {tk}, expected {size}")
+                rows.append(value.reshape(shape))
+            return np.array(rows)
+        value = np.asarray(fn(x, v, t), dtype=float)
+        if value.size == size:  # one value that holds at every node
+            return np.broadcast_to(value.reshape(shape), (k, *shape))
+        if value.size == k * size and value.shape[0] == k:
+            return value.reshape(k, *shape)
+        expected = f"{size}" if k == 1 else f"{size} or {k * size}"
+        raise ValueError(f"{name} returned {value.size} values, expected {expected}: "
+                         f"one of shape {shape}, or one per node stacked node first "
+                         f"(got shape {value.shape})")
+
+    def _at_node(self, name: str, x, v, t) -> np.ndarray:
+        return self._rows(name, np.asarray(x, dtype=float).reshape(1, -1),
+                          np.asarray(v, dtype=float).reshape(1, -1),
+                          np.array([t], dtype=float))[0]
+
     def f_at(self, x, v, t) -> np.ndarray:
-        return np.asarray(self.f(x, v, t), dtype=float).reshape(self.d)
+        return self._at_node("f", x, v, t)
 
     def lx_at(self, x, v, t) -> np.ndarray:
-        return np.asarray(self.dL_dx(x, v, t), dtype=float).reshape(self.d)
+        return self._at_node("dL_dx", x, v, t)
 
     def lv_at(self, x, v, t) -> np.ndarray:
-        return np.asarray(self.dL_dv(x, v, t), dtype=float).reshape(self.m)
+        return self._at_node("dL_dv", x, v, t)
 
     def fx_at(self, x, v, t) -> np.ndarray:
-        return np.asarray(self.df_dx(x, v, t), dtype=float).reshape(self.d, self.d)
+        return self._at_node("df_dx", x, v, t)
 
     def fv_at(self, x, v, t) -> np.ndarray:
-        return np.asarray(self.df_dv(x, v, t), dtype=float).reshape(self.d, self.m)
+        return self._at_node("df_dv", x, v, t)
 
     def hamiltonian(self, x, v, w, t) -> float:
         """L(x, v, t) + w . f(x, v, t)."""
         w = np.asarray(w, dtype=float).reshape(self.d)
-        return float(self.L(x, v, t)) + float(w @ self.f_at(x, v, t))
+        return float(self._at_node("L", x, v, t)) + float(w @ self.f_at(x, v, t))
 
     def dh_dv(self, x, v, w, t) -> np.ndarray:
         w = np.asarray(w, dtype=float).reshape(self.d)
@@ -206,17 +256,23 @@ class PontryaginSolution:
     cost: float
 
 
-def _at_nodes(problem: OcpProblem, xs: TimeSeq, vs: TimeSeq, *evals) -> list:
-    """Each ``eval(x_k, v_k, t_k)`` stacked over nodes k = 1..N, row 0 zero.
+def _at_nodes(problem: OcpProblem, xs: TimeSeq, vs: TimeSeq, *names: str) -> list:
+    """Each named callback at (x_k, v_k, t_k) over nodes k = 1..N, row 0 zero.
 
     ``xs`` and ``vs`` are checked once to be valid on [1, N], with rows of
-    size d and m; the walk then reads their rows.
+    size d and m; each callback then takes their rows 1..N in one call, or
+    one call per row if the problem is not vectorized.
     """
-    _require_window(xs, problem.grid.n, "state", 1, dim=problem.d)
-    _require_window(vs, problem.grid.n, "control", 1, dim=problem.m)
-    cols = zip(*[[ev(x, v, t) for ev in evals] for x, v, t
-                 in zip(xs.values[1:], vs.values[1:], problem.grid.times[1:])])
-    return [np.array((np.zeros_like(col[0]), *col)) for col in cols]
+    n = problem.grid.n
+    _require_window(xs, n, "state", 1, dim=problem.d)
+    _require_window(vs, n, "control", 1, dim=problem.m)
+    out = []
+    for name in names:
+        rows = problem._rows(name, xs.values[1:], vs.values[1:], problem.grid.times[1:])
+        col = np.zeros((n + 1, *rows.shape[1:]))
+        col[1:] = rows
+        out.append(col)
+    return out
 
 
 def _node_norms(g: np.ndarray) -> np.ndarray:
@@ -232,22 +288,27 @@ def state_solve(problem: OcpProblem, u: TimeSeq,
     linear march of f linearized at the last, so an affine f takes one.  It
     is accepted once every node residual |Q_k - h^alpha f(Q_k) - const_k| is
     at most tol * max(1, |Q_k|), with tol and the iterate budget from
-    ``opts``.  An iterate that does not halve the largest residual, or a
-    spent budget, restarts the solve as fixed-point steps node by node,
-    which contract under h^alpha M < 1 (``ContractionError`` otherwise): a
-    wrong ``df_dx`` costs work, never the answer.  u_0 is never read.
+    ``opts``; a start that passes already is returned as it is.  An
+    iterate that does not halve the largest residual, or a spent budget,
+    restarts the solve as fixed-point steps node by node, which contract
+    under h^alpha M < 1 (``ContractionError`` otherwise): a wrong ``df_dx``
+    costs work, never the answer.  u_0 is never read.
     """
     opts = opts or FixedPointOpts()
     alpha, grid = problem.alpha, problem.grid
     ha = grid.h ** alpha
     _check_step(ha, problem.lipschitz_M)
     q = TimeSeq.constant(problem.initial, grid.n)
-    f, fx = _at_nodes(problem, q, u, problem.f_at, problem.fx_at)
-    worst = ha * np.max(np.abs(f))  # the start's residual is -h^alpha f
+    f, = _at_nodes(problem, q, u, "f")
+    r = ha * np.abs(f).max(axis=1)  # the start's residual is -h^alpha f
+    if (r <= opts.tol * np.maximum(1.0, np.abs(q.values).max(axis=1))).all():
+        return q
+    worst = r.max()
+    fx, = _at_nodes(problem, q, u, "df_dx")
     for it in range(1, opts.max_iters + 1):
         b = f - np.einsum("kij,kj->ki", fx, q.values)
         q = _linear_march(alpha, grid, fx, b, problem.initial)
-        f, = _at_nodes(problem, q, u, problem.f_at)
+        f, = _at_nodes(problem, q, u, "f")
         # Q_k - const_k = h^alpha (left_reg Q)_k; row 0 is zero on both sides
         r = ha * np.abs(delta_minus(alpha, grid, q, caputo=True).values - f).max(axis=1)
         if (r <= opts.tol * np.maximum(1.0, np.abs(q.values).max(axis=1))).all():
@@ -255,8 +316,8 @@ def state_solve(problem: OcpProblem, u: TimeSeq,
         if not r.max() <= 0.5 * worst or it == opts.max_iters:  # NaN too
             break
         worst = r.max()
-        fx, = _at_nodes(problem, q, u, problem.fx_at)
-    return _fixed_point_march(alpha, grid, problem.f, (u.values, grid.times),
+        fx, = _at_nodes(problem, q, u, "df_dx")
+    return _fixed_point_march(alpha, grid, problem.f_at, (u.values, grid.times),
                               problem.initial, problem.lipschitz_M, opts)
 
 
@@ -270,7 +331,7 @@ def adjoint_solve(problem: OcpProblem, u: TimeSeq, q: TimeSeq) -> TimeSeq:
     no iteration to tune and no step-size gate, only an invertible node
     matrix (``SingularNodeError`` otherwise).
     """
-    lx, fx = _at_nodes(problem, q, u, problem.lx_at, problem.fx_at)
+    lx, fx = _at_nodes(problem, q, u, "dL_dx", "df_dx")
     # row k takes node k + 1; row N takes the zero row 0, never read
     lx, fx = np.roll(lx, -1, axis=0), np.roll(fx, -1, axis=0)
     return _linear_march(problem.alpha, problem.grid, fx.transpose(0, 2, 1), lx,
@@ -278,7 +339,7 @@ def adjoint_solve(problem: OcpProblem, u: TimeSeq, q: TimeSeq) -> TimeSeq:
 
 
 def _running_cost(problem: OcpProblem, q: TimeSeq, u: TimeSeq) -> float:
-    running, = _at_nodes(problem, q, u, lambda x, v, t: float(problem.L(x, v, t)))
+    running, = _at_nodes(problem, q, u, "L")
     # cumsum adds in node order, as a loop does; np.sum would pair terms
     return problem.grid.h * float(np.cumsum(running)[-1])
 
@@ -300,8 +361,7 @@ def gateaux_derivative(problem: OcpProblem, u: TimeSeq, ubar: TimeSeq,
     """
     _require_window(ubar, problem.grid.n, "ubar", 1, dim=problem.m)
     q = state_solve(problem, u, opts)
-    fx, fv, lx, lv = _at_nodes(problem, q, u, problem.fx_at, problem.fv_at,
-                               problem.lx_at, problem.lv_at)
+    fx, fv, lx, lv = _at_nodes(problem, q, u, "df_dx", "df_dv", "dL_dx", "dL_dv")
     ub = ubar.values[1:]
     fv_ub = np.zeros((problem.grid.n + 1, problem.d))
     fv_ub[1:] = np.einsum("kdm,km->kd", fv[1:], ub)
@@ -314,7 +374,7 @@ def stationarity_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq,
                           p: TimeSeq) -> TimeSeq:
     """Nodewise norm of dH/dv(Q_k, U_k, P_{k-1}, t_k), valid on [1, N]."""
     _require_window(p, problem.grid.n, "adjoint", 0, problem.grid.n - 1, dim=problem.d)
-    lv, fv = _at_nodes(problem, q, u, problem.lv_at, problem.fv_at)
+    lv, fv = _at_nodes(problem, q, u, "dL_dv", "df_dv")
     # row k pairs with P_{k-1}; the zero row 0 pairs with P_N
     g = lv + np.einsum("kdm,kd->km", fv, np.roll(p.values, 1, axis=0))
     return TimeSeq(_node_norms(g), 1, problem.grid.n)
@@ -359,12 +419,12 @@ def _secant_root(g, x0: float, tol: float, node: int) -> float:
     raise ControlUpdateError(node, "bisection did not reach tolerance")
 
 
-def _update_control(problem: OcpProblem, x, w, t, v_start, tol: float,
-                    node: int) -> np.ndarray:
-    if problem.control_update is not None:
-        return np.asarray(problem.control_update(x, w, t),
-                          dtype=float).reshape(problem.m)
-    # componentwise scalar solves, a few passes in case components couple
+def _root_control(problem: OcpProblem, x, w, t, v_start, tol: float,
+                  node: int) -> np.ndarray:
+    """U_k from dH/dv = 0 at one node, by componentwise scalar root solves.
+
+    A few passes over the components, in case they couple.
+    """
     v = np.array(v_start, dtype=float).reshape(problem.m).copy()
     for _ in range(4):
         moved = 0.0
@@ -446,9 +506,13 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
         residual = stationarity_residual(problem, q, u, p).sup_norm()
 
         step = np.zeros_like(u.values)
-        rows = zip(q.values[1:], p.values[:-1], grid.times[1:], u.values[1:])
-        for k, (x, w, t, v) in enumerate(rows, 1):
-            step[k] = _update_control(problem, x, w, t, v, root_tol, k) - v
+        if problem.control_update is not None:
+            step[1:] = problem._rows("control_update", q.values[1:], p.values[:-1],
+                                     grid.times[1:]) - u.values[1:]
+        else:
+            rows = zip(q.values[1:], p.values[:-1], grid.times[1:], u.values[1:])
+            for k, (x, w, t, v) in enumerate(rows, 1):
+                step[k] = _root_control(problem, x, w, t, v, root_tol, k) - v
         increment = float(np.max(np.abs(step[1:])))
 
         if residual <= opts.tol_stationarity and increment <= opts.tol_control:
@@ -516,7 +580,7 @@ def euler_lagrange_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq,
         raise ValueError(
             f"control differs from the regularized state difference by {mismatch:.3e}")
 
-    lv, lx = _at_nodes(problem, q, dq, problem.lv_at, problem.lx_at)
+    lv, lx = _at_nodes(problem, q, dq, "dL_dv", "dL_dx")
     # row k takes node k + 1; row N takes the zero row 0
     lv, lx = np.roll(lv, -1, axis=0), np.roll(lx, -1, axis=0)
     dm = delta_plus(problem.alpha, grid, TimeSeq(-lv))

@@ -26,27 +26,28 @@ def _affine_problem(alpha: float, n: int, initial, L, dL_dx) -> OcpProblem:
         df_dv=lambda x, v, t: eye,
         lipschitz_M=1.0,
         control_update=lambda x, w, t: -w,
+        vectorized=True,
     )
 
 
 def _lq_problem(alpha: float, n: int) -> OcpProblem:
     # quadratic cost
     return _affine_problem(alpha, n, [1.0],
-                           L=lambda x, v, t: 0.5 * (x[0] ** 2 + v[0] ** 2),
+                           L=lambda x, v, t: 0.5 * (x[..., 0] ** 2 + v[..., 0] ** 2),
                            dL_dx=lambda x, v, t: x)
 
 
 def _solved_problem(alpha: float, n: int) -> OcpProblem:
     # linear-in-state cost with a (1 - t) weight
     return _affine_problem(alpha, n, [1.0],
-                           L=lambda x, v, t: (1.0 - t) * x[0] + 0.5 * v[0] ** 2,
+                           L=lambda x, v, t: (1.0 - t) * x[..., 0] + 0.5 * v[..., 0] ** 2,
                            dL_dx=lambda x, v, t: 1.0 - t)
 
 
 def _rotation_problem(alpha: float, n: int) -> OcpProblem:
     # planar, rotation-symmetric: L = (|x|^2 + |v|^2)/2
     return _affine_problem(alpha, n, [1.0, 2.0],
-                           L=lambda x, v, t: 0.5 * (float(x @ x) + float(v @ v)),
+                           L=lambda x, v, t: 0.5 * ((x * x).sum(-1) + (v * v).sum(-1)),
                            dL_dx=lambda x, v, t: x)
 
 
@@ -54,7 +55,7 @@ def _zero_problem(alpha: float, n: int) -> OcpProblem:
     # frozen dynamics and pure control cost: the optimum is u = 0, p = 0
     return OcpProblem(
         d=1, m=1, alpha=alpha, grid=Grid(0.0, 1.0, n), initial=np.array([1.0]),
-        L=lambda x, v, t: 0.5 * v[0] ** 2,
+        L=lambda x, v, t: 0.5 * v[..., 0] ** 2,
         dL_dx=lambda x, v, t: 0.0,
         dL_dv=lambda x, v, t: v,
         f=lambda x, v, t: 0.0,
@@ -62,6 +63,7 @@ def _zero_problem(alpha: float, n: int) -> OcpProblem:
         df_dv=lambda x, v, t: 0.0,
         lipschitz_M=0.0,
         control_update=lambda x, w, t: np.zeros(1),
+        vectorized=True,
     )
 
 

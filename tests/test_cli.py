@@ -240,8 +240,9 @@ def test_node_failures_exit_1_without_output(tmp_path, capsys, monkeypatch,
         problem = build_example(name, alpha, n)
         good = getattr(problem, field)
         t3 = problem.grid.times[3]
-        return dataclasses.replace(
-            problem, **{field: lambda x, v, t: value if t == t3 else good(x, v, t)})
+        # a per-node callback; the built-in ones serve either convention
+        return dataclasses.replace(problem, vectorized=False, **{
+            field: lambda x, v, t: value if t == t3 else good(x, v, t)})
 
     monkeypatch.setattr(cli, "build_example", broken)
     code, out = run(tmp_path, "x.csv", "solve", "--example", "lq",

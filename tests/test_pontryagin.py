@@ -10,11 +10,12 @@ import pytest
 
 from fracoc import (CauchyRhs, ContractionError, FixedPointDivergenceError,
                     FixedPointOpts, Grid, NonFiniteError, OcpProblem,
-                    SingularNodeError, SweepDivergenceError, SweepOpts,
-                    TimeSeq, adjoint_solve, build_example, cost, delta_minus,
-                    euler_lagrange_residual, gateaux_derivative,
-                    gl_coefficients, solve_left_cauchy, solve_pontryagin,
-                    state_solve, stationarity_residual)
+                    OneParamGroup, SingularNodeError, SweepDivergenceError,
+                    SweepOpts, TimeSeq, adjoint_solve, build_example, cost,
+                    delta_minus, euler_lagrange_residual, gateaux_derivative,
+                    gl_coefficients, invariance_residual, rotation_groups,
+                    solve_left_cauchy, solve_pontryagin, state_solve,
+                    stationarity_residual)
 from fracoc.pontryagin import ControlUpdateError, _secant_root
 
 TIGHT_INNER = FixedPointOpts(tol=1e-14, max_iters=200)
@@ -160,14 +161,17 @@ def test_diverging_newton_falls_back_to_the_fixed_point_step(example):
 
 
 def counting_problem(problem):
-    """A copy of ``problem`` whose f and df_dx count their calls."""
+    """A copy of ``problem`` whose f and df_dx count the nodes they are called at.
+
+    A vectorized call at K stacked nodes counts K, a per-node call one.
+    """
     calls = {"f": 0, "df_dx": 0}
 
     def counted(name):
         fn = getattr(problem, name)
 
         def wrapped(x, v, t):
-            calls[name] += 1
+            calls[name] += np.size(t)
             return fn(x, v, t)
         return wrapped
 
@@ -220,6 +224,17 @@ def test_affine_state_is_one_linear_march(example):
     rhs = CauchyRhs(lambda x, t: problem.f_at(x, control(t), t), problem.lipschitz_M)
     ref = solve_left_cauchy(0.5, problem.grid, rhs, problem.initial, TIGHT_INNER)
     npt.assert_allclose(q.values, ref.values, rtol=0.0, atol=1e-12)
+
+
+def test_a_start_that_solves_the_state_is_returned_unmarched():
+    # f = 0 leaves the start's residual h^alpha max|f| at zero, read off the
+    # first f walk: no df_dx walk and no march, and the march's own answer
+    # (A = 0, b = 0) would be the start exactly
+    problem = build_example("zero", 0.5, 1600)
+    counting, calls = counting_problem(problem)
+    q = state_solve(counting, TimeSeq.constant(np.ones(1), 1600))
+    assert calls == {"f": 1600, "df_dx": 0}
+    assert np.array_equal(q.values, np.ones((1601, 1)))
 
 
 def dense_adjoint_solve(problem, u, q):
@@ -290,16 +305,18 @@ def test_non_finite_callbacks_stop_at_their_node(example):
     def poisoned(fn):
         return lambda x, v, t: np.full(np.shape(fn(x, v, t)), np.nan) if t == t3 else fn(x, v, t)
 
+    # the poison is a per-node callback; the built-in ones serve either convention
+    per_node = dataclasses.replace(base, vectorized=False)
     with pytest.raises(NonFiniteError) as exc:
-        state_solve(dataclasses.replace(base, f=poisoned(base.f)), u)
+        state_solve(dataclasses.replace(per_node, f=poisoned(base.f)), u)
     assert exc.value.node == 3
     q = state_solve(base, u)
     # the adjoint equation at node k reads its data at node k + 1
     with pytest.raises(NonFiniteError) as exc:
-        adjoint_solve(dataclasses.replace(base, dL_dx=poisoned(base.dL_dx)), u, q)
+        adjoint_solve(dataclasses.replace(per_node, dL_dx=poisoned(base.dL_dx)), u, q)
     assert exc.value.node == 2
     with pytest.raises(NonFiniteError) as exc:
-        gateaux_derivative(dataclasses.replace(base, df_dv=poisoned(base.df_dv)),
+        gateaux_derivative(dataclasses.replace(per_node, df_dv=poisoned(base.df_dv)),
                            u, TimeSeq.constant(np.ones(base.m), 8))
     assert exc.value.node == 3
 
@@ -310,8 +327,9 @@ def test_non_finite_jacobian_is_reported_as_singular(example):
     # but the node matrix is what is at fault
     base = build_example(example, 0.5, 8)
     t3 = base.grid.times[3]
-    bad = dataclasses.replace(base, df_dx=lambda x, v, t: (
-        np.full((base.d, base.d), np.nan) if t == t3 else base.df_dx(x, v, t)))
+    # one stacked call: NaN in the rows of node 3 only
+    bad = dataclasses.replace(base, df_dx=lambda x, v, t: np.where(
+        (t == t3)[:, None, None], np.nan, base.df_dx(x, v, t)))
     u = TimeSeq.zeros(8, base.m)
     with pytest.raises(SingularNodeError) as exc:
         state_solve(bad, u)
@@ -547,8 +565,8 @@ def test_sweep_says_when_its_pass_budget_runs_out():
 def test_sweep_stops_at_once_on_a_non_finite_residual():
     problem = build_example("lq", 0.5, 40)
     dl_dv = problem.dL_dv
-    broken = dataclasses.replace(problem, dL_dv=lambda x, v, t: (
-        np.nan if t == problem.grid.times[20] else dl_dv(x, v, t)))
+    broken = dataclasses.replace(problem, dL_dv=lambda x, v, t: np.where(
+        (t == problem.grid.times[20])[:, None], np.nan, dl_dv(x, v, t)))
     with pytest.raises(SweepDivergenceError, match="not finite") as exc:
         solve_pontryagin(broken)
     assert exc.value.iters == 1
@@ -759,3 +777,129 @@ def test_hamiltonian_and_gradients_normalize_scalars():
                         0.5 * (4.0 + 9.0) + 0.5 * 5.0)
     npt.assert_allclose(problem.dh_dv(x, v, w, 0.25), [3.5])
     npt.assert_allclose(problem.dh_dx(x, v, w, 0.25), [2.5])
+
+
+# -- stacked and per-node callbacks --------------------------------------------
+
+def scaling_groups():
+    group = OneParamGroup(map=lambda s, x: np.exp(s) * np.asarray(x),
+                          generator=lambda x: np.asarray(x))
+    return (group, group, group)
+
+
+@pytest.mark.parametrize("example", ("lq", "rotation"))
+def test_per_node_and_vectorized_forms_agree_bit_for_bit(example):
+    # the built-in callbacks serve either convention, so the two problems
+    # differ only in how the layer calls them
+    stacked = build_example(example, 0.5, 200)
+    per_node = dataclasses.replace(stacked, vectorized=False)
+    a, b = solve_pontryagin(stacked), solve_pontryagin(per_node)
+    for seq in ("Q", "P", "U"):
+        assert np.array_equal(getattr(a, seq).values, getattr(b, seq).values)
+    assert (a.cost, a.stationarity_residual, a.outer_iters) == \
+        (b.cost, b.stationarity_residual, b.outer_iters)
+    assert cost(stacked, a.U) == cost(per_node, a.U)
+    assert np.array_equal(stationarity_residual(stacked, a.Q, a.U, a.P).values,
+                          stationarity_residual(per_node, a.Q, a.U, a.P).values)
+    direction = TimeSeq(np.random.default_rng(3).normal(size=(201, stacked.m)))
+    assert gateaux_derivative(stacked, a.U, direction) == \
+        gateaux_derivative(per_node, a.U, direction)
+    groups = rotation_groups() if example == "rotation" else scaling_groups()
+    samples = (-0.5, 0.25, 1.0)
+    assert invariance_residual(stacked, groups, a, samples) == \
+        invariance_residual(per_node, groups, a, samples)
+
+    # a wrapped callback is stored as given and called once per walk
+    calls = []
+
+    def wrapped_f(x, v, t):
+        calls.append(np.shape(t))
+        return stacked.f(x, v, t)
+
+    traced = dataclasses.replace(stacked, f=wrapped_f)
+    assert traced.f is wrapped_f and traced.vectorized
+    c = solve_pontryagin(traced)
+    assert np.array_equal(c.U.values, a.U.values) and c.outer_iters == a.outer_iters
+    # each pass walks f at the start and at the one Newton iterate
+    assert calls == [(200,)] * (2 * a.outer_iters)
+
+
+def test_vectorized_callbacks_only_see_stacked_nodes():
+    base = build_example("rotation", 0.5, 30)
+    seen = set()
+
+    def checked(name):
+        fn = getattr(base, name)
+
+        def stacked_only(x, second, t):
+            assert x.ndim == second.ndim == 2 and t.ndim == 1
+            assert len(x) == len(second) == len(t)
+            seen.add((name, len(t)))
+            return fn(x, second, t)
+        return stacked_only
+
+    names = ("L", "dL_dx", "dL_dv", "f", "df_dx", "df_dv", "control_update")
+    problem = dataclasses.replace(base, **{name: checked(name) for name in names})
+    sol = solve_pontryagin(problem)
+    gateaux_derivative(problem, sol.U, sol.U)
+    x, v, w = np.array([1.0, 2.0]), np.array([0.5, -1.0]), np.array([0.25, 0.0])
+    problem.f_at(x, v, 0.5), problem.fx_at(x, v, 0.5), problem.fv_at(x, v, 0.5)
+    problem.lx_at(x, v, 0.5), problem.hamiltonian(x, v, w, 0.5)
+    problem.dh_dv(x, v, w, 0.5), problem.dh_dx(x, v, w, 0.5)
+    assert seen == {(name, k) for name in names for k in (30, 1)} - {("control_update", 1)}
+
+
+def test_closed_form_update_and_root_solve_agree_when_stacked():
+    # without control_update each node's root solve calls dh_dv at one node
+    stacked = build_example("lq", 0.5, 40)
+    rooted = dataclasses.replace(stacked, control_update=None)
+    a, b = solve_pontryagin(stacked), solve_pontryagin(rooted)
+    assert b.stationarity_residual <= SweepOpts().tol_stationarity
+    npt.assert_allclose(b.U.values, a.U.values, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("vectorized", (True, False))
+def test_a_one_element_running_cost_counts_as_a_scalar(vectorized):
+    # L returning x ** 2 keeps a length-one axis per node; float() of such an
+    # array raises under numpy 2, after the sweep had converged
+    lq = dataclasses.replace(build_example("lq", 0.5, 20), vectorized=vectorized)
+    boxed = dataclasses.replace(lq, L=lambda x, v, t: 0.5 * (x ** 2 + v ** 2))
+    sol, ref = solve_pontryagin(boxed), solve_pontryagin(lq)
+    assert sol.cost == ref.cost
+    assert cost(boxed, ref.U) == cost(lq, ref.U)
+    x, v, w = np.array([2.0]), np.array([3.0]), np.array([0.5])
+    assert boxed.hamiltonian(x, v, w, 0.25) == lq.hamiltonian(x, v, w, 0.25)
+
+    rot = dataclasses.replace(build_example("rotation", 0.5, 20), vectorized=vectorized)
+    boxed = dataclasses.replace(rot, L=lambda x, v, t: 0.5 * (
+        (x * x).sum(-1, keepdims=True) + (v * v).sum(-1, keepdims=True)))
+    sol = solve_pontryagin(rot)
+    assert invariance_residual(boxed, rotation_groups(), sol, (0.5, 1.0)) == \
+        invariance_residual(rot, rotation_groups(), sol, (0.5, 1.0))
+
+
+def test_callback_values_of_the_wrong_size_are_refused():
+    stacked = build_example("lq", 0.5, 8)
+    u = TimeSeq.zeros(8)
+    three = dataclasses.replace(stacked, df_dx=lambda x, v, t: np.ones(3))
+    with pytest.raises(ValueError, match=r"df_dx returned 3 values, expected 1 or 8: "):
+        state_solve(three, u)
+    with pytest.raises(ValueError, match=r"df_dx returned 3 values, expected 1: "):
+        three.fx_at(np.ones(1), np.zeros(1), 0.5)
+    short = dataclasses.replace(stacked, f=lambda x, v, t: (x + v)[1:])
+    with pytest.raises(ValueError, match=r"f returned 7 values, expected 1 or 8: "):
+        state_solve(short, u)
+    rot = build_example("rotation", 0.5, 8)
+    with pytest.raises(ValueError, match=r"L returned 16 values, expected 1 or 8: "):
+        cost(dataclasses.replace(rot, L=lambda x, v, t: x * x), TimeSeq.zeros(8, 2))
+    # the right count laid out node last is refused, not read as rows
+    node_last = dataclasses.replace(rot, dL_dx=lambda x, v, t: x.T)
+    with pytest.raises(ValueError, match=r"dL_dx returned 16 values, .*\(got shape \(2, 8\)\)"):
+        adjoint_solve(node_last, TimeSeq.zeros(8, 2), TimeSeq.zeros(8, 2))
+    # one call per node: a node's value has the size of one node's value
+    per_node = dataclasses.replace(three, vectorized=False)
+    with pytest.raises(ValueError, match=r"df_dx returned 3 values at t = .*, expected 1$"):
+        state_solve(per_node, u)
+    with pytest.raises(ValueError, match=r"f returned 2 values at t = .*, expected 1$"):
+        state_solve(dataclasses.replace(stacked, vectorized=False,
+                                        f=lambda x, v, t: np.ones(2)), u)
