@@ -21,7 +21,10 @@ for every solver in the package, and two node solves sit on it:
   solve per node, using inverses built once for all nodes; it needs only
   I - h^alpha A_k to be invertible.  Every march of the Pontryagin sweep
   is this one: the adjoint, the linearized state, and each Newton iterate
-  of the state on the whole trajectory.
+  of the state on the whole trajectory.  When A_k is exactly the same at
+  every node the march is a Toeplitz solve instead, one FFT convolution
+  with a power series cached on (alpha, N, h^alpha A), unless that series
+  grows more than ``_GROWTH_CAP``-fold or is not finite.
 
 Every node solve stops at once, naming the node, when a value turns NaN
 or infinite, and the linear one stops when I - h^alpha A_k is singular.
@@ -29,6 +32,7 @@ or infinite, and the linear one stops when I - h^alpha A_k is singular.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -234,6 +238,54 @@ def _fixed_point_march(alpha: float, grid: Grid, field, rows, start: np.ndarray,
     return TimeSeq(_march(alpha, grid, start, solve_node, reverse))
 
 
+# Largest growth max_k |W_k| / |W_0| the convolution may take: its round-off
+# is absolute, about eps max|W| |s|, so growing dynamics swamp the early
+# nodes.  A scan against the node loop (A = lambda, alpha 0.1-0.9, N 200-4096)
+# kept every case within 2.5e-13 relative below it.
+_GROWTH_CAP = 100.0
+
+
+@functools.lru_cache(maxsize=8)
+def _toeplitz_inverse(alpha: float, n: int, d: int, ha_a: bytes):
+    """Spectrum of the march's inverse Toeplitz symbol, or None where unusable.
+
+    W_0..W_{N-1} are the coefficients of ((sum_r c_r z^r) I - h^alpha A)^{-1}
+    mod z^N, for the d x d matrix h^alpha A given by its bytes.  Newton
+    doubling, W <- W (2I - G W), gets them with FFT products (Brent & Kung,
+    J. ACM 25, 1978).  Returns (size, rfft of W at that size) for a
+    convolution with N terms, read-only since every caller shares it.  None
+    when I - h^alpha A is singular, W is not finite, or W grows past
+    ``_GROWTH_CAP`` times W_0; the caller then marches node by node.
+    """
+    fft = np.fft  # loaded on first use, not at import
+    c = gl_coefficients(alpha, n).coeffs
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite W below
+        try:
+            w = np.linalg.inv(np.eye(d) - np.frombuffer(ha_a).reshape(d, d))[None]
+        except np.linalg.LinAlgError:
+            return None
+        m = 1
+        while m < n:
+            # G W = I + O(z^m), so W (2I - G W) keeps W and appends -W E for
+            # the terms E of G W at m..2m-1.  Those are the terms of C W, as
+            # h^alpha A W has none past m - 1, and a cyclic product of size
+            # 2m folds only terms past 2m, onto 0..m-2
+            size = 2 * m
+            wh = fft.rfft(w, size, axis=0)
+            e = fft.irfft(fft.rfft(c[:size], size)[:, None, None] * wh, size, axis=0)[m:]
+            w = np.concatenate([w, -fft.irfft(wh @ fft.rfft(e, size, axis=0), size,
+                                              axis=0)[:m]])
+            m = size
+        w = w[:n]
+        peak = np.abs(w).max(axis=(1, 2))
+        if not (np.isfinite(w).all() and peak.max() <= _GROWTH_CAP * peak[0]):
+            return None
+    size = 1 << (2 * n - 1).bit_length()
+    w_hat = fft.rfft(w, size, axis=0)
+    w_hat.flags.writeable = False
+    return size, w_hat
+
+
 def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarray,
                   start: np.ndarray, reverse: bool = False) -> TimeSeq:
     """March F(x, k) = A_k x + b_k with one direct solve per node.
@@ -242,6 +294,15 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
     indexed by node; the row of the start node is never read.  Each node
     solves (I - h^alpha A_k) y_k = const_k + h^alpha b_k through an inverse
     built, with every other, before the march starts.
+
+    When A_k equals one A at every node, exactly, the march is the
+    lower-triangular Toeplitz system (T - h^alpha A) D = s in D_k = y_k - y_0,
+    with c_r on the diagonals of T and s_k = h^alpha (A y_0 + b_k) in march
+    order.  Its inverse is Toeplitz too, so D is one FFT convolution with the
+    coefficients W of :func:`_toeplitz_inverse`, cached on (alpha, N,
+    h^alpha A) so that every march of a sweep shares them.  Its round-off
+    differs from the node loop's, and where W grows past the cap of that
+    function the node loop runs instead.
     """
     n, d = grid.n, start.size
     ha = grid.h ** alpha
@@ -252,6 +313,15 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
     if bad.any():  # a non-finite A_k also spoils b_k of a linearization
         j = np.argmax(bad)
         raise (SingularNodeError if singular[j] else NonFiniteError)(int(nodes[j]))
+    a = a_mats[nodes[0]]
+    if (a_mats[nodes] == a).all():
+        series = _toeplitz_inverse(alpha, n, d, (ha * a).tobytes())
+        if series is not None:
+            size, w_hat = series
+            s_hat = np.fft.rfft(ha * (b_vecs[nodes] + a @ start), size, axis=0)
+            dev = np.fft.irfft(w_hat @ s_hat[..., None], size, axis=0)[:n, :, 0]
+            y = np.vstack([start, start + dev])
+            return TimeSeq(y[::-1].copy() if reverse else y)
     g[n if reverse else 0] = np.eye(d)  # the start row is never read
     try:
         inv = np.linalg.inv(g)

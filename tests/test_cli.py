@@ -200,15 +200,17 @@ def test_nan_tolerance_is_a_clean_failure(tmp_path, capsys):
 
 
 def test_module_entry_point_runs_the_cli(tmp_path):
-    out = tmp_path / "m.csv"
+    # both run from a source tree with no install: PYTHONPATH=src python -m fracoc
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-m", "fracoc.cli", "solve", "--example", "zero",
-                           "--alpha", "0.5", "--n", "4", "--out", str(out)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert "outer_iters=" in done.stdout
-    header, rows, _ = read_rows(out)
-    assert header[:2] == ["k", "t"] and len(rows) == 5
+    for module in ("fracoc.cli", "fracoc"):
+        out = tmp_path / f"{module}.csv"
+        done = subprocess.run([sys.executable, "-m", module, "solve", "--example", "zero",
+                               "--alpha", "0.5", "--n", "4", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "outer_iters=" in done.stdout
+        header, rows, _ = read_rows(out)
+        assert header[:2] == ["k", "t"] and len(rows) == 5
 
 
 def test_solver_tolerances_are_threaded_through(tmp_path, capsys):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fracoc import frac_cauchy
 from fracoc import (CauchyRhs, ContractionError, FixedPointDivergenceError,
                     FixedPointOpts, Grid, NonFiniteError, TimeSeq, delta_minus,
                     gl_coefficients, solve_left_cauchy, solve_right_cauchy)
@@ -248,6 +251,107 @@ def test_non_finite_rhs_stops_at_its_node(d, bad):
         solve_right_cauchy(0.5, grid,
                            lambda x, k: poisoned(x) if k == 3 else -x, 1.0, start)
     assert exc.value.node == 3
+
+
+# -- linear march with a constant Jacobian ---------------------------------------
+
+def march_calls(monkeypatch):
+    """Count the node-loop marches from here on."""
+    calls = []
+    node_loop = frac_cauchy._march
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return node_loop(*args, **kwargs)
+
+    monkeypatch.setattr(frac_cauchy, "_march", counted)
+    return calls
+
+
+def node_loop_march(monkeypatch, *args, **kwargs):
+    """The linear march with its convolution branch turned off."""
+    with monkeypatch.context() as m:
+        m.setattr(frac_cauchy, "_toeplitz_inverse", lambda *key: None)
+        return frac_cauchy._linear_march(*args, **kwargs).values
+
+
+def constant_march_data(d, n, seed=0):
+    a_mat = np.array([[-0.4]]) if d == 1 else np.array([[0.0, -0.5], [0.5, -0.2]])
+    rng = np.random.default_rng(seed)
+    return (np.broadcast_to(a_mat, (n + 1, d, d)).copy(),
+            rng.standard_normal((n + 1, d)), rng.standard_normal(d))
+
+
+@pytest.mark.parametrize("reverse", (False, True))
+@pytest.mark.parametrize("d", (1, 2))
+def test_constant_jacobian_march_is_one_convolution(monkeypatch, d, reverse):
+    # the FFT path and the node loop differ only in round-off
+    grid = Grid(0.0, 1.0, 4096)
+    a_mats, b, start = constant_march_data(d, 4096)
+    loop = node_loop_march(monkeypatch, 0.5, grid, a_mats, b, start, reverse)
+    calls = march_calls(monkeypatch)
+    fast = frac_cauchy._linear_march(0.5, grid, a_mats, b, start, reverse).values
+    assert calls == []
+    npt.assert_array_equal(fast[4096 if reverse else 0], start)
+    npt.assert_allclose(fast, loop, rtol=0.0, atol=1e-12 * np.abs(loop).max())
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("n", (1, 2, 5, 17, 64))
+@pytest.mark.parametrize("d", (1, 2))
+def test_constant_jacobian_march_matches_dense_oracle(alpha, n, d):
+    grid = Grid(0.0, 1.0, n)
+    a_mats, b, start = constant_march_data(d, n, seed=n)
+    q = frac_cauchy._linear_march(alpha, grid, a_mats, b, start)
+    npt.assert_allclose(q.values, dense_left_solve(alpha, grid, a_mats[0],
+                                                   lambda t: b[round(t * n)], start),
+                        atol=1e-12)
+    p = frac_cauchy._linear_march(alpha, grid, a_mats, b, start, reverse=True)
+    npt.assert_allclose(p.values, dense_right_solve(alpha, grid, a_mats[0],
+                                                    lambda k: b[k], start),
+                        atol=1e-12)
+
+
+@pytest.mark.parametrize("reverse", (False, True))
+def test_time_varying_jacobian_marches_node_by_node(monkeypatch, reverse):
+    grid = Grid(0.0, 1.0, 16)
+    a_mats, b, start = constant_march_data(2, 16)
+    a_mats[7, 0, 1] += 0.25  # one node differs
+    calls = march_calls(monkeypatch)
+    frac_cauchy._linear_march(0.5, grid, a_mats, b, start, reverse)
+    assert calls == [1]
+    # the row of the start node is never read, so it cannot break the gate
+    a_mats[7, 0, 1] -= 0.25
+    a_mats[16 if reverse else 0] = np.nan
+    frac_cauchy._linear_march(0.5, grid, a_mats, b, start, reverse)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("lam, alpha, n", (
+    (5.0, 0.5, 4096),   # W grows 1e10-fold: an unguarded FFT loses 5 digits
+    (20.0, 0.9, 800),   # 1e12-fold: it loses 9
+    (20.0, 0.5, 800),   # W overflows to NaN
+))
+def test_growing_dynamics_keep_the_node_loop(monkeypatch, lam, alpha, n):
+    grid = Grid(0.0, 1.0, n)
+    a_mats = np.full((n + 1, 1, 1), lam)
+    b, start = np.ones((n + 1, 1)), np.ones(1)
+    loop = node_loop_march(monkeypatch, alpha, grid, a_mats, b, start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = frac_cauchy._linear_march(alpha, grid, a_mats, b, start).values
+    npt.assert_allclose(got, loop, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("reverse", (False, True))
+def test_constant_jacobian_march_names_a_non_finite_node(reverse):
+    grid = Grid(0.0, 1.0, 12)
+    a_mats, b, start = constant_march_data(2, 12)
+    b[5, 1] = np.nan
+    b[2 if reverse else 9, 0] = np.nan  # reached later in march order
+    with pytest.raises(NonFiniteError) as exc:
+        frac_cauchy._linear_march(0.5, grid, a_mats, b, start, reverse)
+    assert exc.value.node == 5
 
 
 # -- input validation --------------------------------------------------------------

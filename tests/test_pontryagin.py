@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fracoc import frac_cauchy
 from fracoc import (CauchyRhs, ContractionError, FixedPointDivergenceError,
                     FixedPointOpts, Grid, NonFiniteError, OcpProblem,
                     OneParamGroup, SingularNodeError, SweepDivergenceError,
@@ -553,6 +554,29 @@ def test_anderson_sweep_pass_counts(example):
     tight = solve_pontryagin(problem, opts=SweepOpts(tol_stationarity=1e-13,
                                                      tol_control=1e-13))
     npt.assert_allclose(sol.U.values, tight.U.values, rtol=0, atol=1e-8)
+
+
+def test_builtin_sweep_marches_by_convolution(monkeypatch):
+    # df_dx = I at every node, so no march of the sweep runs the node loop;
+    # a count stands in for a timing, and the result is the loop's to round-off
+    problem = build_example("rotation", 0.5, 200)
+    calls = []
+    node_loop = frac_cauchy._march
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return node_loop(*args, **kwargs)
+
+    monkeypatch.setattr(frac_cauchy, "_march", counted)
+    fast = solve_pontryagin(problem)
+    assert calls == []
+    monkeypatch.setattr(frac_cauchy, "_toeplitz_inverse", lambda *key: None)
+    loop = solve_pontryagin(problem)
+    assert calls and loop.outer_iters == fast.outer_iters
+    for name in ("Q", "P", "U"):
+        ref = getattr(loop, name).values
+        npt.assert_allclose(getattr(fast, name).values, ref, rtol=0.0,
+                            atol=1e-12 * np.abs(ref).max(), err_msg=name)
 
 
 def test_sweep_says_when_its_pass_budget_runs_out():
