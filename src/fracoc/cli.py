@@ -41,7 +41,7 @@ def _write_csv(path: str, lines: list[str]) -> None:
 
 def _sweep_opts(cfg: argparse.Namespace) -> SweepOpts:
     return SweepOpts(tol_stationarity=cfg.tol_stat, tol_control=cfg.tol_control,
-                     max_outer_iters=cfg.max_outer, relaxation=cfg.relax)
+                     max_outer_iters=cfg.max_outer)
 
 
 def _solve(cfg: argparse.Namespace, n: int):
@@ -179,9 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-outer", type=int, default=200,
                        help="budget of outer sweep passes; the run fails "
                             "(exit 1) when it is spent")
-        p.add_argument("--relax", type=float, default=1.0,
-                       help="in (0, 1]; the sweep's Anderson mixing is damped "
-                            "by min(RELAX, 0.5)")
 
     p_solve = sub.add_parser("solve", help="solve one instance, write u/q/p table")
     add_common(p_solve, "solve.csv")

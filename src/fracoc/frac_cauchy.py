@@ -169,7 +169,9 @@ def solve_left_cauchy(alpha, grid: Grid, rhs: CauchyRhs, initial,
     fixed-point steps, which needs h^alpha * K < 1 for the bound K of
     ``rhs`` (``ContractionError`` otherwise).
     """
-    return _fixed_point_march(_order_value(alpha), grid, rhs.eval, (grid.times,),
+    times = grid.times
+    return _fixed_point_march(_order_value(alpha), grid,
+                              lambda x, k: rhs.eval(x, times[k]),
                               _as_start(initial), rhs.lipschitz_K, opts)
 
 
@@ -184,8 +186,7 @@ def solve_right_cauchy(alpha, grid: Grid,
     """
     _check_bound(lipschitz_K)
     return _fixed_point_march(_order_value(alpha), grid, rhs_shifted,
-                              (range(grid.n + 1),), _as_start(terminal), lipschitz_K,
-                              opts, reverse=True)
+                              _as_start(terminal), lipschitz_K, opts, reverse=True)
 
 
 def _check_step(ha: float, lipschitz: float) -> None:
@@ -195,13 +196,12 @@ def _check_step(ha: float, lipschitz: float) -> None:
             f"h^alpha * K = {ha * lipschitz:.6g} >= 1; refine the grid or rescale")
 
 
-def _fixed_point_march(alpha: float, grid: Grid, field, rows, start: np.ndarray,
+def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
                        lipschitz: float, opts: FixedPointOpts | None,
                        reverse: bool = False) -> TimeSeq:
     """March with node equations solved by fixed-point steps.
 
-    ``field(x, *row_k)`` returns F at node k, where row_k holds entry k of
-    each sequence in ``rows``; a value of any size but d raises
+    ``field(x, k)`` returns F at node k; a value of any size but d raises
     ``ValueError``.  ``lipschitz`` is a Lipschitz bound K of F in x.  A node
     is accepted on its residual r(x) = x - h^alpha F(x, k) - const once
     |r| <= tol * max(1, |x|), checked before each of at most ``max_iters``
@@ -225,13 +225,13 @@ def _fixed_point_march(alpha: float, grid: Grid, field, rows, start: np.ndarray,
 
     d = start.size
     if d == 1:  # Python floats: a one-element array costs more than the field
-        def image(x, row):
-            return ha * _sized(field(np.array([x]), *row), 1)[0]
+        def image(x, k):
+            return ha * _sized(field(np.array([x]), k), 1)[0]
 
         size, unpack = abs, (lambda a: a[0])
     else:
-        def image(x, row):
-            return ha * _sized(field(x, *row), d)
+        def image(x, k):
+            return ha * _sized(field(x, k), d)
 
         size, unpack = (lambda a: abs(a).max()), (lambda a: a)
 
@@ -239,10 +239,10 @@ def _fixed_point_march(alpha: float, grid: Grid, field, rows, start: np.ndarray,
 
     def solve_node(const, k, x):
         nonlocal y1, y2, y3
-        const, row = unpack(const), [seq[k] for seq in rows]
+        const = unpack(const)
         x = unpack(x) if y3 is None else 3.0 * (y1 - y2) + y3
         for _ in range(max_iters + 1):
-            r = x - image(x, row) - const
+            r = x - image(x, k) - const
             err = size(r)
             if not math.isfinite(err):
                 raise NonFiniteError(k)

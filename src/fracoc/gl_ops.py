@@ -65,6 +65,9 @@ class Grid:
         if not self.a < self.b:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
         _integer(self.n, "n", 1)
+        if not np.isfinite([self.a, self.b, self.h]).all():
+            raise ValueError(f"need finite a, b and step, got [{self.a}, {self.b}] "
+                             f"with h = {self.h}")
 
     @property
     def h(self) -> float:

@@ -45,9 +45,13 @@ class OneParamGroup:
     generator: Callable[[np.ndarray], np.ndarray]
 
 
-def group_axiom_defect(group: OneParamGroup, points: Sequence[np.ndarray],
-                       s: float = 1e-5) -> float:
-    """Largest sampled defect of the identity and generator axioms."""
+def group_axiom_defect(group: OneParamGroup, points: Sequence[np.ndarray]) -> float:
+    """Largest sampled defect of the identity and generator axioms.
+
+    The generator is compared with the central difference of ``map`` at
+    s = +-1e-5.
+    """
+    s = 1e-5
     gaps = []
     for x in points:
         x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -75,16 +75,18 @@ class SweepDivergenceError(RuntimeError):
 
 # on the built-in examples at alpha from 1 down to 0.05 and N from 100 to 800
 # no converging sweep's increment grew on more than three passes in a row; a
-# diverging one soon grows on five (lq at alpha 0.01, N 400, by pass 33)
+# diverging one soon grows on five (lq at alpha 0.01, N 400, by pass 32)
 _GROWTH_PASSES = 5
 
 # Anderson mixing of the sweep map U -> U*.  Every built-in sweep map is
 # affine, and on an affine map Anderson(m) acts like GMRES(m) (Walker & Ni,
 # SIAM J. Numer. Anal. 49(4), 2011), so depth pays off where one dominant
 # mode does not: at depth 10, lq and rotation at alpha 0.05, N 800 ran into
-# the growth stop.  Damping beta = 1 took 51 passes there against 41 at
-# 0.5, and without the condition cap the nonlinear problem of the
-# acceptance tests took 42 passes against 27.
+# the growth stop.  The damping beta stays at 0.5: the coupled problems'
+# sweep maps have a real eigenvalue below -1, so any fixed weight near one
+# diverges, and even mixed, beta = 1 took 51 passes there against 41 at
+# 0.5.  Without the condition cap the nonlinear problem of the acceptance
+# tests took 42 passes against 27.
 _ANDERSON_DEPTH = 20
 _ANDERSON_BETA = 0.5
 _ANDERSON_COND = 1e10
@@ -214,12 +216,8 @@ class OcpProblem:
 class SweepOpts:
     """Outer-iteration controls.
 
-    With ``adaptive`` set (the default) each pass mixes the new control by
-    Anderson mixing over the last 20 passes, damped by
-    beta = min(``relaxation``, 0.5), which the coupled benchmark problems
-    need: their sweep maps have a real negative eigenvalue below -1, so
-    any fixed weight close to one diverges.  ``adaptive=False`` runs the
-    plain sweep U <- (1 - lambda) U + lambda U* with lambda = ``relaxation``.
+    Each pass mixes the new control by Anderson mixing over the last 20
+    passes, damped by beta = 0.5 (see :func:`solve_pontryagin`).
     ``inner`` sets the state solve's nodewise residual tolerance and the
     budget of its trajectory Newton iterates and of its fixed-point
     fallback's steps per node, and nothing else: the control update's
@@ -232,16 +230,12 @@ class SweepOpts:
     tol_stationarity: float = 1e-9
     tol_control: float = 1e-9
     max_outer_iters: int = 200
-    relaxation: float = 1.0
-    adaptive: bool = True
     inner: FixedPointOpts = field(default_factory=FixedPointOpts)
 
     def __post_init__(self) -> None:
         if not (self.tol_stationarity > 0 and self.tol_control > 0):  # NaN too
             raise ValueError("tolerances must be positive")
         _integer(self.max_outer_iters, "max_outer_iters", 1)
-        if not 0.0 < self.relaxation <= 1.0:
-            raise ValueError("relaxation must be in (0, 1]")
 
 
 @dataclass
@@ -317,7 +311,8 @@ def state_solve(problem: OcpProblem, u: TimeSeq,
             break
         worst = r.max()
         fx, = _at_nodes(problem, q, u, "df_dx")
-    return _fixed_point_march(alpha, grid, problem.f_at, (u.values, grid.times),
+    v, times = u.values, grid.times
+    return _fixed_point_march(alpha, grid, lambda x, k: problem.f_at(x, v[k], times[k]),
                               problem.initial, problem.lipschitz_M, opts)
 
 
@@ -444,21 +439,20 @@ def _root_control(problem: OcpProblem, x, w, t, v_start, tol: float,
     return v
 
 
-def _anderson_mix(dfs: list, dgs: list, f: np.ndarray, g: np.ndarray,
-                  beta: float) -> np.ndarray:
+def _anderson_mix(dfs: list, dgs: list, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Type-II Anderson mixing of U* = g = U + f over the stored differences.
 
     Drops the oldest differences (from ``dfs`` and ``dgs`` in place) while
     they are worse conditioned than ``_ANDERSON_COND``; with none left it
-    takes the damped step U + beta f.
+    takes the damped step U + beta f, beta = ``_ANDERSON_BETA``.
     """
     while dfs and np.linalg.cond(np.column_stack(dfs)) > _ANDERSON_COND:
         del dfs[0], dgs[0]
     if not dfs:
-        return g - (1.0 - beta) * f
+        return g - (1.0 - _ANDERSON_BETA) * f
     df, dg = np.column_stack(dfs), np.column_stack(dgs)
     gamma = np.linalg.lstsq(df, f, rcond=None)[0]
-    return g - dg @ gamma - (1.0 - beta) * (f - df @ gamma)
+    return g - dg @ gamma - (1.0 - _ANDERSON_BETA) * (f - df @ gamma)
 
 
 def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
@@ -467,20 +461,18 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
 
     Each pass solves the state forward, the adjoint backward, then refreshes
     the control from the stationary condition node by node and mixes the
-    refreshed U* in.  By default the mixing is type-II Anderson mixing.
-    With f = U* - U over rows 1..N, and the last (at most 20) differences
-    of f and of U* as the columns of dF and dG, it solves the least-squares
-    problem dF gamma ~ f and sets
+    refreshed U* in by type-II Anderson mixing.  With f = U* - U over rows
+    1..N, and the last (at most 20) differences of f and of U* as the
+    columns of dF and dG, it solves the least-squares problem dF gamma ~ f
+    and sets
 
         U <- U* - dG gamma - (1 - beta) (f - dF gamma),
 
-    beta = min(relaxation, 0.5), after dropping the oldest columns while
-    dF is worse conditioned than 1e10.  The first pass has no differences
-    and takes U + beta f.  ``SweepOpts(adaptive=False)`` mixes
-    U <- (1 - lambda) U + lambda U* with lambda = relaxation instead.
-    Convergence requires both the stationarity residual of the current
-    triple and the control increment |U* - U| to be small, so the returned
-    triple is internally consistent.
+    beta = 0.5, after dropping the oldest columns while dF is worse
+    conditioned than 1e10.  The first pass has no differences and takes
+    U + beta f.  Convergence requires both the stationarity residual of the
+    current triple and the control increment |U* - U| to be small, so the
+    returned triple is internally consistent.
     A sweep that goes wrong stops early with ``SweepDivergenceError``: at
     once on a non-finite residual or increment, and when the increment has
     grown on five passes in a row, which no converging sweep was seen to do.
@@ -495,7 +487,6 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
         u = TimeSeq(u_init.values.copy(), 0, n)
 
     root_tol = opts.tol_stationarity / np.sqrt(problem.m)
-    beta = min(opts.relaxation, _ANDERSON_BETA)
     f_prev = g_prev = None
     dfs: list[np.ndarray] = []  # differences of f = U* - U, oldest first
     dgs: list[np.ndarray] = []  # differences of g = U*, in step with dfs
@@ -531,9 +522,6 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
                 f"the control increment grew on {grew} passes in a row")
         increment_prev = increment
 
-        if not opts.adaptive:
-            u = TimeSeq(u.values + opts.relaxation * step, 0, n)
-            continue
         # rows 1..N, flattened; row 0 of the step is zero
         f = step[1:].reshape(-1)
         g = u.values[1:].reshape(-1) + f
@@ -543,14 +531,13 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
             del dfs[:-_ANDERSON_DEPTH], dgs[:-_ANDERSON_DEPTH]
         f_prev, g_prev = f, g
         values = u.values.copy()
-        values[1:] = _anderson_mix(dfs, dgs, f, g, beta).reshape(n, problem.m)
+        values[1:] = _anderson_mix(dfs, dgs, f, g).reshape(n, problem.m)
         u = TimeSeq(values, 0, n)
     raise SweepDivergenceError(opts.max_outer_iters, residual, increment,
                                "the pass budget ran out")
 
 
-def euler_lagrange_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq,
-                            u_tol: float = 1e-6) -> TimeSeq:
+def euler_lagrange_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq) -> TimeSeq:
     """Defect of the reduced second-order equation when f(x, v, t) = v.
 
     For such problems the stationary condition pins the adjoint to
@@ -560,7 +547,7 @@ def euler_lagrange_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq,
         result_k = | (right M)_k - dL/dx(Q_{k+1}, (left_reg Q)_{k+1}, t_{k+1}) |
 
     valid on [0, N-1].  The control must agree with left_reg Q within
-    ``u_tol``, i.e. (Q, U) should come from a converged solve.
+    1e-6, i.e. (Q, U) should come from a converged solve.
     """
     grid, n = problem.grid, problem.grid.n
     if problem.d != problem.m:
@@ -576,7 +563,7 @@ def euler_lagrange_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq,
     _require_window(u, n, "control", 1, dim=problem.m)
     dq = delta_minus(problem.alpha, grid, q, caputo=True)
     mismatch = float(np.max(np.abs(u.values[1:] - dq.values[1:])))
-    if mismatch > u_tol:
+    if mismatch > 1e-6:
         raise ValueError(
             f"control differs from the regularized state difference by {mismatch:.3e}")
 

@@ -52,11 +52,11 @@ def _log_gammas(alpha: float, beta: float) -> tuple:
     return tuple(math.lgamma(alpha * k + beta) for k in range(201))
 
 
-def mittag_leffler(alpha: float, beta: float, z: float, tol: float = 1e-15) -> float:
+def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     """Two-parameter series E_{alpha,beta}(z) = sum_k z^k / Gamma(alpha k + beta).
 
     Terms are built from log-Gamma to dodge overflow; summation stops once
-    a term falls below ``tol`` relative to the partial sum, or after 200
+    a term falls below 1e-15 relative to the partial sum, or after 200
     terms.  Restricted to alpha > 0, beta > 0 and |z| <= 2, where that
     truncation is far below double precision.
     """
@@ -71,7 +71,7 @@ def mittag_leffler(alpha: float, beta: float, z: float, tol: float = 1e-15) -> f
     for k, log_gamma in enumerate(_log_gammas(alpha, beta)):
         term = math.copysign(1.0, z) ** k * math.exp(k * log_abs_z - log_gamma)
         total += term
-        if abs(term) <= tol * abs(total):
+        if abs(term) <= 1e-15 * abs(total):
             break
     return total
 
@@ -116,13 +116,14 @@ def max_control_error(u: TimeSeq, exact, grid: Grid) -> float:
     return float(np.max(_node_norms(u.values[1:] - ref)))  # NaN stays NaN, unlike max()
 
 
-def convergence_order(errors_and_h, span: float = 1.0) -> ConvergenceReport:
+def convergence_order(errors_and_h) -> ConvergenceReport:
     """Least-squares order from (h, error) pairs, plus pairwise orders.
 
     The fitted order is the slope of log(error) against log(h); pairwise
     orders come from consecutive rows.  Rows are reported sorted by n,
-    reconstructed as round(span / h).  At least three pairs with distinct
-    step sizes are required, every step size and error positive and finite.
+    reconstructed as round(1 / h), the grid size on the unit interval.  At
+    least three pairs with distinct step sizes are required, every step
+    size and error positive and finite.
     """
     pairs = [(float(h), float(e)) for h, e in errors_and_h]
     if len(pairs) < 3:
@@ -134,7 +135,7 @@ def convergence_order(errors_and_h, span: float = 1.0) -> ConvergenceReport:
             raise DegenerateDataError(f"step sizes must be positive and finite, got {h}")
         if not 0 < e < np.inf:
             raise DegenerateDataError(f"errors must be positive and finite, got {e}")
-    rows = sorted(((int(round(span / h)), h, e) for h, e in pairs), key=lambda r: r[0])
+    rows = sorted(((int(round(1.0 / h)), h, e) for h, e in pairs), key=lambda r: r[0])
     log_h = np.log([r[1] for r in rows])
     log_e = np.log([r[2] for r in rows])
     fitted = float(np.polyfit(log_h, log_e, 1)[0])

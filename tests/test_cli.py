@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -253,3 +256,27 @@ def test_node_failures_exit_1_without_output(tmp_path, capsys, monkeypatch,
     assert not out.exists()
     err = capsys.readouterr().err
     assert says in err and "node 3" in err
+
+
+# -- README -----------------------------------------------------------------------
+
+def test_readme_flags_and_examples_match_the_parser(tmp_path, capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    accepted = {flag for p in subparsers.values() for flag in p._option_string_actions}
+    # pip's own flags sit on the install lines
+    flags = {flag for line in text.splitlines() if not line.lstrip().startswith("pip ")
+             for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line)}
+    assert flags and not flags - accepted, sorted(flags - accepted)
+
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("fracoc ")]
+    assert len(examples) == 3
+    for argv in examples:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+        assert main(argv) == 0, capsys.readouterr().err
+        assert Path(argv[at]).exists()

@@ -86,7 +86,8 @@ def test_grid_nodes_and_index_lookup():
 
 
 @pytest.mark.parametrize("a,b,n", [(1.0, 1.0, 4), (2.0, 1.0, 4), (0.0, 1.0, 0),
-                                   (0.0, 1.0, 2.5)])
+                                   (0.0, 1.0, 2.5), (0.0, np.inf, 4),
+                                   (-np.inf, 0.0, 4), (-1e308, 1e308, 4)])
 def test_grid_rejects_degenerate_input(a, b, n):
     with pytest.raises(ValueError):
         Grid(a, b, n)
