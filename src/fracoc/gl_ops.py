@@ -36,10 +36,11 @@ __all__ = [
 
 
 def _integer(value, name: str, least: int | None = None) -> int:
-    """``value`` as an int, refused unless it is an integer (numpy's too)
-    and, when ``least`` is given, at least ``least``; floats are never
-    truncated."""
-    if not isinstance(value, numbers.Integral) or (least is not None and value < least):
+    """``value`` as an int, refused unless it is an integer (numpy's too,
+    but not a bool) and, when ``least`` is given, at least ``least``; floats
+    are never truncated."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (least is not None and value < least)):
         bound = "" if least is None else f" >= {least}"
         raise ValueError(f"{name} must be an integer{bound}, got {name}={value!r}")
     return int(value)
@@ -65,9 +66,12 @@ class Grid:
         if not self.a < self.b:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
         _integer(self.n, "n", 1)
-        if not np.isfinite([self.a, self.b, self.h]).all():
-            raise ValueError(f"need finite a, b and step, got [{self.a}, {self.b}] "
-                             f"with h = {self.h}")
+        if not np.isfinite([self.a, self.b]).all():
+            raise ValueError(f"need finite a and b, got [{self.a}, {self.b}]")
+        with np.errstate(over="ignore"):  # b - a of numpy scalars may overflow
+            h = self.h
+        if not np.isfinite(h):
+            raise ValueError(f"need a finite step, got h = {h} on [{self.a}, {self.b}]")
 
     @property
     def h(self) -> float:

@@ -336,6 +336,49 @@ def test_non_finite_rhs_past_the_first_nodes_is_named(d):
                            rhs.lipschitz_K, start)
     assert exc.value.node == 5
 
+# -- the march kernel against its definition -------------------------------------
+
+B = frac_cauchy._BLOCK
+
+
+def direct_march(alpha, n, start, solve_node, reverse):
+    """``_march``'s contract as its O(N^2) direct memory sum."""
+    c = gl_coefficients(alpha, n).coeffs
+    y = np.empty((n + 1, start.size))
+    y[0] = start
+    for j in range(1, n + 1):
+        const = start - c[j - 1:0:-1] @ (y[1:j] - start)
+        y[j] = solve_node(const, n - j if reverse else j, y[j - 1])
+    return y[::-1] if reverse else y
+
+
+@pytest.mark.parametrize("reverse", (False, True))
+@pytest.mark.parametrize("alpha", (0.3, 0.9, 1.0))
+@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("n", (1, 2, B - 1, B, B + 1, 2 * B, 3 * B + 5, 1000, 4103))
+def test_march_kernel_matches_its_direct_sum(n, d, alpha, reverse):
+    # folded far blocks plus the near sum of each block give every memory term
+    # once; the node solve is closed-form, so only the sums can differ
+    rng = np.random.default_rng(n)
+    noise, start = rng.standard_normal((n + 1, d)), rng.standard_normal(d)
+    rows = noise[:, 0] if d == 1 else noise  # the kernel runs on floats at d = 1
+    seen, solved = [], [start[0] if d == 1 else start]
+
+    def node(const, k, prev):
+        assert np.ndim(const) == np.ndim(rows[k])
+        npt.assert_array_equal(prev, solved[-1])
+        seen.append(k)
+        solved.append(0.5 * const + rows[k])
+        return solved[-1]
+
+    got = frac_cauchy._march(alpha, Grid(0.0, 1.0, n), start, node, reverse)
+    want = direct_march(alpha, n, start, lambda const, k, _: 0.5 * const + noise[k],
+                        reverse)
+    assert got.shape == (n + 1, d)
+    assert seen == (list(range(n - 1, -1, -1)) if reverse else list(range(1, n + 1)))
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 # -- linear march with a constant Jacobian ---------------------------------------
 
 def march_calls(monkeypatch):
@@ -475,6 +518,8 @@ def test_option_and_bound_validation():
         FixedPointOpts(max_iters=0)
     with pytest.raises(ValueError, match="max_iters"):
         FixedPointOpts(max_iters=2.5)
+    with pytest.raises(ValueError, match="max_iters"):  # a bool is no count
+        FixedPointOpts(max_iters=True)
     FixedPointOpts(max_iters=np.int64(3))
     grid = Grid(0.0, 1.0, 4)
     for bad in (-0.5, float("nan")):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -87,10 +89,16 @@ def test_grid_nodes_and_index_lookup():
 
 @pytest.mark.parametrize("a,b,n", [(1.0, 1.0, 4), (2.0, 1.0, 4), (0.0, 1.0, 0),
                                    (0.0, 1.0, 2.5), (0.0, np.inf, 4),
-                                   (-np.inf, 0.0, 4), (-1e308, 1e308, 4)])
+                                   (-np.inf, 0.0, 4), (-1e308, 1e308, 4),
+                                   pytest.param(np.float64(-1e308), np.float64(1e308),
+                                                4, id="numpy-ends-overflow"),
+                                   pytest.param(0.0, 1.0, True, id="bool-count")])
 def test_grid_rejects_degenerate_input(a, b, n):
-    with pytest.raises(ValueError):
-        Grid(a, b, n)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError):
+            Grid(a, b, n)
+    assert caught == []  # refused before b - a can overflow
 
 
 def test_timeseq_reshapes_and_guards_range():
