@@ -9,6 +9,11 @@ of h, the transfer term that couples the left and right operators.  For a
 problem invariant under a one-parameter transformation group, applying
 this with G the group generator along the solution yields a sequence that
 is constant in k.
+
+The sum is never formed from the matrices.  Its first-column and depth-1
+parts are cumulative sums; its band part is evaluated by divide and
+conquer over the rows, whose cross terms are FFT products, in
+O(N log^2 N) work.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ __all__ = [
     "invariance_residual",
     "group_axiom_defect",
 ]
+
+_LEAF = 64  # rows up to which the band sum is one masked Gram matrix
 
 
 @dataclass(frozen=True)
@@ -102,15 +109,16 @@ def _weighted_shift_sum(alpha: float, n: int, g: np.ndarray,
                         p: np.ndarray) -> np.ndarray:
     """S_i = sum_{r=1..n} [A_r x_r]_i with x_r(j) = g_j . p_{j+r-1}.
 
-    Touches only what the band and the first column reach, in O(n^2) work,
-    and never goes through a matrix or the difference operators, which
+    Touches only what the band and the first column reach and never goes
+    through a matrix or the difference operators, which
     ``transfer_residual`` checks against it.  The depth-1 band is the
-    identity.  Column 0 of A_r
-    is b_r - c_r (b_1 at r = 1) from row r on, so it adds two cumulative
-    sums of g_0 . p_{r-1}.  For r = 2..n-1 the band holds c_r on rows
-    1..n-1 and columns 1..n-r with 0 <= i - j <= r - 1: a window sum, one
-    prefix sum of x_r and three slice updates per depth.  At r = n the
-    window is empty.
+    identity.  Column 0 of A_r is b_r - c_r (b_1 at r = 1) from row r on,
+    so it adds two cumulative sums of g_0 . p_{r-1}.  The bands of depth
+    r = 2..n-1 add, with m = j + r - 1,
+
+        sum of c_{m-j+1} g_j . p_m over 1 <= j <= i <= m <= n-1, m > j,
+
+    which ``_band_sum`` evaluates in O(n log^2 n) work.
     """
     co = gl_coefficients(alpha, n)
     c, b = co.coeffs, co.partial_sums
@@ -121,14 +129,48 @@ def _weighted_shift_sum(alpha: float, n: int, g: np.ndarray,
     dots0 = p[:n] @ g[0]  # dots0[r-1] = g_0 . p_{r-1}, r = 1..n
     out[1:] += np.cumsum(b[1:] * dots0)
     out[2:] -= np.cumsum(c[2:] * dots0[1:])
-
-    for r in range(2, n):
-        # pre[m-1] = c_r * sum_{j=1..m} g_j . p_{j+r-1}, m = 1..n-r
-        pre = c[r] * np.cumsum(np.einsum("jd,jd->j", g[1 : n - r + 1], p[r:n]))
-        out[1 : n - r + 1] += pre           # rows 1..n-r: prefix up to j = i
-        out[n - r + 1 : n] += pre[-1]       # rows n-r+1..n-1: the whole prefix
-        out[r + 1 : n] -= pre[: n - r - 1]  # rows r+1..n-1: minus up to j = i-r
+    _band_sum(c, g, p, out, 1, n)
     return out
+
+
+def _band_sum(c: np.ndarray, g: np.ndarray, p: np.ndarray, out: np.ndarray,
+              lo: int, hi: int) -> None:
+    """Add the band pairs lo <= j < m < hi into rows lo..hi-1 of ``out``.
+
+    Divide and conquer over the rows.  A pair with j < mid <= m adds its
+    term c_{m-j+1} g_j . p_m to every row in [j, m]: rows i < mid take the
+    prefix sum over j <= i of g_j . u_j with u_j = sum_{m >= mid}
+    c_{m-j+1} p_m, rows i >= mid the suffix sum over m >= i of p_m . v_m
+    with v_m = sum_{j < mid} c_{m-j+1} g_j.  Both are products with the
+    kernel c_{t+2}, t = 0..hi-lo-2, done by FFT at a power-of-two size of
+    at least hi-lo-1, so the wrap-around lands on entries that are not
+    kept.  Leaves of up to ``_LEAF`` rows sum their masked Gram matrix
+    directly.  The FFT adds a round-off of about eps log n sum |c_r| |g| |p|
+    to each row, norm-wise, not relative to each term.
+    """
+    w = hi - lo
+    if w <= _LEAF:
+        k = np.arange(w)
+        weights = np.triu(c[np.abs(k[None, :] - k[:, None] + 1)], 1)  # c_{m-j+1}, m > j
+        # einsum, not matmul: OpenBLAS's first matrix product maps a work buffer
+        # that adds about 0.4 MB to a process's peak memory
+        gram = weights * np.einsum("jd,md->jm", g[lo:hi], p[lo:hi])
+        tails = np.cumsum(gram[:, ::-1], axis=1)[:, ::-1]  # sum over m >= i
+        out[lo:hi] += np.triu(tails).sum(axis=0)          # sum over j <= i
+        return
+    mid = (lo + hi) // 2
+    _band_sum(c, g, p, out, lo, mid)
+    _band_sum(c, g, p, out, mid, hi)
+    nl, nr = mid - lo, hi - mid
+    size = 1 << (w - 2).bit_length()
+    kernel = np.fft.rfft(c[2:w + 1], size)[:, None]
+    # v_m at m = mid + b is entry nl-1+b; u_j at j = mid-1-a is entry nr-1+a
+    v = np.fft.irfft(np.fft.rfft(g[lo:mid], size, axis=0) * kernel, size, axis=0)
+    u = np.fft.irfft(np.fft.rfft(p[mid:hi][::-1], size, axis=0) * kernel, size, axis=0)
+    out[lo:mid] += np.cumsum(np.einsum("jd,jd->j", g[lo:mid],
+                                       u[nr - 1:nr - 1 + nl][::-1]))
+    out[mid:hi] += np.cumsum(np.einsum("md,md->m", p[mid:hi],
+                                       v[nl - 1:nl - 1 + nr])[::-1])[::-1]
 
 
 def conserved_quantity(alpha, grid: Grid, gen: TimeSeq, p: TimeSeq) -> TimeSeq:

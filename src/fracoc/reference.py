@@ -60,9 +60,9 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     terms.  Restricted to alpha > 0, beta > 0 and |z| <= 2, where that
     truncation is far below double precision.
     """
-    if alpha <= 0 or beta <= 0:
+    if not (alpha > 0 and beta > 0):  # written so that NaN fails too
         raise ValueError(f"series parameters must be positive, got ({alpha}, {beta})")
-    if abs(z) > 2.0:
+    if not abs(z) <= 2.0:
         raise ValueError(f"series evaluation restricted to |z| <= 2, got {z}")
     if z == 0.0:
         return 1.0 / math.gamma(beta)

@@ -128,6 +128,42 @@ def test_shift_sum_matches_dense_expansion(alpha, n):
                             atol=1e-12 * max(1.0, np.max(np.abs(dense))))
 
 
+def per_depth_shift_sum(alpha, n, g, p):
+    """The O(n^2) evaluation with one prefix sum and three slice updates per depth."""
+    co = gl_coefficients(alpha, n)
+    c, b = co.coeffs, co.partial_sums
+    out = np.zeros(n + 1)
+    out += c[1] * np.einsum("kd,kd->k", g, p)
+    dots0 = p[:n] @ g[0]
+    out[1:] += np.cumsum(b[1:] * dots0)
+    out[2:] -= np.cumsum(c[2:] * dots0[1:])
+    for r in range(2, n):
+        pre = c[r] * np.cumsum(np.einsum("jd,jd->j", g[1 : n - r + 1], p[r:n]))
+        out[1 : n - r + 1] += pre
+        out[n - r + 1 : n] += pre[-1]
+        out[r + 1 : n] -= pre[: n - r - 1]
+    return out
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("n", (63, 64, 65, 67, 127, 128, 129, 130, 257, 1000))
+def test_shift_sum_matches_per_depth_loop(alpha, n):
+    # past 64 rows the band is split and its cross pairs go through the FFT;
+    # rows 1..66 and 1..129 need an FFT size just past, and just at, 2^k
+    rng = np.random.default_rng(n + int(100 * alpha))
+    for dim in (1, 2, 3):
+        g = rng.normal(size=(n + 1, dim))
+        p = rng.normal(size=(n + 1, dim))
+        ref = per_depth_shift_sum(alpha, n, g, p)
+        got = conserved_quantity(alpha, Grid(0.0, 1.0, n), TimeSeq(g),
+                                 TimeSeq(p)).values[:, 0]
+        if alpha == 1.0:  # every band weight is 0, so nothing is rounded
+            npt.assert_array_equal(got, ref)
+        else:
+            npt.assert_allclose(got, ref, rtol=0,
+                                atol=1e-13 * max(1.0, np.max(np.abs(ref))))
+
+
 def test_conserved_quantity_validation():
     grid = Grid(0.0, 1.0, 4)
     with pytest.raises(ValueError):

@@ -70,6 +70,13 @@ def test_series_domain_checks():
         mittag_leffler(0.5, 1.0, 2.5)
 
 
+@pytest.mark.parametrize("args", ((0.5, 1.0, math.nan), (math.nan, 1.0, 0.5),
+                                  (0.5, math.nan, 0.5)))
+def test_series_refuses_nan(args):
+    with pytest.raises(ValueError):
+        mittag_leffler(*args)
+
+
 # -- benchmark controls ------------------------------------------------------------
 
 def test_quadratic_benchmark_frozen_values():
