@@ -26,10 +26,6 @@ from .reference import (DegenerateDataError, convergence_order,
 __all__ = ["run_solve", "run_converge", "run_noether", "main", "entry"]
 
 
-class UnsupportedReferenceError(ValueError):
-    """No closed-form reference exists for the requested combination."""
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -76,11 +72,11 @@ def _reference_for(cfg: argparse.Namespace):
         return lambda t: solved_example_exact_control(cfg.alpha, t)
     if cfg.example == "lq":
         if cfg.alpha != 1.0:
-            raise UnsupportedReferenceError(
+            raise ValueError(
                 "the quadratic benchmark has a closed form at order 1 only; "
                 "use --alpha 1 or --example solved")
         return lq_exact_control
-    raise UnsupportedReferenceError(
+    raise ValueError(
         f"no closed-form reference for example {cfg.example!r}")
 
 

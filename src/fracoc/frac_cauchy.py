@@ -324,6 +324,7 @@ def _toeplitz_inverse(alpha: float, n: int, d: int, ha_a: bytes):
             # 2m folds only terms past 2m, onto 0..m-2
             size = 2 * m
             wh = fft.rfft(w, size, axis=0)
+            # operand order is load-bearing: W * c moves last bits a test relies on
             e = fft.irfft(fft.rfft(c[:size], size)[:, None, None] * wh, size, axis=0)[m:]
             w = np.concatenate([w, -fft.irfft(wh @ fft.rfft(e, size, axis=0), size,
                                               axis=0)[:m]])

@@ -236,19 +236,22 @@ def invariance_residual(problem: OcpProblem, groups: Sequence[OneParamGroup],
     _require_window(u, n, "control", 1)
     _require_window(p, n, "adjoint", 0, n - 1, dim=problem.d)
 
-    def bracket(move) -> np.ndarray:
-        q_m = TimeSeq(np.stack([move(phi1, x) for x in q.values]))
-        # U_0 is never read, so it is kept as is rather than moved
-        u_m = TimeSeq(np.stack([u.values[0], *(move(phi2, v) for v in u.values[1:])]),
-                      1, n)
-        w = np.stack([move(phi3, x) for x in p.values[:n]]).reshape(n, 1, problem.d)
+    def bracket(qv: np.ndarray, uv: np.ndarray, pv: np.ndarray) -> np.ndarray:
+        q_m, u_m = TimeSeq(qv), TimeSeq(uv, 1, n)
         dq = delta_minus(problem.alpha, grid, q_m, caputo=True)
         running, f = _at_nodes(problem, q_m, u_m, "L", "f")
+        w = pv.reshape(n, 1, problem.d)
         # each row dot summed through matmul as w_k @ f_k sums it
         return (running[1:] + (w @ f[1:, :, None]).reshape(-1)
                 - (w @ dq.values[1:, :, None]).reshape(-1))
 
-    base = bracket(lambda phi, x: x)
-    gaps = [np.abs(bracket(lambda phi, x: np.asarray(phi.map(s, x), dtype=float))
-                   - base) for s in map(float, s_samples)]
+    def moved(phi: OneParamGroup, s: float, rows: np.ndarray) -> np.ndarray:
+        return np.stack([np.asarray(phi.map(s, x), dtype=float) for x in rows])
+
+    base = bracket(q.values, u.values, p.values[:n])
+    # U_0 is never read, so it is kept as is rather than moved
+    gaps = [np.abs(bracket(moved(phi1, s, q.values),
+                           np.concatenate([u.values[:1], moved(phi2, s, u.values[1:])]),
+                           moved(phi3, s, p.values[:n])) - base)
+            for s in map(float, s_samples)]
     return float(np.max(gaps, initial=0.0))

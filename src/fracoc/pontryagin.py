@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .frac_cauchy import (FixedPointOpts, _check_bound, _check_step,
+from .frac_cauchy import (FixedPointOpts, _as_start, _check_bound, _check_step,
                           _fixed_point_march, _linear_march)
 from .gl_ops import (Grid, TimeSeq, _integer, _order_value, _require_window,
                      delta_minus, delta_plus)
@@ -143,7 +143,7 @@ class OcpProblem:
         object.__setattr__(self, "d", _integer(self.d, "d", 1))
         object.__setattr__(self, "m", _integer(self.m, "m", 1))
         _check_bound(self.lipschitz_M)
-        a = np.atleast_1d(np.asarray(self.initial, dtype=float)).reshape(-1)
+        a = _as_start(self.initial)
         if a.size != self.d:
             raise ValueError(f"initial value has size {a.size}, expected {self.d}")
         object.__setattr__(self, "initial", a)
@@ -278,39 +278,35 @@ def state_solve(problem: OcpProblem, u: TimeSeq,
                 opts: FixedPointOpts | None = None) -> TimeSeq:
     """Solve the state equation for a fixed control.
 
-    Newton on the whole trajectory from Q_k = Q_0: each iterate is one
-    linear march of f linearized at the last, so an affine f takes one.  It
-    is accepted once every node residual |Q_k - h^alpha f(Q_k) - const_k| is
-    at most tol * max(1, |Q_k|), with tol and the iterate budget from
-    ``opts``; a start that passes already is returned as it is.  An
-    iterate that does not halve the largest residual, or a spent budget,
-    restarts the solve as fixed-point steps node by node, which contract
-    under h^alpha M < 1 (``ContractionError`` otherwise): a wrong ``df_dx``
-    costs work, never the answer.  u_0 is never read.
+    Newton on the whole trajectory: iterate 0 is Q_k = Q_0, and each next
+    one is one linear march of f linearized at the last, so an affine f
+    takes one.  An iterate is accepted once every node residual
+    |Q_k - h^alpha f(Q_k) - const_k| is at most tol * max(1, |Q_k|), with
+    tol and the iterate budget from ``opts``.  An iterate after the start
+    that does not halve the largest residual, or a spent budget, restarts
+    the solve as fixed-point steps node by node, which contract under
+    h^alpha M < 1 (``ContractionError`` otherwise): a wrong ``df_dx`` costs
+    work, never the answer.  u_0 is never read.
     """
     opts = opts or FixedPointOpts()
     alpha, grid = problem.alpha, problem.grid
     ha = grid.h ** alpha
     _check_step(ha, problem.lipschitz_M)
     q = TimeSeq.constant(problem.initial, grid.n)
-    f, = _at_nodes(problem, q, u, "f")
-    r = ha * np.abs(f).max(axis=1)  # the start's residual is -h^alpha f
-    if (r <= opts.tol * np.maximum(1.0, np.abs(q.values).max(axis=1))).all():
-        return q
-    worst = r.max()
-    fx, = _at_nodes(problem, q, u, "df_dx")
-    for it in range(1, opts.max_iters + 1):
-        b = f - np.einsum("kij,kj->ki", fx, q.values)
-        q = _linear_march(alpha, grid, fx, b, problem.initial)
+    for it in range(opts.max_iters + 1):
         f, = _at_nodes(problem, q, u, "f")
-        # Q_k - const_k = h^alpha (left_reg Q)_k; row 0 is zero on both sides
-        r = ha * np.abs(delta_minus(alpha, grid, q, caputo=True).values - f).max(axis=1)
+        # Q_k - const_k = h^alpha (left_reg Q)_k, zero at the constant start;
+        # row 0 is zero on both sides
+        dq = delta_minus(alpha, grid, q, caputo=True).values if it else 0.0
+        r = ha * np.abs(dq - f).max(axis=1)
         if (r <= opts.tol * np.maximum(1.0, np.abs(q.values).max(axis=1))).all():
             return q
-        if not r.max() <= 0.5 * worst or it == opts.max_iters:  # NaN too
+        if it and not r.max() <= 0.5 * worst or it == opts.max_iters:  # NaN too
             break
         worst = r.max()
         fx, = _at_nodes(problem, q, u, "df_dx")
+        b = f - np.einsum("kij,kj->ki", fx, q.values)
+        q = _linear_march(alpha, grid, fx, b, problem.initial)
     v, times = u.values, grid.times
     return _fixed_point_march(alpha, grid, lambda x, k: problem.f_at(x, v[k], times[k]),
                               problem.initial, problem.lipschitz_M, opts)

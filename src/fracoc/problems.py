@@ -97,11 +97,10 @@ def _rotation(theta: float) -> OneParamGroup:
     )
 
 
-def rotation_groups(theta1: float = 1.0, theta2: float = 1.0,
-                    theta3: float = -1.0) -> tuple[OneParamGroup, ...]:
+def rotation_groups() -> tuple[OneParamGroup, ...]:
     """The planar rotation action on (state, control, adjoint).
 
     The adjoint turns the opposite way, which is exactly what leaves the
     rotation problem's Hamiltonian bracket unchanged along solutions.
     """
-    return (_rotation(theta1), _rotation(theta2), _rotation(theta3))
+    return (_rotation(1.0), _rotation(1.0), _rotation(-1.0))

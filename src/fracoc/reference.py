@@ -57,11 +57,12 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
 
     Terms are built from log-Gamma to dodge overflow; summation stops once
     a term falls below 1e-15 relative to the partial sum, or after 200
-    terms.  Restricted to alpha > 0, beta > 0 and |z| <= 2, where that
+    terms.  Restricted to finite alpha > 0, beta > 0 and |z| <= 2, where that
     truncation is far below double precision.
     """
-    if not (alpha > 0 and beta > 0):  # written so that NaN fails too
-        raise ValueError(f"series parameters must be positive, got ({alpha}, {beta})")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):  # NaN fails too
+        raise ValueError(f"series parameters must be positive and finite, "
+                         f"got ({alpha}, {beta})")
     if not abs(z) <= 2.0:
         raise ValueError(f"series evaluation restricted to |z| <= 2, got {z}")
     if z == 0.0:

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fracoc import frac_cauchy
+from fracoc import frac_cauchy, pontryagin
 from fracoc import (CauchyRhs, ContractionError, FixedPointDivergenceError,
                     FixedPointOpts, Grid, NonFiniteError, OcpProblem,
                     OneParamGroup, SingularNodeError, SweepDivergenceError,
@@ -236,6 +236,39 @@ def test_a_start_that_solves_the_state_is_returned_unmarched():
     q = state_solve(counting, TimeSeq.constant(np.ones(1), 1600))
     assert calls == {"f": 1600, "df_dx": 0}
     assert np.array_equal(q.values, np.ones((1601, 1)))
+
+
+@pytest.mark.parametrize("example, differences",
+                         (("lq", 1), ("rotation", 1), ("zero", 0)))
+def test_state_solve_differences_each_iterate_but_not_the_start(monkeypatch, example,
+                                                                differences):
+    # the constant start has no memory term, so its residual needs no
+    # delta_minus; an affine state is accepted at its one Newton iterate
+    problem = build_example(example, 0.5, 40)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return delta_minus(*args, **kwargs)
+
+    monkeypatch.setattr(pontryagin, "delta_minus", counted)
+    state_solve(problem, TimeSeq.constant(np.ones(problem.m), 40))
+    assert len(calls) == differences
+
+
+def test_a_non_finite_start_still_takes_its_first_iterate():
+    # a NaN residual at the start does not skip the first Newton iterate, so
+    # the march names the node whose matrix I - h^alpha df_dx is not finite
+    base = build_example("lq", 0.5, 10)
+    t3 = base.grid.times[3]
+    # one stacked call each: NaN in the rows of node 3 only
+    bad = dataclasses.replace(
+        base, f=lambda x, v, t: np.where((t == t3)[:, None], np.nan, base.f(x, v, t)),
+        df_dx=lambda x, v, t: np.where((t == t3)[:, None, None], np.nan,
+                                       base.df_dx(x, v, t)))
+    with pytest.raises(SingularNodeError) as exc:
+        state_solve(bad, TimeSeq.zeros(10, base.m))
+    assert exc.value.node == 3
 
 
 def dense_adjoint_solve(problem, u, q):

@@ -71,7 +71,8 @@ def test_series_domain_checks():
 
 
 @pytest.mark.parametrize("args", ((0.5, 1.0, math.nan), (math.nan, 1.0, 0.5),
-                                  (0.5, math.nan, 0.5)))
+                                  (0.5, math.nan, 0.5), (math.inf, 1.0, 0.5),
+                                  (0.5, math.inf, 0.5)))
 def test_series_refuses_nan(args):
     with pytest.raises(ValueError):
         mittag_leffler(*args)
