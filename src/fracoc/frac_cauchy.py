@@ -17,9 +17,10 @@ each node equation.  Two node solves sit on it:
   h^alpha * K < 1 for the Lipschitz bound K of F its caller passes
   (``ContractionError`` otherwise), under which that step contracts.  One
   loop, on floats at d = 1, accepts a node once |x - h^alpha F(x) - const|
-  <= tol * max(1, |x|).  Each node starts from the quadratic extrapolation
-  3 (y_{j-1} - y_{j-2}) + y_{j-3} of the last three accepted nodes, the
-  first three from y_{j-1}.  :func:`solve_left_cauchy`,
+  <= tol * max(1, |x|).  Only h^alpha F(x) in the node equation is
+  unknown, so each node starts from const plus the cubic extrapolation of
+  h^alpha F over the last four accepted nodes, the first four from
+  y_{j-1}; most nodes then take one evaluation.  :func:`solve_left_cauchy`,
   :func:`solve_right_cauchy` and the fallback of the sweep's state solve
   use it;
 - :func:`_linear_march` handles F(x, k) = A_k x + b_k with one linear
@@ -114,7 +115,8 @@ class FixedPointOpts:
     A node is accepted once its residual |x - h^alpha F(x) - const| is at
     most ``tol * max(1, |x|)``, checked before each of at most
     ``max_iters`` steps and after the last.  Steps count from the node's
-    start, extrapolated from the nodes before it.  The sweep's state solve
+    start, predicted from h^alpha F at the nodes before it, which most
+    nodes accept at their one evaluation.  The sweep's state solve
     holds its Newton iterates on the whole trajectory to the same rule and
     budget.
     """
@@ -188,6 +190,17 @@ def _as_start(value) -> np.ndarray:
     return np.atleast_1d(np.asarray(value, dtype=float)).reshape(-1)
 
 
+def _checked_start(value, name: str, node: int) -> np.ndarray:
+    """The start of a public march, refused before any evaluation when it
+    is empty or not finite (``NonFiniteError`` at the start node)."""
+    start = _as_start(value)
+    if start.size == 0:
+        raise ValueError(f"{name} is empty")
+    if not np.isfinite(start).all():
+        raise NonFiniteError(node)
+    return start
+
+
 def _sized(value, d: int) -> np.ndarray:
     fx = np.asarray(value, dtype=float).reshape(-1)
     if fx.size != d:
@@ -201,12 +214,15 @@ def solve_left_cauchy(alpha, grid: Grid, rhs: CauchyRhs, initial,
 
     Returns the solution sequence, valid on all of [0, N].  Each node takes
     fixed-point steps, which needs h^alpha * K < 1 for the bound K of
-    ``rhs`` (``ContractionError`` otherwise).
+    ``rhs`` (``ContractionError`` otherwise).  An empty ``initial`` raises
+    ``ValueError`` and a non-finite one ``NonFiniteError`` at node 0, before
+    ``rhs`` is called.
     """
     times = grid.times
     return _fixed_point_march(_order_value(alpha), grid,
                               lambda x, k: rhs.eval(x, times[k]),
-                              _as_start(initial), rhs.lipschitz_K, opts)
+                              _checked_start(initial, "initial", 0),
+                              rhs.lipschitz_K, opts)
 
 
 def solve_right_cauchy(alpha, grid: Grid,
@@ -217,10 +233,13 @@ def solve_right_cauchy(alpha, grid: Grid,
 
     The right-hand side is indexed by node, P_k = h^alpha * rhs(P_k, k) + ...,
     which keeps this solver ignorant of where its callers get their data.
+    ``terminal`` is checked as ``initial`` of :func:`solve_left_cauchy` is,
+    a non-finite one naming node N.
     """
     _check_bound(lipschitz_K)
     return _fixed_point_march(_order_value(alpha), grid, rhs_shifted,
-                              _as_start(terminal), lipschitz_K, opts, reverse=True)
+                              _checked_start(terminal, "terminal", grid.n),
+                              lipschitz_K, opts, reverse=True)
 
 
 def _check_step(ha: float, lipschitz: float) -> None:
@@ -245,12 +264,17 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
     accepted node returns its fixed-point image x - r, which costs no
     evaluation and is closer to the solution by that same factor.
 
-    Node j starts from 3 (y_{j-1} - y_{j-2}) + y_{j-3}, the quadratic through
-    the last three accepted nodes of this march, O(h^3) off on a smooth
-    solution where y_{j-1} is O(h) off; the first three nodes start from
-    y_{j-1}.  The fixed point is unique, so the start moves only the path to
-    it, which it about halves: 1.6 evaluations per node instead of 4.0 on
-    the march benchmark.
+    const_j is known before node j is solved, so only g = h^alpha F(y_j) is
+    to be predicted (the predictor of fractional Adams methods; Diethelm,
+    Ford & Freed, Nonlinear Dyn. 29, 2002).  Node j starts from
+    const_j + 4 (g_1 + g_3) - 6 g_2 - g_4, with g_1..g_4 the images h^alpha F
+    at the last four accepted iterates of this march, newest first: the
+    cubic through them, h^alpha times an O(h^4) error on a smooth field,
+    where y_{j-1} is O(h) off.  The first four nodes start from y_{j-1}.
+    The start reuses images the loop computed, so it costs no evaluation.
+    The fixed point is unique, so the start moves only the path to it: 1.01
+    evaluations per node on the march benchmark, where a start from y_{j-1}
+    takes 3.99 and one extrapolated from the nodes themselves 1.63.
     """
     ha = grid.h ** alpha
     _check_step(ha, lipschitz)
@@ -270,20 +294,21 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
         def size(a):
             return abs(a).max()
 
-    y1 = y2 = y3 = None  # the last three accepted nodes, newest first
+    g1 = g2 = g3 = g4 = None  # images at the last four accepted nodes, newest first
 
     def solve_node(const, k, x):
-        nonlocal y1, y2, y3
-        if y3 is not None:
-            x = 3.0 * (y1 - y2) + y3
+        nonlocal g1, g2, g3, g4
+        if g4 is not None:
+            x = const + (4.0 * (g1 + g3) - 6.0 * g2 - g4)
         for _ in range(max_iters + 1):
-            r = x - image(x, k) - const
+            g = image(x, k)
+            r = x - g - const
             err = size(r)
             if not math.isfinite(err):
                 raise NonFiniteError(k)
             if err <= tol * max(1.0, size(x)):
-                y3, y2, y1 = y2, y1, x - r
-                return y1
+                g4, g3, g2, g1 = g3, g2, g1, g
+                return x - r
             x = x - r
         raise FixedPointDivergenceError(k, err, tol)
 

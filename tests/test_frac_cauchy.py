@@ -285,11 +285,13 @@ def tanh_marches(alpha, d, n, opts=None):
 @pytest.mark.parametrize("alpha", (0.3, 0.9))
 def test_extrapolated_start_takes_few_evaluations_per_node(alpha, d):
     # from y_{j-1} a node starts O(h) off: about 4 evaluations per node at
-    # alpha 0.9 and 9 at 0.3.  From the quadratic through the last three
-    # nodes it starts O(h^3) off, and needs about 2 and 4.  Each step gains
-    # only log10(1 / (h^alpha K)), 3 digits at 0.9 but 1 at 0.3.
+    # alpha 0.9 and 9 at 0.3, and from the quadratic through the last three
+    # nodes about 2 and 4.  Predicted as the memory term plus the cubic
+    # through h^alpha F at the last four, it starts h^alpha O(h^4) off and
+    # needs about 1.03 and 1.4-1.6.  Each step gains only
+    # log10(1 / (h^alpha K)), 3 digits at 0.9 but 1 at 0.3.
     _, _, calls = tanh_marches(alpha, d, 2000)
-    most = {0.3: 5.0, 0.9: 2.5}[alpha]
+    most = {0.3: 2.0, 0.9: 1.2}[alpha]
     assert calls["left"] / 2000 <= most
     assert calls["right"] / 2000 <= most
 
@@ -315,7 +317,7 @@ def test_march_history_does_not_leak_between_calls():
 
 @pytest.mark.parametrize("d", (1, 2))
 def test_non_finite_rhs_past_the_first_nodes_is_named(d):
-    # node 5 starts from the extrapolated value in both marches (the fifth
+    # node 5 starts from the predicted value in both marches (the fifth
     # node of the left one, the twelfth of the right one on 16 intervals)
     grid, rhs, right, _ = tanh_field(d, 16)
     start = np.ones(d)
@@ -335,6 +337,61 @@ def test_non_finite_rhs_past_the_first_nodes_is_named(d):
                            lambda x, k: np.r_[x[:-1], np.nan] if k == 5 else right(x, k),
                            rhs.lipschitz_K, start)
     assert exc.value.node == 5
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_a_field_cubic_in_t_is_predicted_exactly(d):
+    # with K = 0 and F cubic in t, h^alpha F is a cubic in the node index, so
+    # from node 5 on the predicted start is the fixed point to round-off and
+    # is accepted at its one evaluation; nodes 1-4 start from y_{j-1} and
+    # take two.  A start extrapolated from y itself takes about two everywhere
+    n = 400
+    grid = Grid(0.0, 1.0, n)
+    weights = np.array([1.0, -0.5][:d])
+    calls = {"left": 0, "right": 0}
+
+    def cubic(t):
+        return (0.3 - 1.2 * t + 2.0 * t ** 2 - 0.7 * t ** 3) * weights
+
+    def left(x, t):
+        calls["left"] += 1
+        return cubic(t)
+
+    def right(x, k):
+        calls["right"] += 1
+        return cubic(grid.times[k])
+
+    start = np.array([0.4, -0.2][:d])
+    solve_left_cauchy(0.6, grid, CauchyRhs(left, 0.0), start)
+    solve_right_cauchy(0.6, grid, right, 0.0, start)
+    assert calls["left"] <= n + 4
+    assert calls["right"] <= n + 4
+
+
+@pytest.mark.parametrize("bad", (np.inf, np.nan))
+@pytest.mark.parametrize("d", (1, 2))
+def test_a_non_finite_start_is_refused_at_its_node(d, bad):
+    # before any evaluation, and named by the start node, not the first
+    # node marched from it
+    grid, rhs, right, calls = tanh_field(d, 8)
+    start = np.r_[np.ones(d - 1), bad]
+    with pytest.raises(NonFiniteError) as exc:
+        solve_left_cauchy(0.5, grid, rhs, start)
+    assert exc.value.node == 0
+    with pytest.raises(NonFiniteError) as exc:
+        solve_right_cauchy(0.5, grid, right, rhs.lipschitz_K, start)
+    assert exc.value.node == 8
+    assert calls == {"left": 0, "right": 0}
+
+
+def test_an_empty_start_is_refused_by_name():
+    grid, rhs, right, calls = tanh_field(1, 8)
+    with pytest.raises(ValueError, match="initial"):
+        solve_left_cauchy(0.5, grid, rhs, [])
+    with pytest.raises(ValueError, match="terminal"):
+        solve_right_cauchy(0.5, grid, right, rhs.lipschitz_K, np.empty(0))
+    assert calls == {"left": 0, "right": 0}
+
 
 # -- the march kernel against its definition -------------------------------------
 
