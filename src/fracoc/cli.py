@@ -128,8 +128,7 @@ def run_noether(cfg: argparse.Namespace) -> int:
     if cfg.zero_generator:
         gen = TimeSeq.zeros(grid.n, problem.d)
     else:
-        rotate = rotation_groups()[0].generator
-        gen = TimeSeq(np.stack([rotate(x) for x in solution.Q.values]))
+        gen = TimeSeq(rotation_groups()[0].generator(solution.Q.values))
     inv = conserved_quantity(cfg.alpha, grid, gen, solution.P)
 
     lines = ["k,t,I_k"]

@@ -45,11 +45,14 @@ class OneParamGroup:
     """Smooth family of maps s -> phi(s, .) with phi(0, .) = identity.
 
     ``generator`` must be the s-derivative of ``map`` at s = 0.  Both take
-    and return vectors of the same dimension.
+    and return vectors of the same dimension d, or, with ``vectorized``,
+    rows of shape (K, d), each row mapped as it would be alone.  A
+    vectorized group moves a whole sequence in one call.
     """
 
     map: Callable[[float, np.ndarray], np.ndarray]
     generator: Callable[[np.ndarray], np.ndarray]
+    vectorized: bool = False
 
 
 def group_axiom_defect(group: OneParamGroup, points: Sequence[np.ndarray]) -> float:
@@ -58,14 +61,18 @@ def group_axiom_defect(group: OneParamGroup, points: Sequence[np.ndarray]) -> fl
     The generator is compared with the central difference of ``map`` at
     s = +-1e-5.
     """
+    def row(value) -> np.ndarray:
+        value = np.asarray(value, dtype=float)
+        return value[0] if group.vectorized else value
+
     s = 1e-5
     gaps = []
     for x in points:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        at_zero = np.asarray(group.map(0.0, x), dtype=float)
-        fd = (np.asarray(group.map(s, x), dtype=float)
-              - np.asarray(group.map(-s, x), dtype=float)) / (2 * s)
-        gen = np.asarray(group.generator(x), dtype=float)
+        arg = x[None] if group.vectorized else x  # a one-row stack when vectorized
+        at_zero = row(group.map(0.0, arg))
+        fd = (row(group.map(s, arg)) - row(group.map(-s, arg))) / (2 * s)
+        gen = row(group.generator(arg))
         gaps += [np.max(np.abs(at_zero - x)), np.max(np.abs(fd - gen))]
     return float(np.max(gaps, initial=0.0))  # NaN stays NaN, unlike max()
 
@@ -225,8 +232,11 @@ def invariance_residual(problem: OcpProblem, groups: Sequence[OneParamGroup],
     The bracket H(Q_k, U_k, P_{k-1}, t_k) - P_{k-1} . (left_reg Q)_k,
     k = 1..N, is evaluated once as is and once per parameter s with Q, U
     and P moved by phi1(s, .), phi2(s, .) and phi3(s, .); L and f come from
-    one node walk over the moved Q and U.  Returns the largest absolute
-    difference over all nodes and samples, NaN if any bracket is NaN.
+    one node walk over the moved Q and U.  A vectorized group moves each
+    sequence in one call per sample and must return its shape
+    (``ValueError`` otherwise); any other group is called once per row.
+    Returns the largest absolute difference over all nodes and samples, NaN
+    if any bracket is NaN.
     Sampling a handful of s values is evidence of invariance, not a proof.
     """
     phi1, phi2, phi3 = groups
@@ -246,7 +256,13 @@ def invariance_residual(problem: OcpProblem, groups: Sequence[OneParamGroup],
                 - (w @ dq.values[1:, :, None]).reshape(-1))
 
     def moved(phi: OneParamGroup, s: float, rows: np.ndarray) -> np.ndarray:
-        return np.stack([np.asarray(phi.map(s, x), dtype=float) for x in rows])
+        if not phi.vectorized:
+            return np.stack([np.asarray(phi.map(s, x), dtype=float) for x in rows])
+        out = np.asarray(phi.map(s, rows), dtype=float)
+        if out.shape != rows.shape:
+            raise ValueError(f"a vectorized group map returned shape {out.shape} "
+                             f"for rows of shape {rows.shape}")
+        return out
 
     base = bracket(q.values, u.values, p.values[:n])
     # U_0 is never read, so it is kept as is rather than moved

@@ -86,14 +86,18 @@ def build_example(name: str, alpha: float, n: int) -> OcpProblem:
 
 
 def _rotation(theta: float) -> OneParamGroup:
+    # elementwise on the two coordinates, not a matrix product, so a stack of
+    # rows is moved bit for bit as each row alone would be
     def apply(s: float, x: np.ndarray) -> np.ndarray:
         ang = s * theta
         c, sn = math.cos(ang), math.sin(ang)
-        return np.array([c * x[0] - sn * x[1], sn * x[0] + c * x[1]])
+        x0, x1 = x[..., 0], x[..., 1]
+        return np.stack([c * x0 - sn * x1, sn * x0 + c * x1], axis=-1)
 
     return OneParamGroup(
         map=apply,
-        generator=lambda x: np.array([-theta * x[1], theta * x[0]]),
+        generator=lambda x: np.stack([-theta * x[..., 1], theta * x[..., 0]], axis=-1),
+        vectorized=True,
     )
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fracoc import (Grid, TimeSeq, delta_minus, delta_plus, dfibp_residual,
                     gl_coefficients, shift)
+from fracoc.gl_ops import _SECTION
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0)
 
@@ -212,6 +213,49 @@ def test_operators_are_linear(alpha):
         direct = op(alpha, grid, combo)
         parts = 2.0 * op(alpha, grid, x).values - 3.0 * op(alpha, grid, y).values
         npt.assert_allclose(direct.values, parts, atol=1e-11)
+
+
+def convolve_oracle(op, alpha, grid, values, caputo):
+    """Either operator's valid rows as one direct np.convolve per column."""
+    c = gl_coefficients(alpha, grid.n).coeffs
+    rows = values if op is delta_minus else values[::-1]
+    base = rows - rows[0] if caputo else rows
+    out = np.stack([np.convolve(c, col)[: grid.n + 1] for col in base.T], axis=1)
+    out = out / grid.h ** alpha
+    return out[1:] if op is delta_minus else out[::-1][:-1]
+
+
+@pytest.mark.parametrize("op", [delta_minus, delta_plus])
+@pytest.mark.parametrize("caputo", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("nodes", [_SECTION - 1, _SECTION, 25601])
+def test_operators_match_direct_sums_across_the_fft_switch(op, caputo, dim, nodes):
+    # from _SECTION nodes on the sum is a sectioned FFT product, whose
+    # round-off is norm-wise, about eps log n sum |c_r| |G|
+    rng = np.random.default_rng(nodes + 10 * dim)
+    grid = Grid(0.0, 1.0, nodes - 1)
+    seq = random_seq(rng, nodes - 1, dim=dim)
+    got = op(0.35, grid, seq, caputo=caputo).valid_values()
+    ref = convolve_oracle(op, 0.35, grid, seq.values, caputo)
+    npt.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_spoils_only_later_rows(bad):
+    # an FFT product would spread a NaN or inf to every row
+    rng = np.random.default_rng(13)
+    n, k = _SECTION + 500, 700
+    grid = Grid(0.0, 1.0, n)
+    seq = random_seq(rng, n, dim=2)
+    clean = delta_minus(0.6, grid, seq).values
+    seq.values[k, 1] = bad
+    spoiled = delta_minus(0.6, grid, seq).values
+    assert np.isfinite(spoiled[:k]).all()
+    npt.assert_allclose(spoiled[:k], clean[:k], rtol=0,
+                        atol=1e-14 * np.abs(clean).max())
+    assert not np.isfinite(spoiled[k:, 1]).any()
+    npt.assert_allclose(spoiled[:, 0], clean[:, 0], rtol=0,
+                        atol=1e-14 * np.abs(clean).max())
 
 
 def test_operator_rejects_partial_or_mismatched_input():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -299,6 +300,70 @@ def test_invariance_residual_moves_each_node_once_per_sample():
     assert calls == [(n + 1) * s, n * s, n * s]
 
 
+def per_row(group):
+    return dataclasses.replace(group, vectorized=False)
+
+
+def test_stacked_rotations_move_each_row_bit_for_bit():
+    rows = np.random.default_rng(31).normal(size=(50, 2))
+    for theta, group in zip((1.0, 1.0, -1.0), rotation_groups()):
+        for s in (-0.7, 0.0, 0.3, 2.5):
+            c, sn = math.cos(s * theta), math.sin(s * theta)
+            # the matrix entries written out per row
+            expect = np.array([[c * x[0] - sn * x[1], sn * x[0] + c * x[1]] for x in rows])
+            npt.assert_array_equal(group.map(s, rows), expect)
+            npt.assert_array_equal(group.map(s, rows),
+                                   np.stack([group.map(s, x) for x in rows]))
+        npt.assert_array_equal(group.generator(rows),
+                               [[-theta * x[1], theta * x[0]] for x in rows])
+
+
+def test_stacked_invariance_residual_matches_the_per_row_path():
+    problem = build_example("rotation", 0.6, 30)
+    sol = solve_pontryagin(problem)
+    samples = (-0.8, 0.1, 0.9)
+    stacked = invariance_residual(problem, rotation_groups(), sol, samples)
+    rows = invariance_residual(problem, [per_row(g) for g in rotation_groups()],
+                               sol, samples)
+    assert stacked == rows
+
+
+def test_invariance_residual_calls_a_stacked_group_once_per_sample():
+    problem = build_example("rotation", 0.5, 12)
+    sol = solve_pontryagin(problem)
+    shapes = []
+
+    def counted(group):
+        def move(s, x):
+            shapes.append(x.shape)
+            return group.map(s, x)
+        return dataclasses.replace(group, map=move)
+
+    samples = (-1.0, 0.25, 0.5)
+    invariance_residual(problem, [counted(g) for g in rotation_groups()], sol, samples)
+    n = problem.grid.n
+    assert shapes == [(n + 1, 2), (n, 2), (n, 2)] * len(samples)
+
+
+def test_invariance_residual_refuses_a_stacked_map_of_the_wrong_shape():
+    problem = build_example("rotation", 0.75, 20)
+    sol = solve_pontryagin(problem)
+    phi1, phi2, phi3 = rotation_groups()
+    for wrong in (lambda s, x: x[:-1], lambda s, x: x[:, :1], lambda s, x: x.T):
+        broken = dataclasses.replace(phi2, map=wrong)
+        with pytest.raises(ValueError, match="vectorized group map returned shape"):
+            invariance_residual(problem, (phi1, broken, phi3), sol, (0.5,))
+
+
+def test_invariance_residual_reports_a_nan_stacked_map():
+    problem = build_example("rotation", 0.75, 20)
+    sol = solve_pontryagin(problem)
+    phi1, phi2, phi3 = rotation_groups()
+    broken = dataclasses.replace(phi3, map=lambda s, x: np.full(x.shape, np.nan))
+    res = invariance_residual(problem, (phi1, phi2, broken), sol, (0.5,))
+    assert np.isnan(res)
+
+
 def test_invariance_residual_checks_its_windows():
     problem = build_example("rotation", 0.5, 12)
     sol = solve_pontryagin(problem)
@@ -348,3 +413,18 @@ def test_group_axioms_catch_a_wrong_generator():
     assert group_axiom_defect(broken, points) >= 1e-3
     silent = OneParamGroup(map=rot.map, generator=lambda x: np.full(2, np.nan))
     assert np.isnan(group_axiom_defect(silent, points))
+
+
+def test_group_axioms_hand_a_stacked_group_one_row():
+    rot = rotation_groups()[0]
+    shapes = []
+
+    def move(s, x):
+        shapes.append(x.shape)
+        return rot.map(s, x)
+
+    points = [np.array([1.0, 0.5]), np.array([-2.0, 3.0])]
+    assert group_axiom_defect(dataclasses.replace(rot, map=move), points) <= 1e-8
+    assert shapes == [(1, 2)] * 6
+    broken = dataclasses.replace(rot, generator=lambda x: 2.0 * rot.generator(x))
+    assert group_axiom_defect(broken, points) >= 1e-3
