@@ -17,12 +17,13 @@ each node equation.  Two node solves sit on it:
   h^alpha * K < 1 for the Lipschitz bound K of F its caller passes
   (``ContractionError`` otherwise), under which that step contracts.  One
   loop, on floats at d = 1, accepts a node once |x - h^alpha F(x) - const|
-  <= tol * max(1, |x|).  Only h^alpha F(x) in the node equation is
+  <= tol * max(1, |x|) and returns its fixed-point image
+  h^alpha F(x) + const.  Only h^alpha F(x) in the node equation is
   unknown, so each node starts from const plus the cubic extrapolation of
-  h^alpha F over the last four accepted nodes, the first four from
-  y_{j-1}; most nodes then take one evaluation.  :func:`solve_left_cauchy`,
-  :func:`solve_right_cauchy` and the fallback of the sweep's state solve
-  use it;
+  h^alpha F over the last four accepted nodes, kept in a ring of four
+  slots, the first four from y_{j-1}; most nodes then take one
+  evaluation.  :func:`solve_left_cauchy`, :func:`solve_right_cauchy` and
+  the fallback of the sweep's state solve use it;
 - :func:`_linear_march` handles F(x, k) = A_k x + b_k with one linear
   solve per node, using inverses built once for all nodes; it needs only
   I - h^alpha A_k to be invertible.  Every march of the Pontryagin sweep
@@ -149,13 +150,14 @@ def _march(alpha: float, grid: Grid, start: np.ndarray, solve_node,
 
     The memory term is split as const_j = y_0 - far_j - near_j.  near_j sums
     the deviations of j's own block of ``_BLOCK`` nodes directly.  far_j
-    holds the older ones: after node j, a multiple of the block, the last
-    L = j & -j deviations are added into far_{j+1..j+L} by one FFT product of
-    size 2L with c_1..c_{2L-1}, cut short where the march ends first (Hairer,
-    Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  These squares
-    tile the block pairs below the diagonal once each, so a march costs
-    O(N log^2 N) for the memory sums plus the work of solving each node
-    equation.  The FFT adds a round-off of about
+    holds the older ones and is complete when the block starts, so y_0 -
+    far_j is taken for the whole block at once.  After node j, a multiple of
+    the block, the last L = j & -j deviations are added into far_{j+1..j+L}
+    by one FFT product of size 2L with c_1..c_{2L-1}, cut short where the
+    march ends first (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+    Comput. 6, 1985).  These squares tile the block pairs below the diagonal
+    once each, so a march costs O(N log^2 N) for the memory sums plus the
+    work of solving each node equation.  The FFT adds a round-off of about
     eps log L sum_r |c_r| |y_{j-r} - y_0| to far_j, norm-wise, not relative
     to each term.
     """
@@ -170,8 +172,12 @@ def _march(alpha: float, grid: Grid, start: np.ndarray, solve_node,
     dev = np.empty(shape)   # y_j - y_0, from row 1 on
     y[0] = prev = y0
     for lo in range(1, n + 1, _BLOCK):
-        for j in range(lo, min(lo + _BLOCK, n + 1)):
-            const = y0 - y[j] - rc[top - (j - lo):] @ dev[lo:j]
+        hi = min(lo + _BLOCK, n + 1)
+        base = y0 - y[lo:hi]  # const_j before the near sum
+        if d == 1:
+            base = base.tolist()
+        for i, j in enumerate(range(lo, hi)):
+            const = base[i] - rc[top - i:].dot(dev[lo:j]) if i else base[i]
             prev = y[j] = solve_node(const, n - j if reverse else j, prev)
             dev[j] = prev - y0
         if j % _BLOCK or j == n:
@@ -201,11 +207,27 @@ def _checked_start(value, name: str, node: int) -> np.ndarray:
     return start
 
 
+_FLOAT = np.dtype(float)
+
+
+def _real(value, name: str) -> np.ndarray:
+    """``value`` as a float array; a complex one raises ``ValueError`` naming
+    the callback ``name``, where a float conversion would drop its imaginary
+    part with only a warning."""
+    value = np.asarray(value)
+    if value.dtype is not _FLOAT:
+        if value.dtype.kind == "c":
+            raise ValueError(f"{name} returned a complex value, expected a real one")
+        value = value.astype(float)
+    return value
+
+
 def _sized(value, d: int) -> np.ndarray:
-    fx = np.asarray(value, dtype=float).reshape(-1)
+    """The rhs value ``value`` as a float array of shape (d,)."""
+    fx = _real(value, "rhs")
     if fx.size != d:
         raise ValueError(f"rhs returned size {fx.size}, expected {d}")
-    return fx
+    return fx if fx.ndim == 1 else fx.reshape(-1)
 
 
 def solve_left_cauchy(alpha, grid: Grid, rhs: CauchyRhs, initial,
@@ -254,25 +276,34 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
                        reverse: bool = False) -> TimeSeq:
     """March with node equations solved by fixed-point steps.
 
-    ``field(x, k)`` returns F at node k; a value of any size but d raises
-    ``ValueError``.  ``lipschitz`` is a Lipschitz bound K of F in x.  A node
-    is accepted on its residual r(x) = x - h^alpha F(x, k) - const once
-    |r| <= tol * max(1, |x|), checked before each of at most ``max_iters``
-    steps and after the last.  Each step is x <- h^alpha F(x, k) + const =
+    ``field(x, k)`` returns F at node k; a complex value, or one of any size
+    but d, raises ``ValueError``.  The march only reads that value, so a
+    read-only or cached array is safe to return.  ``lipschitz`` is a
+    Lipschitz bound K of F in x.  A node is accepted on its residual
+    r(x) = x - h^alpha F(x, k) - const once |r| <= tol * max(1, |x|),
+    checked before each of at most ``max_iters`` steps and after the last.
+    Each step maps x to its fixed-point image h^alpha F(x, k) + const =
     x - r, which multiplies |r| by at most h^alpha K; the march refuses
-    h^alpha K >= 1 (``ContractionError``), so the step contracts.  An
-    accepted node returns its fixed-point image x - r, which costs no
-    evaluation and is closer to the solution by that same factor.
+    h^alpha K >= 1 (``ContractionError``), so the step contracts.  Each
+    evaluation forms the image once and r as x minus it, and an accepted
+    node returns the image, which costs no evaluation and is closer to the
+    solution by that same factor.  At d >= 2, |r| and |x| are Python
+    maxima over the components, with a NaN found by their sum, since
+    ``max`` skips a NaN that is not the first element.
 
     const_j is known before node j is solved, so only g = h^alpha F(y_j) is
     to be predicted (the predictor of fractional Adams methods; Diethelm,
     Ford & Freed, Nonlinear Dyn. 29, 2002).  Node j starts from
-    const_j + 4 (g_1 + g_3) - 6 g_2 - g_4, with g_1..g_4 the images h^alpha F
+    const_j + 4 (g_1 + g_3) - 6 g_2 - g_4, with g_1..g_4 the values h^alpha F
     at the last four accepted iterates of this march, newest first: the
     cubic through them, h^alpha times an O(h^4) error on a smooth field,
     where y_{j-1} is O(h) off.  The first four nodes start from y_{j-1}.
-    The start reuses images the loop computed, so it costs no evaluation.
-    The fixed point is unique, so the start moves only the path to it: 1.01
+    The four values live in a ring of four slots, Python floats at d = 1
+    and the rows of a (4, d) array otherwise, accepted node i in slot
+    i mod 4; at d >= 2 the cubic is one product of the ring with the
+    weights (-1, 4, -6, 4) rotated to start at the oldest slot.  The start
+    reuses values the loop computed, so it costs no evaluation.  The fixed
+    point is unique, so the start moves only the path to it: 1.01
     evaluations per node on the march benchmark, where a start from y_{j-1}
     takes 3.99 and one extrapolated from the nodes themselves 1.63.
     """
@@ -283,33 +314,52 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
 
     d = start.size
     if d == 1:  # Python floats: a one-element array costs more than the field
-        def image(x, k):
-            return ha * _sized(field(np.array([x]), k), 1)[0]
+        def hf(x, k):
+            return ha * _sized(field(np.array([x]), k), 1).item()
 
         size = abs
+        ring = [0.0] * 4
+
+        def extrapolate(slot):  # slot holds the oldest value, slot - 1 the newest
+            return (4.0 * (ring[slot - 1] + ring[slot - 3]) - 6.0 * ring[slot - 2]
+                    - ring[slot])
     else:
-        def image(x, k):
-            return ha * _sized(field(x, k), d)
+        ha_array = np.array(ha)  # a float times an array converts the float each time
 
-        def size(a):
-            return abs(a).max()
+        def hf(x, k):
+            return ha_array * _sized(field(x, k), d)
 
-    g1 = g2 = g3 = g4 = None  # images at the last four accepted nodes, newest first
+        def size(a):  # max |a_i|, or NaN if an a_i is: max skips a NaN past the first
+            values = a.tolist()
+            return math.nan if math.isnan(sum(values)) else max(map(abs, values))
+
+        ring = np.empty((4, d))
+        # row s weighs the ring with its oldest value in slot s
+        cubic = np.array([np.roll([-1.0, 4.0, -6.0, 4.0], s) for s in range(4)])
+
+        def extrapolate(slot):
+            return cubic[slot].dot(ring)
+
+    accepted = 0  # h^alpha F at accepted node i sits in ring slot i & 3
 
     def solve_node(const, k, x):
-        nonlocal g1, g2, g3, g4
-        if g4 is not None:
-            x = const + (4.0 * (g1 + g3) - 6.0 * g2 - g4)
+        nonlocal accepted
+        if d == 1:
+            const = float(const)
+        slot = accepted & 3
+        if accepted > 3:
+            x = const + extrapolate(slot)
         for _ in range(max_iters + 1):
-            g = image(x, k)
-            r = x - g - const
-            err = size(r)
+            g = hf(x, k)
+            fixed = g + const
+            err = size(x - fixed)
             if not math.isfinite(err):
                 raise NonFiniteError(k)
-            if err <= tol * max(1.0, size(x)):
-                g4, g3, g2, g1 = g3, g2, g1, g
-                return x - r
-            x = x - r
+            if err <= tol or err <= tol * size(x):  # err <= tol * max(1, |x|)
+                ring[slot] = g
+                accepted += 1
+                return fixed
+            x = fixed
         raise FixedPointDivergenceError(k, err, tol)
 
     return TimeSeq(_march(alpha, grid, start, solve_node, reverse))

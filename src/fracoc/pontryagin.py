@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .frac_cauchy import (FixedPointOpts, _as_start, _check_bound, _check_step,
-                          _fixed_point_march, _linear_march)
+                          _fixed_point_march, _linear_march, _real)
 from .gl_ops import (Grid, TimeSeq, _integer, _order_value, _require_window,
                      delta_minus, delta_plus)
 
@@ -162,13 +162,13 @@ class OcpProblem:
         if not self.vectorized:
             rows = []
             for xk, vk, tk in zip(x, v, t):
-                value = np.asarray(fn(xk, vk, tk), dtype=float)
+                value = _real(fn(xk, vk, tk), name)
                 if value.size != size:
                     raise ValueError(f"{name} returned {value.size} values at "
                                      f"t = {tk}, expected {size}")
                 rows.append(value.reshape(shape))
             return np.array(rows)
-        value = np.asarray(fn(x, v, t), dtype=float)
+        value = _real(fn(x, v, t), name)
         if value.size == size:  # one value that holds at every node
             return np.broadcast_to(value.reshape(shape), (k, *shape))
         if value.size == k * size and value.shape[0] == k:

@@ -254,6 +254,33 @@ def test_non_finite_rhs_stops_at_its_node(d, bad):
 
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_a_bad_middle_component_is_named_at_its_node(bad):
+    # the residual's size is a Python max, which skips a NaN that is not the
+    # first element; node 6 starts from the predicted value in both marches
+    grid, start = Grid(0.0, 1.0, 16), np.array([0.5, -0.2, 0.8])
+    seen = []
+
+    def field(x, poisoned):
+        value = -np.tanh(x)
+        if poisoned:
+            value[1] = bad
+        return value
+
+    def left(x, t):
+        seen.append(t)
+        return field(x, t == grid.times[6])
+
+    with pytest.raises(NonFiniteError) as exc:
+        solve_left_cauchy(0.5, grid, CauchyRhs(left, 1.0), start)
+    assert exc.value.node == 6
+    assert seen.count(grid.times[6]) == 1
+
+    with pytest.raises(NonFiniteError) as exc:
+        solve_right_cauchy(0.5, grid, lambda x, k: field(x, k == 6), 1.0, start)
+    assert exc.value.node == 6
+
+
 def tanh_field(d, n, omega=3.0, k_tanh=0.8):
     """-K tanh(x) + cos(omega t) as a left rhs, a node-indexed right rhs and
     a call count for each."""
@@ -560,6 +587,50 @@ def test_rhs_shape_mismatch_is_reported():
     with pytest.raises(ValueError, match="rhs returned size"):
         solve_right_cauchy(0.5, grid, lambda x, k: np.zeros(2), 0.1,
                            np.array([1.0]))
+
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_complex_rhs_values_are_refused(d):
+    # a float conversion would keep the real part and only warn
+    grid, start = Grid(0.0, 1.0, 8), np.ones(d)
+    with pytest.raises(ValueError, match="rhs returned a complex value"):
+        solve_left_cauchy(0.5, grid, CauchyRhs(lambda x, t: -x + 1j, 0.5), start)
+    with pytest.raises(ValueError, match="rhs returned a complex value"):
+        solve_right_cauchy(0.5, grid, lambda x, k: (-x).astype(complex), 0.5, start)
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_the_march_never_writes_into_a_callback_value(d):
+    # a read-only value, one buffer refilled on every call and one cached
+    # constant each give the march of a callback that returns a fresh array
+    grid = Grid(0.0, 1.0, 40)
+    weights, start = np.array([1.0, -0.5][:d]), np.array([0.6, -0.3][:d])
+    constant, buffer = np.array([0.3, -0.7][:d]), np.empty(d)
+
+    def fresh(x, t):
+        return -0.8 * np.tanh(x) + np.cos(3.0 * t) * weights
+
+    def read_only(x, t):
+        value = fresh(x, t)
+        value.flags.writeable = False
+        return value
+
+    def refilled(x, t):
+        buffer[:] = fresh(x, t)
+        return buffer
+
+    def marches(field):
+        q = solve_left_cauchy(0.5, grid, CauchyRhs(field, 0.8), start)
+        p = solve_right_cauchy(0.5, grid, lambda x, k: field(x, grid.times[k]), 0.8,
+                               start)
+        return q.values, p.values
+
+    for field, reference in ((read_only, fresh), (refilled, fresh),
+                             (lambda x, t: constant, lambda x, t: constant.copy())):
+        for got, want in zip(marches(field), marches(reference)):
+            npt.assert_array_equal(got, want)
+    npt.assert_array_equal(constant, [0.3, -0.7][:d])
 
 
 def test_option_and_bound_validation():

@@ -942,3 +942,14 @@ def test_callback_values_of_the_wrong_size_are_refused():
     with pytest.raises(ValueError, match=r"f returned 2 values at t = .*, expected 1$"):
         state_solve(dataclasses.replace(stacked, vectorized=False,
                                         f=lambda x, v, t: np.ones(2)), u)
+
+
+@pytest.mark.parametrize("vectorized", (True, False))
+def test_complex_callback_values_are_refused(vectorized):
+    # a float conversion would keep the real part and only warn
+    lq = dataclasses.replace(build_example("lq", 0.5, 20), vectorized=vectorized)
+    shifted = dataclasses.replace(lq, f=lambda x, v, t: lq.f(x, v, t) + 1j)
+    with pytest.raises(ValueError, match="^f returned a complex value"):
+        solve_pontryagin(shifted)
+    with pytest.raises(ValueError, match="^dL_dv returned a complex value"):
+        dataclasses.replace(lq, dL_dv=lambda x, v, t: 1j * v).lv_at([1.0], [2.0], 0.5)
