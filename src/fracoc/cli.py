@@ -68,6 +68,7 @@ def run_solve(cfg: argparse.Namespace) -> int:
 
 
 def _reference_for(cfg: argparse.Namespace):
+    """The closed-form control of ``cfg.example``, taking an array of times."""
     if cfg.example == "solved":
         return lambda t: solved_example_exact_control(cfg.alpha, t)
     if cfg.example == "lq":
@@ -95,7 +96,7 @@ def run_converge(cfg: argparse.Namespace) -> int:
             err = max_control_error(u, lambda t, u=u, g=problem.grid:
                                     u.values[g.index_of(t)], problem.grid)
         else:
-            err = max_control_error(solution.U, exact, problem.grid)
+            err = max_control_error(solution.U, exact, problem.grid, vectorized=True)
         pairs.append((n, problem.grid.h, err))
 
     lines = ["N,h,max_error,pairwise_order"]

@@ -192,14 +192,14 @@ def _march(alpha: float, grid: Grid, start: np.ndarray, solve_node,
     return y[::-1].copy() if reverse else y
 
 
-def _as_start(value) -> np.ndarray:
-    return np.atleast_1d(np.asarray(value, dtype=float)).reshape(-1)
+def _as_start(value, name: str) -> np.ndarray:
+    return np.atleast_1d(_real(value, name, "is")).reshape(-1)
 
 
 def _checked_start(value, name: str, node: int) -> np.ndarray:
     """The start of a public march, refused before any evaluation when it
     is empty or not finite (``NonFiniteError`` at the start node)."""
-    start = _as_start(value)
+    start = _as_start(value, name)
     if start.size == 0:
         raise ValueError(f"{name} is empty")
     if not np.isfinite(start).all():
@@ -210,14 +210,15 @@ def _checked_start(value, name: str, node: int) -> np.ndarray:
 _FLOAT = np.dtype(float)
 
 
-def _real(value, name: str) -> np.ndarray:
+def _real(value, name: str, verb: str = "returned") -> np.ndarray:
     """``value`` as a float array; a complex one raises ``ValueError`` naming
-    the callback ``name``, where a float conversion would drop its imaginary
-    part with only a warning."""
+    ``name`` ("rhs returned a complex value", "initial is a complex value"),
+    where a float conversion would drop its imaginary part with only a
+    warning."""
     value = np.asarray(value)
     if value.dtype is not _FLOAT:
         if value.dtype.kind == "c":
-            raise ValueError(f"{name} returned a complex value, expected a real one")
+            raise ValueError(f"{name} {verb} a complex value, expected a real one")
         value = value.astype(float)
     return value
 

@@ -143,7 +143,7 @@ class OcpProblem:
         object.__setattr__(self, "d", _integer(self.d, "d", 1))
         object.__setattr__(self, "m", _integer(self.m, "m", 1))
         _check_bound(self.lipschitz_M)
-        a = _as_start(self.initial)
+        a = _as_start(self.initial, "initial")
         if a.size != self.d:
             raise ValueError(f"initial value has size {a.size}, expected {self.d}")
         object.__setattr__(self, "initial", a)

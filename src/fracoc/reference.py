@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frac_cauchy import _real
 from .gl_ops import Grid, TimeSeq, _order_value, _require_window
 from .pontryagin import _node_norms
 
@@ -52,69 +53,101 @@ def _log_gammas(alpha: float, beta: float) -> tuple:
     return tuple(math.lgamma(alpha * k + beta) for k in range(201))
 
 
-def mittag_leffler(alpha: float, beta: float, z: float) -> float:
+def mittag_leffler(alpha: float, beta: float, z):
     """Two-parameter series E_{alpha,beta}(z) = sum_k z^k / Gamma(alpha k + beta).
 
-    Terms are built from log-Gamma to dodge overflow; summation stops once
-    a term falls below 1e-15 relative to the partial sum, or after 200
-    terms.  Restricted to finite alpha > 0, beta > 0 and |z| <= 2, where that
+    ``z`` is a number, which gives a float, or an array, which gives an
+    array of its shape, each element summed on its own.  Terms are built
+    from log-Gamma to dodge overflow; an element's sum stops once a term
+    falls below 1e-15 relative to its partial sum, or after 200 terms.
+    Restricted to finite alpha > 0, beta > 0 and |z| <= 2, where that
     truncation is far below double precision.
     """
     if not (0 < alpha < math.inf and 0 < beta < math.inf):  # NaN fails too
         raise ValueError(f"series parameters must be positive and finite, "
                          f"got ({alpha}, {beta})")
-    if not abs(z) <= 2.0:
-        raise ValueError(f"series evaluation restricted to |z| <= 2, got {z}")
-    if z == 0.0:
-        return 1.0 / math.gamma(beta)
-    log_abs_z = math.log(abs(z))
-    total = 0.0
+    zs = _real(z, "z", "is")
+    flat = zs.reshape(-1)
+    bad = ~(np.abs(flat) <= 2.0)  # NaN too
+    if bad.any():
+        raise ValueError(f"series evaluation restricted to |z| <= 2, "
+                         f"got {flat[bad.argmax()]}")
+    total = np.full(flat.shape, 1.0 / math.gamma(beta))  # the value at z = 0
+    # the elements still summing: their index, log|z|, sign and partial sum
+    live = np.flatnonzero(flat)
+    log_abs_z = np.log(np.abs(flat[live]))
+    negative = flat[live] < 0.0
+    partial = np.zeros(live.size)
     for k, log_gamma in enumerate(_log_gammas(alpha, beta)):
-        term = math.copysign(1.0, z) ** k * math.exp(k * log_abs_z - log_gamma)
-        total += term
-        if abs(term) <= 1e-15 * abs(total):
+        if not live.size:
             break
-    return total
+        term = np.exp(k * log_abs_z - log_gamma)
+        if k & 1:
+            np.negative(term, out=term, where=negative)
+        partial += term
+        done = np.abs(term) <= 1e-15 * np.abs(partial)
+        if done.any():
+            total[live[done]] = partial[done]
+            keep = ~done
+            live, log_abs_z, negative, partial = (
+                live[keep], log_abs_z[keep], negative[keep], partial[keep])
+    total[live] = partial  # elements that ran out of terms
+    return total.reshape(zs.shape) if zs.ndim else float(total[0])
 
 
-def lq_exact_control(t: float) -> float:
+def _unit_times(t) -> np.ndarray:
+    """``t`` as a float array, refused unless every element lies in [0, 1]."""
+    ts = _real(t, "t", "is")
+    bad = ~((0.0 <= ts) & (ts <= 1.0))  # NaN too
+    if bad.any():
+        raise ValueError(f"t must lie in [0, 1], got {ts.reshape(-1)[bad.argmax()]}")
+    return ts
+
+
+def lq_exact_control(t):
     """Optimal control of the quadratic benchmark at integer order.
 
     u(t) = [cosh(s) sinh(s t) - sinh(s) cosh(s t)] / (s cosh(s) - sinh(s))
-    with s = sqrt(2); vanishes at t = 1.  Defined on [0, 1] only.
+         = sinh(s (t - 1)) / (s cosh(s) - sinh(s))
+    with s = sqrt(2); exactly 0.0 at t = 1.  Defined on [0, 1] only; ``t``
+    is a number, which gives a float, or an array, which gives an array.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    return (math.cosh(_SQRT2) * math.sinh(_SQRT2 * t)
-            - math.sinh(_SQRT2) * math.cosh(_SQRT2 * t)) / _LQ_DENOM
+    ts = _unit_times(t)
+    u = np.sinh(_SQRT2 * (ts - 1.0)) / _LQ_DENOM
+    return u if ts.ndim else float(u)
 
 
-def solved_example_exact_control(alpha, t: float) -> float:
+def solved_example_exact_control(alpha, t):
     """Optimal control of the benchmark solvable at every order in (0, 1].
 
     u(t) = -(1 - t)^(alpha + 1) * E_{alpha, alpha + 2}((1 - t)^alpha),
-    again on [0, 1] with u(1) = 0.
+    again on [0, 1], exactly 0.0 at t = 1.  ``t`` is a number, which gives
+    a float, or an array, which gives an array.
     """
     a = _order_value(alpha)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    w = 1.0 - t
-    if w == 0.0:
-        return 0.0
-    return -(w ** (a + 1.0)) * mittag_leffler(a, a + 2.0, w ** a)
+    w = 1.0 - _unit_times(t)
+    u = 0.0 - w ** (a + 1.0) * mittag_leffler(a, a + 2.0, w ** a)  # +0.0, not -0.0, at w = 0
+    return u if w.ndim else float(u)
 
 
-def max_control_error(u: TimeSeq, exact, grid: Grid) -> float:
+def max_control_error(u: TimeSeq, exact, grid: Grid, vectorized: bool = False) -> float:
     """max_{k=1..N} of the Euclidean gap between u_k and exact(t_k).
 
-    Node 0 is skipped: the discrete cost never reads the control there, so
-    solvers leave it unconstrained.
+    ``exact`` takes one time and returns the control there, or, with
+    ``vectorized``, takes the N times t_1..t_N in one array and returns
+    their controls stacked node first, of shape (N,) or (N, m).  Node 0 is
+    skipped: the discrete cost never reads the control there, so solvers
+    leave it unconstrained.
     """
     _require_window(u, grid.n, "control", 1)
-    ref = np.array([exact(t) for t in grid.times[1:]], dtype=float).reshape(grid.n, -1)
-    if ref.shape[1] != u.dim:
-        raise ValueError(f"reference returned size {ref.shape[1]}, control dim {u.dim}")
-    return float(np.max(_node_norms(u.values[1:] - ref)))  # NaN stays NaN, unlike max()
+    times = grid.times[1:]
+    ref = _real(exact(times) if vectorized
+                else [np.reshape(exact(t), -1) for t in times], "exact")
+    if ref.shape != (grid.n, u.dim) and not (ref.shape == (grid.n,) and u.dim == 1):
+        raise ValueError(f"reference returned shape {ref.shape}, expected "
+                         f"(N, m) = ({grid.n}, {u.dim})")
+    gaps = u.values[1:] - ref.reshape(grid.n, u.dim)
+    return float(np.max(_node_norms(gaps)))  # NaN stays NaN, unlike max()
 
 
 def convergence_order(errors_and_h) -> ConvergenceReport:

@@ -600,6 +600,16 @@ def test_complex_rhs_values_are_refused(d):
         solve_right_cauchy(0.5, grid, lambda x, k: (-x).astype(complex), 0.5, start)
 
 
+@pytest.mark.parametrize("start", ([1.0 + 2j], np.array([1.0 + 2j]), np.array([1.0, 2j])))
+def test_complex_starts_are_refused_by_name(start):
+    # a float conversion would march from the real part and only warn
+    grid = Grid(0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="^initial is a complex value"):
+        solve_left_cauchy(0.5, grid, CauchyRhs(lambda x, t: -x, 0.5), start)
+    with pytest.raises(ValueError, match="^terminal is a complex value"):
+        solve_right_cauchy(0.5, grid, lambda x, k: -x, 0.5, start)
+
+
 @pytest.mark.parametrize("d", (1, 2))
 def test_the_march_never_writes_into_a_callback_value(d):
     # a read-only value, one buffer refilled on every call and one cached

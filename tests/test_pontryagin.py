@@ -944,6 +944,11 @@ def test_callback_values_of_the_wrong_size_are_refused():
                                         f=lambda x, v, t: np.ones(2)), u)
 
 
+def test_a_complex_initial_value_is_refused_by_name():
+    with pytest.raises(ValueError, match="^initial is a complex value"):
+        dataclasses.replace(build_example("lq", 0.5, 20), initial=np.array([1.0 + 2j]))
+
+
 @pytest.mark.parametrize("vectorized", (True, False))
 def test_complex_callback_values_are_refused(vectorized):
     # a float conversion would keep the real part and only warn

@@ -11,6 +11,7 @@ import pytest
 from fracoc import (ConvergenceReport, DegenerateDataError, Grid, TimeSeq,
                     convergence_order, lq_exact_control, max_control_error,
                     mittag_leffler, solved_example_exact_control)
+from fracoc.reference import _log_gammas
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -78,6 +79,59 @@ def test_series_refuses_nan(args):
         mittag_leffler(*args)
 
 
+def scalar_mittag_leffler(alpha, beta, z):
+    """The one-number series loop the array recursion replaced: math.exp per
+    term, stopping after a term below 1e-15 of the partial sum."""
+    if z == 0.0:
+        return 1.0 / math.gamma(beta)
+    log_abs_z = math.log(abs(z))
+    total = 0.0
+    for k, log_gamma in enumerate(_log_gammas(alpha, beta)):
+        term = math.copysign(1.0, z) ** k * math.exp(k * log_abs_z - log_gamma)
+        total += term
+        if abs(term) <= 1e-15 * abs(total):
+            break
+    return total
+
+
+@pytest.mark.parametrize("alpha", (0.05, 0.3, 0.5, 0.75, 1.0, 2.0))
+@pytest.mark.parametrize("shift", (False, True))
+def test_array_series_matches_the_scalar_loop(alpha, shift):
+    beta = alpha + 2.0 if shift else 1.0
+    z = np.linspace(-2.0, 2.0, 81)
+    assert 0.0 in z
+    got = mittag_leffler(alpha, beta, z)
+    assert got.shape == z.shape
+    for zk, gk in zip(z, got):
+        ref = scalar_mittag_leffler(alpha, beta, zk)
+        # np.exp and math.exp may differ in the last bit of each term; for
+        # z < 0 the terms alternate, so that bit is measured against the sum
+        # of their sizes, E(|z|), which is the sum itself for z >= 0
+        scale = max(1.0, scalar_mittag_leffler(alpha, beta, abs(zk)))
+        assert abs(gk - ref) <= 4e-15 * scale, (zk, gk, ref)
+    assert got[z == 0.0][0] == 1.0 / math.gamma(beta)
+
+
+def test_series_keeps_the_kind_and_shape_of_its_argument():
+    value = mittag_leffler(0.5, 2.5, 1.0)
+    assert type(value) is float
+    assert type(mittag_leffler(0.5, 2.5, np.float64(0.3))) is float
+    z = np.array([[0.0, 0.5, -1.0], [2.0, -2.0, 1.0]])
+    values = mittag_leffler(0.5, 2.5, z)
+    assert values.shape == (2, 3)
+    assert values[1, 2] == value
+    npt.assert_array_equal(values.reshape(-1), mittag_leffler(0.5, 2.5, z.reshape(-1)))
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, 2.5))
+def test_series_refuses_a_bad_element_by_value(bad):
+    z = np.array([0.1, -0.5, bad, 3.0])
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        mittag_leffler(0.5, 1.0, z)
+    with pytest.raises(ValueError, match="^z is a complex value"):
+        mittag_leffler(0.5, 1.0, np.array([0.5 + 0.0j]))
+
+
 # -- benchmark controls ------------------------------------------------------------
 
 def test_quadratic_benchmark_frozen_values():
@@ -118,6 +172,22 @@ def test_benchmark_controls_validate_arguments():
         solved_example_exact_control(1.5, 0.5)
 
 
+@pytest.mark.parametrize("control", (lq_exact_control,
+                                     lambda t: solved_example_exact_control(0.5, t)))
+def test_benchmark_controls_on_arrays(control):
+    t = np.linspace(0.0, 1.0, 41)
+    u = control(t)
+    assert u.shape == t.shape
+    assert u[-1] == 0.0 and math.copysign(1.0, u[-1]) == 1.0
+    npt.assert_allclose(u, [control(tk) for tk in t], rtol=4e-15, atol=0.0)
+    assert type(control(0.25)) is float
+    npt.assert_array_equal(control(t.reshape(41, 1)), u.reshape(41, 1))
+    with pytest.raises(ValueError, match="got 1.5$"):
+        control(np.array([0.0, 1.5, 0.5]))
+    with pytest.raises(ValueError, match="got nan$"):
+        control(np.array([0.0, math.nan]))
+
+
 # -- error measurement ---------------------------------------------------------------
 
 def test_max_control_error_skips_the_first_node():
@@ -138,6 +208,54 @@ def test_max_control_error_validation():
         max_control_error(TimeSeq.zeros(3), lambda t: 0.0, grid)
     with pytest.raises(ValueError):
         max_control_error(TimeSeq.zeros(4), lambda t: np.zeros(2), grid)
+
+
+def test_max_control_error_per_node_and_stacked_agree():
+    grid = Grid(0.0, 1.0, 16)
+    rng = np.random.default_rng(3)
+    for m in (1, 2):
+        u = TimeSeq(rng.normal(size=(grid.n + 1, m)))
+        w = np.arange(1, m + 1)
+
+        def exact(t):  # arithmetic only, so one node and all nodes agree bit for bit
+            return np.multiply.outer(1.0 - t, w) * 0.3
+
+        per_node = max_control_error(u, exact, grid)
+        assert per_node == max_control_error(u, exact, grid, vectorized=True)
+    one = TimeSeq(rng.normal(size=(grid.n + 1, 1)))
+    flat = max_control_error(one, lambda t: 2.0 * t, grid, vectorized=True)  # shape (N,)
+    assert flat == max_control_error(one, lambda t: 2.0 * t, grid)
+    assert flat == float(np.max(np.abs(one.values[1:, 0] - 2.0 * grid.times[1:])))
+
+
+def test_max_control_error_stacked_shapes_and_nan():
+    grid = Grid(0.0, 1.0, 8)
+    u2 = TimeSeq(np.ones((grid.n + 1, 2)))
+    with pytest.raises(ValueError, match=r"shape \(9,\)"):  # (N+1,)
+        max_control_error(TimeSeq(np.ones((grid.n + 1, 1))),
+                          lambda t: np.zeros(grid.n + 1), grid, vectorized=True)
+    with pytest.raises(ValueError, match=r"shape \(8, 3\)"):  # (N, m+1)
+        max_control_error(u2, lambda t: np.zeros((len(t), 3)), grid, vectorized=True)
+    with pytest.raises(ValueError, match=r"shape \(8,\)"):  # (N,) with m = 2
+        max_control_error(u2, lambda t: np.zeros(len(t)), grid, vectorized=True)
+    with pytest.raises(ValueError):
+        max_control_error(u2, lambda t: 0.0, grid, vectorized=True)
+
+    def nan_row(t):
+        ref = np.zeros((len(t), 2))
+        ref[3, 1] = np.nan
+        return ref
+
+    assert np.isnan(max_control_error(u2, nan_row, grid, vectorized=True))
+
+
+@pytest.mark.parametrize("vectorized", (False, True))
+def test_max_control_error_refuses_a_complex_reference(vectorized):
+    # a float conversion would keep the real part, 1.0, and only warn
+    grid = Grid(0.0, 1.0, 1)
+    with pytest.raises(ValueError, match="^exact returned a complex value"):
+        max_control_error(TimeSeq.zeros(1), lambda t: np.array([1 + 5j]), grid,
+                          vectorized=vectorized)
 
 
 # -- order fitting ----------------------------------------------------------------------
