@@ -11,9 +11,9 @@ this with G the group generator along the solution yields a sequence that
 is constant in k.
 
 The sum is never formed from the matrices.  Its first-column and depth-1
-parts are cumulative sums; its band part is evaluated by divide and
-conquer over the rows, whose cross terms are FFT products, in
-O(N log^2 N) work.
+parts are cumulative sums.  Its band part halves the rows down to 64-row
+leaves, whose tree is walked level by level: leaves in batched Gram
+products, cross terms in stacked FFT products, O(N log^2 N) work in all.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .frac_cauchy import _real
 from .gl_ops import (Grid, TimeSeq, _order_value, _require_window, delta_minus,
                      delta_plus, gl_coefficients)
 from .pontryagin import OcpProblem, PontryaginSolution, _at_nodes
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 _LEAF = 64  # rows up to which the band sum is one masked Gram matrix
+_LEAF_BATCH = 4  # leaves per Gram product; with _BATCH_ROWS, caps the scratch
+_BATCH_ROWS = 2048  # FFT rows up to which a level's blocks stack their transforms
 
 
 @dataclass(frozen=True)
@@ -59,20 +62,20 @@ def group_axiom_defect(group: OneParamGroup, points: Sequence[np.ndarray]) -> fl
     """Largest sampled defect of the identity and generator axioms.
 
     The generator is compared with the central difference of ``map`` at
-    s = +-1e-5.
+    s = +-1e-5.  A complex point or value raises ``ValueError``.
     """
-    def row(value) -> np.ndarray:
-        value = np.asarray(value, dtype=float)
+    def row(value, name: str = "a group map") -> np.ndarray:
+        value = _real(value, name)
         return value[0] if group.vectorized else value
 
     s = 1e-5
     gaps = []
     for x in points:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.atleast_1d(_real(x, "a point", "is"))
         arg = x[None] if group.vectorized else x  # a one-row stack when vectorized
         at_zero = row(group.map(0.0, arg))
         fd = (row(group.map(s, arg)) - row(group.map(-s, arg))) / (2 * s)
-        gen = row(group.generator(arg))
+        gen = row(group.generator(arg), "a group generator")
         gaps += [np.max(np.abs(at_zero - x)), np.max(np.abs(fd - gen))]
     return float(np.max(gaps, initial=0.0))  # NaN stays NaN, unlike max()
 
@@ -144,40 +147,63 @@ def _band_sum(c: np.ndarray, g: np.ndarray, p: np.ndarray, out: np.ndarray,
               lo: int, hi: int) -> None:
     """Add the band pairs lo <= j < m < hi into rows lo..hi-1 of ``out``.
 
-    Divide and conquer over the rows.  A pair with j < mid <= m adds its
-    term c_{m-j+1} g_j . p_m to every row in [j, m]: rows i < mid take the
-    prefix sum over j <= i of g_j . u_j with u_j = sum_{m >= mid}
-    c_{m-j+1} p_m, rows i >= mid the suffix sum over m >= i of p_m . v_m
-    with v_m = sum_{j < mid} c_{m-j+1} g_j.  Both are products with the
-    kernel c_{t+2}, t = 0..hi-lo-2, done by FFT at a power-of-two size of
-    at least hi-lo-1, so the wrap-around lands on entries that are not
-    kept.  Leaves of up to ``_LEAF`` rows sum their masked Gram matrix
-    directly.  The FFT adds a round-off of about eps log n sum |c_r| |g| |p|
-    to each row, norm-wise, not relative to each term.
-    """
-    w = hi - lo
+    Rows are halved at mid = (lo + hi) // 2 down to leaves of ``_LEAF``
+    rows or fewer, which sum their masked Gram matrix.  A pair with
+    j < mid <= m adds c_{m-j+1} g_j . p_m to each row in [j, m]: rows
+    i < mid the prefix sum over j <= i of g_j . u_j, u_j = sum_{m >= mid}
+    c_{m-j+1} p_m, rows i >= mid the suffix sum over m >= i of p_m . v_m,
+    v_m = sum_{j < mid} c_{m-j+1} g_j.  Both are FFT products with the
+    kernel c_{t+2}, t = 0..hi-lo-2, whose wrap-around lands on entries not
+    kept, and add a round-off of about eps log n sum |c_r| |g| |p| to each
+    row.  The tree is walked level by level from the deepest, so each row
+    takes its leaf term, then its ancestors' cross terms, as a depth-first
+    recursion adds them, bit for bit."""
+    levels = [[(lo, hi - lo)]]
+    while levels[-1]:
+        levels.append([half for a, w in levels[-1] if w > _LEAF
+                       for half in ((a, w // 2), (a + w // 2, w - w // 2))])
+    for level in reversed(levels[:-1]):
+        for w in {w for _, w in level}:  # at most two widths a level
+            _level_sum(c, g, p, out, np.array([a for a, v in level if v == w])[:, None], w)
+
+
+def _level_sum(c, g, p, out, starts: np.ndarray, w: int) -> None:
+    """The blocks of ``w`` rows at ``starts``: leaves ``_LEAF_BATCH`` to a Gram
+    product, split blocks in stacked FFT products of up to ``_BATCH_ROWS`` rows."""
     if w <= _LEAF:
         k = np.arange(w)
         weights = np.triu(c[np.abs(k[None, :] - k[:, None] + 1)], 1)  # c_{m-j+1}, m > j
-        # einsum, not matmul: OpenBLAS's first matrix product maps a work buffer
-        # that adds about 0.4 MB to a process's peak memory
-        gram = weights * np.einsum("jd,md->jm", g[lo:hi], p[lo:hi])
-        tails = np.cumsum(gram[:, ::-1], axis=1)[:, ::-1]  # sum over m >= i
-        out[lo:hi] += np.triu(tails).sum(axis=0)          # sum over j <= i
+        lower = k[:, None] > k  # j > i
+        for s in range(0, len(starts), _LEAF_BATCH):
+            rows = starts[s:s + _LEAF_BATCH] + k
+            # einsum, not matmul: OpenBLAS's work buffer adds 0.4 MB to peak memory
+            gram = np.einsum("bjd,bmd->bjm", g[rows], p[rows])
+            gram *= weights
+            np.cumsum(gram[:, :, ::-1], axis=2, out=gram[:, :, ::-1])  # sum over m >= i
+            np.copyto(gram, 0.0, where=lower)
+            out[rows] += gram.sum(axis=1)  # sum over j <= i
         return
-    mid = (lo + hi) // 2
-    _band_sum(c, g, p, out, lo, mid)
-    _band_sum(c, g, p, out, mid, hi)
-    nl, nr = mid - lo, hi - mid
-    size = 1 << (w - 2).bit_length()
+    d, nl, nr, size = g.shape[1], w // 2, w - w // 2, 1 << (w - 2).bit_length()
     kernel = np.fft.rfft(c[2:w + 1], size)[:, None]
-    # v_m at m = mid + b is entry nl-1+b; u_j at j = mid-1-a is entry nr-1+a
-    v = np.fft.irfft(np.fft.rfft(g[lo:mid], size, axis=0) * kernel, size, axis=0)
-    u = np.fft.irfft(np.fft.rfft(p[mid:hi][::-1], size, axis=0) * kernel, size, axis=0)
-    out[lo:mid] += np.cumsum(np.einsum("jd,jd->j", g[lo:mid],
-                                       u[nr - 1:nr - 1 + nl][::-1]))
-    out[mid:hi] += np.cumsum(np.einsum("md,md->m", p[mid:hi],
-                                       v[nl - 1:nl - 1 + nr])[::-1])[::-1]
+    def conv(x: np.ndarray) -> np.ndarray:  # along axis -2
+        return np.fft.irfft(np.fft.rfft(x, size, axis=-2) * kernel, size, axis=-2)
+    step = _BATCH_ROWS // size
+    blocks = ([(slice(a, a + nl), slice(a + nl, a + w)) for a in starts[:, 0]] if step < 2 else
+              [(starts[s:s + step] + np.arange(nl), starts[s:s + step] + np.arange(nl, w))
+               for s in range(0, len(starts), step)])
+    dot = "...d,...d->..."  # row by row
+    for left, right in blocks:
+        gl, pr = g[left], p[right]
+        if step < 2:
+            v, u = conv(gl), conv(pr[::-1])
+        else:
+            x = np.zeros((len(left), nr, 2 * d))
+            x[:, :nl, :d], x[:, :, d:] = gl, pr[:, ::-1]
+            v, u = np.split(conv(x), [d], axis=-1)
+        # v_m at m = mid + b is entry nl-1+b; u_j at j = mid-1-a is entry nr-1+a
+        out[left] += np.cumsum(np.einsum(dot, gl, u[..., w - 2:nr - 2:-1, :]), axis=-1)
+        out[right] += np.cumsum(np.einsum(dot, pr, v[..., nl - 1:w - 1, :])[..., ::-1],
+                                axis=-1)[..., ::-1]
 
 
 def conserved_quantity(alpha, grid: Grid, gen: TimeSeq, p: TimeSeq) -> TimeSeq:
@@ -233,8 +259,8 @@ def invariance_residual(problem: OcpProblem, groups: Sequence[OneParamGroup],
     k = 1..N, is evaluated once as is and once per parameter s with Q, U
     and P moved by phi1(s, .), phi2(s, .) and phi3(s, .); L and f come from
     one node walk over the moved Q and U.  A vectorized group moves each
-    sequence in one call per sample and must return its shape
-    (``ValueError`` otherwise); any other group is called once per row.
+    sequence in one call per sample, any other group one row per call; a
+    map value of another shape, or a complex one, raises ``ValueError``.
     Returns the largest absolute difference over all nodes and samples, NaN
     if any bracket is NaN.
     Sampling a handful of s values is evidence of invariance, not a proof.
@@ -256,12 +282,11 @@ def invariance_residual(problem: OcpProblem, groups: Sequence[OneParamGroup],
                 - (w @ dq.values[1:, :, None]).reshape(-1))
 
     def moved(phi: OneParamGroup, s: float, rows: np.ndarray) -> np.ndarray:
-        if not phi.vectorized:
-            return np.stack([np.asarray(phi.map(s, x), dtype=float) for x in rows])
-        out = np.asarray(phi.map(s, rows), dtype=float)
+        out = _real(phi.map(s, rows) if phi.vectorized
+                    else np.stack([phi.map(s, x) for x in rows]), "a group map")
         if out.shape != rows.shape:
-            raise ValueError(f"a vectorized group map returned shape {out.shape} "
-                             f"for rows of shape {rows.shape}")
+            raise ValueError(f"a {'vectorized ' if phi.vectorized else ''}group map returned "
+                             f"shape {out.shape} for rows of shape {rows.shape}")
         return out
 
     base = bracket(q.values, u.values, p.values[:n])

@@ -15,6 +15,7 @@ from fracoc import (Grid, OcpProblem, OneParamGroup, SweepOpts, TimeSeq,
                     gl_coefficients, group_axiom_defect, invariance_residual,
                     matrix_entry, rotation_groups, solve_pontryagin,
                     transfer_residual)
+from fracoc import noether
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0)
 SKEW = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -163,6 +164,71 @@ def test_shift_sum_matches_per_depth_loop(alpha, n):
         else:
             npt.assert_allclose(got, ref, rtol=0,
                                 atol=1e-13 * max(1.0, np.max(np.abs(ref))))
+
+
+def recursive_band_sum(c, g, p, out, lo, hi):
+    """The depth-first band sum that the level walk replaced: each block's
+    halves first, then its cross terms, one recursion frame per block."""
+    w = hi - lo
+    if w <= 64:
+        k = np.arange(w)
+        weights = np.triu(c[np.abs(k[None, :] - k[:, None] + 1)], 1)
+        gram = weights * np.einsum("jd,md->jm", g[lo:hi], p[lo:hi])
+        tails = np.cumsum(gram[:, ::-1], axis=1)[:, ::-1]
+        out[lo:hi] += np.triu(tails).sum(axis=0)
+        return
+    mid = (lo + hi) // 2
+    recursive_band_sum(c, g, p, out, lo, mid)
+    recursive_band_sum(c, g, p, out, mid, hi)
+    nl, nr = mid - lo, hi - mid
+    size = 1 << (w - 2).bit_length()
+    kernel = np.fft.rfft(c[2:w + 1], size)[:, None]
+    v = np.fft.irfft(np.fft.rfft(g[lo:mid], size, axis=0) * kernel, size, axis=0)
+    u = np.fft.irfft(np.fft.rfft(p[mid:hi][::-1], size, axis=0) * kernel, size, axis=0)
+    out[lo:mid] += np.cumsum(np.einsum("jd,jd->j", g[lo:mid],
+                                       u[nr - 1:nr - 1 + nl][::-1]))
+    out[mid:hi] += np.cumsum(np.einsum("md,md->m", p[mid:hi],
+                                       v[nl - 1:nl - 1 + nr])[::-1])[::-1]
+
+
+def walk_and_recursion(monkeypatch, evaluate):
+    """``evaluate()`` by the level walk, then by the recursion."""
+    walk = evaluate()
+    with monkeypatch.context() as patch:
+        patch.setattr(noether, "_band_sum", recursive_band_sum)
+        return walk, evaluate()
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 63, 64, 65, 67, 127, 128, 129, 130, 257,
+                               1000, 3200, 6401, 25600))
+def test_band_sum_level_walk_matches_the_recursion_bit_for_bit(n, monkeypatch):
+    # n = 130 puts a 64-row leaf and a 65-row block on one level, so leaves
+    # sit at two depths; from n = 1000 on, the leaves of a level, and from
+    # 3200 on its stacked transforms, take several batches
+    rng = np.random.default_rng(n)
+    grid = Grid(0.0, 1.0, n)
+    for d in (1, 2, 3):
+        g, p = rng.normal(size=(n + 1, d)), rng.normal(size=(n + 1, d))
+        p[n] = 0.0
+        for alpha in (0.3, 0.6, 1.0):
+            inv, ref = walk_and_recursion(monkeypatch, lambda: conserved_quantity(
+                alpha, grid, TimeSeq(g), TimeSeq(p)).values)
+            npt.assert_array_equal(inv, ref)
+        # the same shift sum, so once per d is enough
+        res, ref = walk_and_recursion(monkeypatch, lambda: transfer_residual(
+            0.6, grid, TimeSeq(g), TimeSeq(p)))
+        assert res == ref
+
+
+@pytest.mark.parametrize("n", (130, 1000, 6401))
+def test_band_sum_level_walk_keeps_the_recursions_nan_pattern(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    g, p = rng.normal(size=(n + 1, 2)), rng.normal(size=(n + 1, 2))
+    g[n // 3, 1] = np.nan
+    inv, ref = walk_and_recursion(monkeypatch, lambda: conserved_quantity(
+        0.6, Grid(0.0, 1.0, n), TimeSeq(g), TimeSeq(p)).values)
+    assert 0 < np.isnan(ref).sum() < n + 1
+    npt.assert_array_equal(inv, ref)  # NaN where, and only where, the recursion has one
 
 
 def test_conserved_quantity_validation():
@@ -428,3 +494,37 @@ def test_group_axioms_hand_a_stacked_group_one_row():
     assert shapes == [(1, 2)] * 6
     broken = dataclasses.replace(rot, generator=lambda x: 2.0 * rot.generator(x))
     assert group_axiom_defect(broken, points) >= 1e-3
+
+
+def plus_one_entry(move):
+    return lambda s, x: np.concatenate([move(s, x), np.ones(np.shape(x)[:-1] + (1,))], axis=-1)
+
+
+@pytest.mark.parametrize("vectorized", (True, False))
+def test_invariance_residual_refuses_complex_and_misshapen_maps_on_both_paths(vectorized):
+    problem = build_example("rotation", 0.75, 20)
+    sol = solve_pontryagin(problem)
+    groups = [dataclasses.replace(g, vectorized=vectorized) for g in rotation_groups()]
+    for i, move, message in ((2, lambda s, x: groups[2].map(s, x) + 1e-3j,
+                              "a group map returned a complex value"),
+                             (1, plus_one_entry(groups[1].map),
+                              "group map returned shape")):
+        broken = list(groups)
+        broken[i] = dataclasses.replace(groups[i], map=move)
+        with pytest.raises(ValueError, match=message):
+            invariance_residual(problem, broken, sol, (0.5,))
+
+
+@pytest.mark.parametrize("vectorized", (True, False))
+def test_group_axioms_refuse_complex_values_on_both_paths(vectorized):
+    rot = dataclasses.replace(rotation_groups()[0], vectorized=vectorized)
+    points = [np.array([1.0, 0.5])]
+    for broken, message in (
+            (dataclasses.replace(rot, map=lambda s, x: rot.map(s, x) + 1e-3j),
+             "a group map returned a complex value"),
+            (dataclasses.replace(rot, generator=lambda x: 1j * rot.generator(x)),
+             "a group generator returned a complex value")):
+        with pytest.raises(ValueError, match=message):
+            group_axiom_defect(broken, points)
+    with pytest.raises(ValueError, match="a point is a complex value"):
+        group_axiom_defect(rot, [np.array([1.0, 0.5j])])
