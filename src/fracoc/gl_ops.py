@@ -17,6 +17,7 @@ backward and forward difference quotients.
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -117,10 +118,11 @@ class FracCoeffs:
 
 @functools.lru_cache(maxsize=128)
 def _gl_cached(alpha: float, n: int) -> FracCoeffs:
-    c = np.empty(n + 1)
-    c[0] = 1.0
-    for r in range(1, n + 1):
-        c[r] = c[r - 1] * (r - 1 - alpha) / r
+    # on Python floats, which round as float64 array elements do, without
+    # numpy's per-element reads and writes or a list of n floats
+    c = np.fromiter(itertools.accumulate(range(1, n + 1), initial=1.0,
+                                         func=lambda prev, r: prev * (r - 1 - alpha) / r),
+                    float, n + 1)
     return FracCoeffs(alpha=alpha, coeffs=c, partial_sums=np.cumsum(c))
 
 

@@ -12,8 +12,9 @@ is constant in k.
 
 The sum is never formed from the matrices.  Its first-column and depth-1
 parts are cumulative sums.  Its band part halves the rows down to 64-row
-leaves, whose tree is walked level by level: leaves in batched Gram
-products, cross terms in stacked FFT products, O(N log^2 N) work in all.
+leaves, whose tree is walked level by level: leaves in stacked products
+with their weight matrix and one cumulative sum, cross terms in stacked
+FFT products, O(N log^2 N) work in all.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ __all__ = [
     "group_axiom_defect",
 ]
 
-_LEAF = 64  # rows up to which the band sum is one masked Gram matrix
-_LEAF_BATCH = 4  # leaves per Gram product; with _BATCH_ROWS, caps the scratch
-_BATCH_ROWS = 2048  # FFT rows up to which a level's blocks stack their transforms
+_LEAF = 64  # rows up to which a block of the band sum is summed as a whole
+_BATCH_ROWS = 2048  # rows up to which a level's blocks stack their products
 
 
 @dataclass(frozen=True)
@@ -148,17 +148,17 @@ def _band_sum(c: np.ndarray, g: np.ndarray, p: np.ndarray, out: np.ndarray,
     """Add the band pairs lo <= j < m < hi into rows lo..hi-1 of ``out``.
 
     Rows are halved at mid = (lo + hi) // 2 down to leaves of ``_LEAF``
-    rows or fewer, which sum their masked Gram matrix.  A pair with
-    j < mid <= m adds c_{m-j+1} g_j . p_m to each row in [j, m]: rows
-    i < mid the prefix sum over j <= i of g_j . u_j, u_j = sum_{m >= mid}
-    c_{m-j+1} p_m, rows i >= mid the suffix sum over m >= i of p_m . v_m,
-    v_m = sum_{j < mid} c_{m-j+1} g_j.  Both are FFT products with the
-    kernel c_{t+2}, t = 0..hi-lo-2, whose wrap-around lands on entries not
-    kept, and add a round-off of about eps log n sum |c_r| |g| |p| to each
-    row.  The tree is walked level by level from the deepest, so each row
-    takes its leaf term, then its ancestors' cross terms, as a depth-first
-    recursion adds them, bit for bit."""
-    levels = [[(lo, hi - lo)]]
+    rows or fewer, summed as ``_level_sum`` says.  A pair with j < mid <= m
+    adds c_{m-j+1} g_j . p_m to each row in [j, m]: rows i < mid the prefix
+    sum over j <= i of g_j . u_j, u_j = sum_{m >= mid} c_{m-j+1} p_m, rows
+    i >= mid the suffix sum over m >= i of p_m . v_m, v_m = sum_{j < mid}
+    c_{m-j+1} g_j.  Both are FFT products with the kernel c_{t+2},
+    t = 0..hi-lo-2, whose wrap-around lands on entries not kept, and add a
+    round-off of about eps log n sum |c_r| |g| |p| to each row.  The tree
+    is walked level by level from the deepest, so each row takes its leaf
+    term, then its ancestors' cross terms, as a depth-first recursion adds
+    them, bit for bit."""
+    levels = [[(lo, hi - lo)] if hi > lo else []]
     while levels[-1]:
         levels.append([half for a, w in levels[-1] if w > _LEAF
                        for half in ((a, w // 2), (a + w // 2, w - w // 2))])
@@ -168,20 +168,29 @@ def _band_sum(c: np.ndarray, g: np.ndarray, p: np.ndarray, out: np.ndarray,
 
 
 def _level_sum(c, g, p, out, starts: np.ndarray, w: int) -> None:
-    """The blocks of ``w`` rows at ``starts``: leaves ``_LEAF_BATCH`` to a Gram
-    product, split blocks in stacked FFT products of up to ``_BATCH_ROWS`` rows."""
+    """The blocks of ``w`` rows at ``starts``, in stacked products of up to
+    ``_BATCH_ROWS`` rows.  A leaf with weights W_jm = c_{m-j+1}, m > j,
+    gives row i the sum over j <= i of g_j . (W p)_j less the sum over
+    m < i of p_m . (W^T g)_m, within about eps w sum |c_r| |g| |p| of its
+    masked Gram sum.  The products multiply a NaN or inf by W's zeros,
+    spoiling the leaf's earlier rows, so a leaf whose sum is not finite
+    takes its Gram sum instead."""
     if w <= _LEAF:
         k = np.arange(w)
-        weights = np.triu(c[np.abs(k[None, :] - k[:, None] + 1)], 1)  # c_{m-j+1}, m > j
-        lower = k[:, None] > k  # j > i
-        for s in range(0, len(starts), _LEAF_BATCH):
-            rows = starts[s:s + _LEAF_BATCH] + k
-            # einsum, not matmul: OpenBLAS's work buffer adds 0.4 MB to peak memory
-            gram = np.einsum("bjd,bmd->bjm", g[rows], p[rows])
-            gram *= weights
-            np.cumsum(gram[:, :, ::-1], axis=2, out=gram[:, :, ::-1])  # sum over m >= i
-            np.copyto(gram, 0.0, where=lower)
-            out[rows] += gram.sum(axis=1)  # sum over j <= i
+        weights = np.triu(c[np.abs(k[None, :] - k[:, None] + 1)], 1)  # W_jm, zero at m <= j
+        trans = weights.T.copy()
+        for s in range(0, len(starts), _BATCH_ROWS // w):
+            rows = (starts[s:s + _BATCH_ROWS // w] + k).T  # a leaf per column
+            gs, ps = g[rows], p[rows]  # (row, leaf, component)
+            # einsum, not matmul: OpenBLAS's work buffer adds 0.4 MB to peak
+            # memory; each sum runs over the leading axis, as for a lone leaf
+            sums = np.einsum("jbd,jbd->jb", gs, np.einsum("mj,m...->j...", trans, ps))
+            sums[1:] -= np.einsum("mbd,mbd->mb", ps, np.einsum("jm,j...->m...", weights, gs))[:-1]
+            np.cumsum(sums, axis=0, out=sums)
+            for b in np.flatnonzero(~np.isfinite(sums[-1])):  # a sum stays non-finite once it is
+                gram = np.einsum("jd,md->jm", gs[:, b], ps[:, b]) * weights
+                sums[:, b] = np.triu(np.cumsum(gram[:, ::-1], axis=1)[:, ::-1]).sum(axis=0)
+            out[rows] += sums
         return
     d, nl, nr, size = g.shape[1], w // 2, w - w // 2, 1 << (w - 2).bit_length()
     kernel = np.fft.rfft(c[2:w + 1], size)[:, None]

@@ -53,6 +53,23 @@ def test_weight_sign_and_partial_sum_invariants(alpha, n):
     assert np.all(co.partial_sums >= 0.0)
 
 
+def elementwise_weights(alpha, n):
+    """The weight recurrence as it was written before, one array element at a time."""
+    c = np.empty(n + 1)
+    c[0] = 1.0
+    for r in range(1, n + 1):
+        c[r] = c[r - 1] * (r - 1 - alpha) / r
+    return c
+
+
+@pytest.mark.parametrize("alpha", (0.05, 0.33, 0.5, 0.65, 0.87, 1.0))
+@pytest.mark.parametrize("n", (1, 2, 6400, 25600))
+def test_weights_match_the_elementwise_recurrence_bit_for_bit(alpha, n):
+    co = gl_coefficients(alpha, n)
+    npt.assert_array_equal(co.coeffs, elementwise_weights(alpha, n))
+    npt.assert_array_equal(co.partial_sums, np.cumsum(elementwise_weights(alpha, n)))
+
+
 def test_weights_are_cached_and_read_only():
     co = gl_coefficients(0.75, 12)
     assert gl_coefficients(0.75, 12) is co

@@ -166,20 +166,31 @@ def test_shift_sum_matches_per_depth_loop(alpha, n):
                                 atol=1e-13 * max(1.0, np.max(np.abs(ref))))
 
 
-def recursive_band_sum(c, g, p, out, lo, hi):
+def gram_leaf(c, g, p, out, lo, hi):
+    """The masked Gram sum that leaves took before the product leaf: every
+    pair of rows weighted, then a suffix sum over m and a column sum over j."""
+    k = np.arange(hi - lo)
+    weights = np.triu(c[np.abs(k[None, :] - k[:, None] + 1)], 1)
+    gram = weights * np.einsum("jd,md->jm", g[lo:hi], p[lo:hi])
+    tails = np.cumsum(gram[:, ::-1], axis=1)[:, ::-1]
+    out[lo:hi] += np.triu(tails).sum(axis=0)
+
+
+def product_leaf(c, g, p, out, lo, hi):
+    if hi > lo:  # n = 1 leaves no band rows
+        noether._level_sum(c, g, p, out, np.array([[lo]]), hi - lo)
+
+
+def recursive_band_sum(c, g, p, out, lo, hi, leaf=product_leaf):
     """The depth-first band sum that the level walk replaced: each block's
     halves first, then its cross terms, one recursion frame per block."""
     w = hi - lo
     if w <= 64:
-        k = np.arange(w)
-        weights = np.triu(c[np.abs(k[None, :] - k[:, None] + 1)], 1)
-        gram = weights * np.einsum("jd,md->jm", g[lo:hi], p[lo:hi])
-        tails = np.cumsum(gram[:, ::-1], axis=1)[:, ::-1]
-        out[lo:hi] += np.triu(tails).sum(axis=0)
+        leaf(c, g, p, out, lo, hi)
         return
     mid = (lo + hi) // 2
-    recursive_band_sum(c, g, p, out, lo, mid)
-    recursive_band_sum(c, g, p, out, mid, hi)
+    recursive_band_sum(c, g, p, out, lo, mid, leaf)
+    recursive_band_sum(c, g, p, out, mid, hi, leaf)
     nl, nr = mid - lo, hi - mid
     size = 1 << (w - 2).bit_length()
     kernel = np.fft.rfft(c[2:w + 1], size)[:, None]
@@ -191,12 +202,60 @@ def recursive_band_sum(c, g, p, out, lo, hi):
                                        v[nl - 1:nl - 1 + nr])[::-1])[::-1]
 
 
-def walk_and_recursion(monkeypatch, evaluate):
-    """``evaluate()`` by the level walk, then by the recursion."""
+def walk_and_recursion(monkeypatch, evaluate, band_sum=recursive_band_sum):
+    """``evaluate()`` by the level walk, then by ``band_sum``."""
     walk = evaluate()
     with monkeypatch.context() as patch:
-        patch.setattr(noether, "_band_sum", recursive_band_sum)
+        patch.setattr(noether, "_band_sum", band_sum)
         return walk, evaluate()
+
+
+def gram_band_sum(c, g, p, out, lo, hi):
+    recursive_band_sum(c, g, p, out, lo, hi, gram_leaf)
+
+
+@pytest.mark.parametrize("w", (1, 2, 3, 49, 50, 63, 64))
+def test_product_leaf_matches_the_gram_leaf(w):
+    # three leaves of one width in one call, each against its Gram sum
+    rng = np.random.default_rng(w)
+    starts = np.array([[0], [w], [3 * w]])
+    for alpha in (0.3, 0.6, 1.0):
+        c = gl_coefficients(alpha, 64).coeffs
+        for d in (1, 2, 3):
+            g, p = rng.normal(size=(4 * w, d)), rng.normal(size=(4 * w, d))
+            got, ref = np.zeros(4 * w), np.zeros(4 * w)
+            noether._level_sum(c, g, p, got, starts, w)
+            for lo in starts[:, 0]:
+                gram_leaf(c, g, p, ref, lo, lo + w)
+            if alpha == 1.0:  # every band weight is 0, so nothing is rounded
+                npt.assert_array_equal(got, ref)
+            else:
+                assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("n", (130, 1000, 6401))
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+@pytest.mark.parametrize("where", ("g", "p"))
+def test_band_sum_keeps_a_bad_value_where_the_gram_leaf_kept_it(n, bad, where, monkeypatch):
+    # W's structural zeros times a NaN or inf would spoil a product leaf's
+    # rows before the bad node; such a leaf takes its Gram sum instead
+    rng = np.random.default_rng(n)
+    g, p = rng.normal(size=(n + 1, 2)), rng.normal(size=(n + 1, 2))
+    (g if where == "g" else p)[n // 3, 1] = bad
+
+    def evaluate():
+        with np.errstate(invalid="ignore"):  # inf times a zero weight warns
+            return conserved_quantity(0.6, Grid(0.0, 1.0, n), TimeSeq(g),
+                                      TimeSeq(p)).values[:, 0]
+
+    inv, ref = walk_and_recursion(monkeypatch, evaluate)
+    npt.assert_array_equal(inv, ref)
+    _, gram = walk_and_recursion(monkeypatch, evaluate, gram_band_sum)
+    spoiled = ~np.isfinite(gram)
+    npt.assert_array_equal(~np.isfinite(inv), spoiled)
+    npt.assert_array_equal(inv[spoiled], gram[spoiled])
+    if where == "g":  # g_j reaches rows j and after only
+        assert np.flatnonzero(spoiled)[0] == n // 3
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 63, 64, 65, 67, 127, 128, 129, 130, 257,
