@@ -134,12 +134,15 @@ def _weighted_shift_sum(alpha: float, n: int, g: np.ndarray,
     c, b = co.coeffs, co.partial_sums
     # += on zeros keeps a -0.0 product out of the result
     out = np.zeros(n + 1)
-    out += c[1] * np.einsum("kd,kd->k", g, p)
-
-    dots0 = p[:n] @ g[0]  # dots0[r-1] = g_0 . p_{r-1}, r = 1..n
-    out[1:] += np.cumsum(b[1:] * dots0)
-    out[2:] -= np.cumsum(c[2:] * dots0[1:])
-    _band_sum(c, g, p, out, 1, n)
+    # an inf in g or p meets zero weights and opposite infs in the products
+    # and sums below; the NaN that makes is the answer, as it is for
+    # delta_minus, so it is not warned about
+    with np.errstate(invalid="ignore"):
+        out += c[1] * np.einsum("kd,kd->k", g, p)
+        dots0 = p[:n] @ g[0]  # dots0[r-1] = g_0 . p_{r-1}, r = 1..n
+        out[1:] += np.cumsum(b[1:] * dots0)
+        out[2:] -= np.cumsum(c[2:] * dots0[1:])
+        _band_sum(c, g, p, out, 1, n)
     return out
 
 
@@ -253,10 +256,12 @@ def transfer_residual(alpha, grid: Grid, g1: TimeSeq, g2: TimeSeq) -> float:
     dm = delta_minus(a, grid, g1, caputo=True)
     dp = delta_plus(a, grid, g2, caputo=False)
     scale = grid.h ** (1.0 - a) / grid.h
-    # nodewise dot products through matmul, which sums each as g1_k @ dp_{k-1} does
-    lhs = (g1.values[1:, None] @ dp.values[:-1, :, None]
-           - dm.values[1:, None] @ g2.values[:-1, :, None]).reshape(-1)
-    return float(np.max(np.abs(lhs - scale * np.diff(s))))
+    # nodewise dot products through matmul, which sums each as g1_k @ dp_{k-1} does;
+    # an inf in g1 or g2 gives NaN here as in the weighted shift sum, silently
+    with np.errstate(invalid="ignore"):
+        lhs = (g1.values[1:, None] @ dp.values[:-1, :, None]
+               - dm.values[1:, None] @ g2.values[:-1, :, None]).reshape(-1)
+        return float(np.max(np.abs(lhs - scale * np.diff(s))))
 
 
 def invariance_residual(problem: OcpProblem, groups: Sequence[OneParamGroup],

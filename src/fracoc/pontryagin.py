@@ -13,11 +13,11 @@ control, solves the two Cauchy problems, refreshes the control from the
 stationary condition and repeats until both the stationarity defect and the
 control increment fall below tolerance.
 
-Every march of the sweep is linear, one direct solve per node: the
-adjoint, the linearized state of :func:`gateaux_derivative`, and each
+Every march of the sweep is linear, one dense solve per block of nodes:
+the adjoint, the linearized state of :func:`gateaux_derivative`, and each
 Newton iterate of the state on the whole trajectory.  Only a stalled state
-falls back to the one nonlinear node solve, fixed-point steps node by
-node, and only the state checks h^alpha M < 1, under which they contract.
+falls back to the one nonlinear march, fixed-point steps node by node, and
+only the state checks h^alpha M < 1, under which they contract.
 A march stops with ``SingularNodeError`` when I - h^alpha df/dx cannot be
 inverted at a node, and with ``NonFiniteError`` when a callback returns
 NaN or infinity.
@@ -317,8 +317,9 @@ def adjoint_solve(problem: OcpProblem, u: TimeSeq, q: TimeSeq) -> TimeSeq:
 
     The equation at node k reads data at node k + 1, which is what makes
     the discrete integration by parts close without boundary terms.  It is
-    linear in P, so each node is one solve of
-    (I - h^alpha fx_{k+1}^T) P_k = const_k + h^alpha lx_{k+1}, and there is
+    linear in P, so each node equation is
+    (I - h^alpha fx_{k+1}^T) P_k = const_k + h^alpha lx_{k+1}, solved a
+    block of nodes at a time by one linear march, and there is
     no iteration to tune and no step-size gate, only an invertible node
     matrix (``SingularNodeError`` otherwise).
     """
@@ -347,7 +348,7 @@ def gateaux_derivative(problem: OcpProblem, u: TimeSeq, ubar: TimeSeq,
     """Directional derivative of the cost at u along ubar.
 
     Computed through the linearized state problem: solve for the first
-    variation Qbar with Qbar_0 = 0, one linear solve per node, then accumulate
+    variation Qbar with Qbar_0 = 0 by one linear march, then accumulate
     h * sum_k (dL/dx . Qbar_k + dL/dv . ubar_k).
     """
     _require_window(ubar, problem.grid.n, "ubar", 1, dim=problem.m)

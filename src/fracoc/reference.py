@@ -11,6 +11,7 @@ orders.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,10 +48,23 @@ class ConvergenceReport:
     pairwise_orders: tuple
 
 
+# Terms of the log-Gamma tables of :func:`mittag_leffler`, cached per
+# (alpha, beta) in chunks of this many, and the most any element may take.
+_CHUNK = 201
+_MAX_TERMS = 100 * _CHUNK
+
+
 @functools.lru_cache(maxsize=32)
-def _log_gammas(alpha: float, beta: float) -> tuple:
-    """log Gamma(alpha k + beta) for the k = 0..200 the series may reach."""
-    return tuple(math.lgamma(alpha * k + beta) for k in range(201))
+def _log_gamma_chunk(alpha: float, beta: float, first: int) -> tuple:
+    """log Gamma(alpha k + beta) for k = first..first + _CHUNK - 1."""
+    return tuple(math.lgamma(alpha * k + beta) for k in range(first, first + _CHUNK))
+
+
+def _log_gammas(alpha: float, beta: float):
+    """log Gamma(alpha k + beta) for k = 0, 1, .., ``_MAX_TERMS`` - 1, built a
+    cached chunk at a time as a sum reaches it."""
+    return itertools.chain.from_iterable(_log_gamma_chunk(alpha, beta, first)
+                                         for first in range(0, _MAX_TERMS, _CHUNK))
 
 
 def mittag_leffler(alpha: float, beta: float, z):
@@ -59,9 +73,12 @@ def mittag_leffler(alpha: float, beta: float, z):
     ``z`` is a number, which gives a float, or an array, which gives an
     array of its shape, each element summed on its own.  Terms are built
     from log-Gamma to dodge overflow; an element's sum stops once a term
-    falls below 1e-15 relative to its partial sum, or after 200 terms.
-    Restricted to finite alpha > 0, beta > 0 and |z| <= 2, where that
-    truncation is far below double precision.
+    falls below 1e-15 relative to its partial sum.  Restricted to finite
+    alpha > 0, beta > 0 and |z| <= 2.  Small alpha needs many terms there,
+    and the sum may not fit a double at all (E_{0.1,1}(2) is about
+    10^445): an element whose term or partial sum overflows, or that has
+    not met its stopping rule after ``_MAX_TERMS`` terms, raises
+    ``ValueError`` naming it, where a truncated sum would come out low.
     """
     if not (0 < alpha < math.inf and 0 < beta < math.inf):  # NaN fails too
         raise ValueError(f"series parameters must be positive and finite, "
@@ -78,20 +95,28 @@ def mittag_leffler(alpha: float, beta: float, z):
     log_abs_z = np.log(np.abs(flat[live]))
     negative = flat[live] < 0.0
     partial = np.zeros(live.size)
-    for k, log_gamma in enumerate(_log_gammas(alpha, beta)):
-        if not live.size:
-            break
-        term = np.exp(k * log_abs_z - log_gamma)
-        if k & 1:
-            np.negative(term, out=term, where=negative)
-        partial += term
-        done = np.abs(term) <= 1e-15 * np.abs(partial)
-        if done.any():
-            total[live[done]] = partial[done]
-            keep = ~done
-            live, log_abs_z, negative, partial = (
-                live[keep], log_abs_z[keep], negative[keep], partial[keep])
-    total[live] = partial  # elements that ran out of terms
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        for k, log_gamma in enumerate(_log_gammas(alpha, beta)):
+            if not live.size:
+                break
+            term = np.exp(k * log_abs_z - log_gamma)
+            if k & 1:
+                np.negative(term, out=term, where=negative)
+            partial += term
+            # a partial sum that overflows meets this test at that term
+            done = np.abs(term) <= 1e-15 * np.abs(partial)
+            if done.any():
+                total[live[done]] = partial[done]
+                keep = ~done
+                live, log_abs_z, negative, partial = (
+                    live[keep], log_abs_z[keep], negative[keep], partial[keep])
+    over = ~np.isfinite(total)
+    if over.any():
+        raise ValueError(f"E_{{{alpha},{beta}}}(z) overflows a double at "
+                         f"z = {flat[over.argmax()]}")
+    if live.size:
+        raise ValueError(f"E_{{{alpha},{beta}}}(z) has not converged after "
+                         f"{_MAX_TERMS} terms at z = {flat[live[0]]}")
     return total.reshape(zs.shape) if zs.ndim else float(total[0])
 
 

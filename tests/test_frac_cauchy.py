@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -425,6 +426,24 @@ def test_an_empty_start_is_refused_by_name():
 B = frac_cauchy._BLOCK
 
 
+def node_by_node(alpha, n, solve_node, reverse):
+    """A block solver for ``_march`` that solves one node per call, as the
+    kernel did before it took blocks: y_j = solve_node(const_j, k, y_{j-1})
+    for node k of march row j, with the near sum formed as the fixed-point
+    block forms it."""
+    c = gl_coefficients(alpha, n).coeffs
+    rc = np.ascontiguousarray(c[min(B - 1, n):0:-1])
+    top = rc.size
+
+    def block(lo, hi, base, y, dev):
+        for i, j in enumerate(range(lo, hi)):
+            const = base[i] - rc[top - i:].dot(dev[lo:j]) if i else base[i]
+            y[j] = solve_node(const, n - j if reverse else j, y[j - 1])
+            dev[j] = y[j] - y[0]
+
+    return block
+
+
 def direct_march(alpha, n, start, solve_node, reverse):
     """``_march``'s contract as its O(N^2) direct memory sum."""
     c = gl_coefficients(alpha, n).coeffs
@@ -455,12 +474,194 @@ def test_march_kernel_matches_its_direct_sum(n, d, alpha, reverse):
         solved.append(0.5 * const + rows[k])
         return solved[-1]
 
-    got = frac_cauchy._march(alpha, Grid(0.0, 1.0, n), start, node, reverse)
+    got = frac_cauchy._march(alpha, Grid(0.0, 1.0, n), start,
+                             node_by_node(alpha, n, node, reverse), reverse)
     want = direct_march(alpha, n, start, lambda const, k, _: 0.5 * const + noise[k],
                         reverse)
     assert got.shape == (n + 1, d)
     assert seen == (list(range(n - 1, -1, -1)) if reverse else list(range(1, n + 1)))
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+# -- the block solvers against node-by-node solves ---------------------------------
+
+def node_loop_fixed_point_march(alpha, grid, field, start, lipschitz, opts=None,
+                                reverse=False):
+    """The fixed-point march as one node solve per call through
+    ``node_by_node``: the same stopping rule, budget, predictor and errors
+    as ``_fixed_point_march``, with the predictor at d >= 2 one product of
+    a (4, d) ring with the rotated cubic weights."""
+    ha = grid.h ** alpha
+    opts = opts or FixedPointOpts()
+    tol, max_iters, d = opts.tol, opts.max_iters, start.size
+    if d == 1:
+        def hf(x, k):
+            return ha * frac_cauchy._sized(field(np.array([x]), k), 1).item()
+
+        size = abs
+        ring = [0.0] * 4
+
+        def extrapolate(slot):
+            return (4.0 * (ring[slot - 1] + ring[slot - 3]) - 6.0 * ring[slot - 2]
+                    - ring[slot])
+    else:
+        def hf(x, k):
+            return ha * frac_cauchy._sized(field(x, k), d)
+
+        def size(a):
+            values = a.tolist()
+            return math.nan if math.isnan(sum(values)) else max(map(abs, values))
+
+        ring = np.empty((4, d))
+        cubic = np.array([np.roll([-1.0, 4.0, -6.0, 4.0], s) for s in range(4)])
+
+        def extrapolate(slot):
+            return cubic[slot].dot(ring)
+
+    accepted = 0
+
+    def solve_node(const, k, x):
+        nonlocal accepted
+        if d == 1:
+            const, x = float(const), float(x)
+        slot = accepted & 3
+        if accepted > 3:
+            x = const + extrapolate(slot)
+        for _ in range(max_iters + 1):
+            g = hf(x, k)
+            fixed = g + const
+            err = size(x - fixed)
+            if not math.isfinite(err):
+                raise NonFiniteError(k)
+            if err <= tol or err <= tol * size(x):
+                ring[slot] = g
+                accepted += 1
+                return fixed
+            x = fixed
+        raise FixedPointDivergenceError(k, err, tol)
+
+    return frac_cauchy._march(alpha, grid, start,
+                              node_by_node(alpha, grid.n, solve_node, reverse), reverse)
+
+
+def tanh_fields(d, n):
+    """A left rhs of t, the same field by node index, and a right rhs."""
+    grid = Grid(0.0, 1.0, n)
+    weights = np.array([1.0, -0.5, 0.25][:d])
+
+    def left(x, t):
+        return -0.3 * np.tanh(x) + np.cos(3.0 * t) * weights
+
+    return grid, left, lambda x, k: left(x, grid.times[k])
+
+
+@pytest.mark.parametrize("n", (1, B - 1, B, B + 1, 200))
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_fixed_point_block_matches_the_node_loop(d, n):
+    # the same floats at d = 1; at d >= 2 the predictor sums its cubic in
+    # another order, which moves only the start of each node
+    grid, left, by_node = tanh_fields(d, n)
+    start = np.array([0.6, -0.3, 0.9][:d])
+    for reverse, got in (
+            (False, solve_left_cauchy(0.6, grid, CauchyRhs(left, 0.3), start).values),
+            (True, solve_right_cauchy(0.6, grid, by_node, 0.3, start).values)):
+        want = node_loop_fixed_point_march(0.6, grid, by_node, start, 0.3, reverse=reverse)
+        if d == 1:
+            npt.assert_array_equal(got, want)
+        else:
+            npt.assert_array_less(np.abs(got - want), 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_a_non_finite_rhs_mid_block_is_named(d):
+    # march row 70 is the sixth row of the second block in both directions
+    grid, left, by_node = tanh_fields(d, 200)
+    start, seen = np.full(d, 0.5), []
+
+    def poisoned(x, t):
+        seen.append(t)
+        return np.full(d, np.nan) if t == grid.times[70] else left(x, t)
+
+    with pytest.raises(NonFiniteError) as exc:
+        solve_left_cauchy(0.6, grid, CauchyRhs(poisoned, 0.3), start)
+    assert exc.value.node == 70
+    assert seen.count(grid.times[70]) == 1 and max(seen) == grid.times[70]
+
+    with pytest.raises(NonFiniteError) as exc:
+        solve_right_cauchy(0.6, grid,
+                           lambda x, k: np.r_[x[:-1], np.nan] if k == 130 else by_node(x, k),
+                           0.3, start)
+    assert exc.value.node == 130
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_every_evaluation_gets_its_own_x(d):
+    # the block loop keeps its iterates as floats, so a callback may keep or
+    # overwrite the array it is handed without touching the march
+    grid, left, by_node = tanh_fields(d, 200)
+    start, kept = np.array([0.6, -0.3][:d]), []
+
+    def scribbling(x, t):
+        value = left(x, t)
+        kept.append(x)
+        x[:] = np.nan
+        return value
+
+    q = solve_left_cauchy(0.6, grid, CauchyRhs(scribbling, 0.3), start).values
+    p = solve_right_cauchy(0.6, grid, lambda x, k: scribbling(x, grid.times[k]), 0.3,
+                           start).values
+    assert len({id(x) for x in kept}) == len(kept) > 400
+    npt.assert_array_equal(q, solve_left_cauchy(0.6, grid, CauchyRhs(left, 0.3), start).values)
+    npt.assert_array_equal(p, solve_right_cauchy(0.6, grid, by_node, 0.3, start).values)
+
+
+def varying_march_data(d, n, seed=0):
+    """A_k that varies by node, with the b_k and start of a linear march."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, n + 1)
+    a_mats = (-0.5 * np.eye(d) + np.sin(5.0 * t)[:, None, None]
+              * rng.uniform(-0.4, 0.4, (d, d)))
+    return a_mats, rng.standard_normal((n + 1, d)), rng.standard_normal(d)
+
+
+def node_loop_linear_march(alpha, grid, a_mats, b, start, reverse):
+    """(I - h^alpha A_k) y_k = const_k + h^alpha b_k, one node a call."""
+    ha = grid.h ** alpha
+    g = np.eye(start.size) - ha * a_mats
+
+    def solve_node(const, k, _):
+        return np.linalg.solve(g[k], np.reshape(const + ha * b[k], -1)).reshape(np.shape(const))
+
+    return frac_cauchy._march(alpha, grid, start,
+                              node_by_node(alpha, grid.n, solve_node, reverse), reverse)
+
+
+@pytest.mark.parametrize("reverse", (False, True))
+@pytest.mark.parametrize("n", (1, B - 1, B, B + 1, 300))
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_time_varying_linear_block_matches_the_node_loop(d, n, reverse):
+    # at d = 3 a block takes three dense solves, the later ones after the
+    # near sum of the earlier ones
+    grid = Grid(0.0, 1.0, n)
+    a_mats, b, start = varying_march_data(d, n, seed=n)
+    got = frac_cauchy._linear_march(0.6, grid, a_mats, b, start, reverse).values
+    want = node_loop_linear_march(0.6, grid, a_mats, b, start, reverse)
+    npt.assert_array_equal(got[n if reverse else 0], start)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("reverse", (False, True))
+@pytest.mark.parametrize("d", (1, 2))
+def test_a_singular_node_in_the_second_block_is_named(d, reverse):
+    # h^alpha = 1/16 exactly, so h^alpha A_k = 16/16 leaves a zero pivot;
+    # march rows 100 and 150 are both singular, and 100 comes first
+    grid = Grid(0.0, 1.0, 256)
+    a_mats, b, start = varying_march_data(d, 256)
+    for row in (100, 150):
+        a_mats[256 - row if reverse else row, 0] = [16.0] + [0.0] * (d - 1)
+    with pytest.raises(frac_cauchy.SingularNodeError) as exc:
+        frac_cauchy._linear_march(0.5, grid, a_mats, b, start, reverse)
+    assert exc.value.node == (156 if reverse else 100)
 
 
 # -- linear march with a constant Jacobian ---------------------------------------

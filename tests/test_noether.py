@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy.testing as npt
 import pytest
 
 from fracoc import (Grid, OcpProblem, OneParamGroup, SweepOpts, TimeSeq,
-                    build_example, conserved_quantity, dense_matrix,
+                    build_example, conserved_quantity, delta_minus, dense_matrix,
                     gl_coefficients, group_axiom_defect, invariance_residual,
                     matrix_entry, rotation_groups, solve_pontryagin,
                     transfer_residual)
@@ -244,9 +245,8 @@ def test_band_sum_keeps_a_bad_value_where_the_gram_leaf_kept_it(n, bad, where, m
     (g if where == "g" else p)[n // 3, 1] = bad
 
     def evaluate():
-        with np.errstate(invalid="ignore"):  # inf times a zero weight warns
-            return conserved_quantity(0.6, Grid(0.0, 1.0, n), TimeSeq(g),
-                                      TimeSeq(p)).values[:, 0]
+        return conserved_quantity(0.6, Grid(0.0, 1.0, n), TimeSeq(g),
+                                  TimeSeq(p)).values[:, 0]
 
     inv, ref = walk_and_recursion(monkeypatch, evaluate)
     npt.assert_array_equal(inv, ref)
@@ -256,6 +256,31 @@ def test_band_sum_keeps_a_bad_value_where_the_gram_leaf_kept_it(n, bad, where, m
     npt.assert_array_equal(inv[spoiled], gram[spoiled])
     if where == "g":  # g_j reaches rows j and after only
         assert np.flatnonzero(spoiled)[0] == n // 3
+
+
+@pytest.mark.parametrize("n", (130, 1000))
+@pytest.mark.parametrize("where", ("g", "p"))
+def test_an_inf_input_is_taken_without_a_warning(n, where, monkeypatch):
+    # as delta_minus takes it: the inf meets zero weights and an opposite inf
+    # in the band sum's products, and the NaN rows that make are the answer
+    rng = np.random.default_rng(n)
+    g, p = rng.normal(size=(n + 1, 2)), rng.normal(size=(n + 1, 2))
+    p[n] = 0.0
+    (g if where == "g" else p)[43, 1] = np.inf
+    grid, gs, ps = Grid(0.0, 1.0, n), TimeSeq(g), TimeSeq(p)
+
+    def evaluate():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delta_minus(0.6, grid, gs, caputo=True)
+            return (conserved_quantity(0.6, grid, gs, ps).values[:, 0],
+                    transfer_residual(0.6, grid, gs, ps))
+
+    (inv, res), (gram, gram_res) = walk_and_recursion(monkeypatch, evaluate, gram_band_sum)
+    assert math.isnan(res) and math.isnan(gram_res)
+    assert 0 < np.isnan(inv).sum() < n + 1
+    npt.assert_array_equal(np.isnan(inv), np.isnan(gram))
+    npt.assert_array_equal(np.isinf(inv), np.isinf(gram))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 63, 64, 65, 67, 127, 128, 129, 130, 257,

@@ -100,6 +100,12 @@ def test_array_series_matches_the_scalar_loop(alpha, shift):
     beta = alpha + 2.0 if shift else 1.0
     z = np.linspace(-2.0, 2.0, 81)
     assert 0.0 in z
+    if alpha < 0.1:
+        # past |z| of about 1.4 the terms at alpha 0.05 overflow a double,
+        # which the array series refuses and math.exp raises on
+        with pytest.raises(ValueError, match="overflows a double at z = -2.0$"):
+            mittag_leffler(alpha, beta, z)
+        z = z[np.abs(z) <= 1.3]
     got = mittag_leffler(alpha, beta, z)
     assert got.shape == z.shape
     for zk, gk in zip(z, got):
@@ -110,6 +116,33 @@ def test_array_series_matches_the_scalar_loop(alpha, shift):
         scale = max(1.0, scalar_mittag_leffler(alpha, beta, abs(zk)))
         assert abs(gk - ref) <= 4e-15 * scale, (zk, gk, ref)
     assert got[z == 0.0][0] == 1.0 / math.gamma(beta)
+
+
+@pytest.mark.parametrize("alpha, beta, z, terms", (
+    (0.2, 1.0, 2.0, 600),     # its terms still grow at k = 200
+    (0.05, 2.05, 1.0, 2000),  # the solved example's series at alpha 0.05
+    (0.05, 2.05, 0.3, 2000),
+    (0.05, 2.05, -1.0, 2000),
+))
+def test_small_orders_are_summed_to_convergence(alpha, beta, z, terms):
+    # a sum cut at 200 terms came out 8 % low for the first case and 7e-9
+    # low for the second
+    value = mittag_leffler(alpha, beta, z)
+    npt.assert_allclose(value, oracle_ml(alpha, beta, z, terms), rtol=1e-12)
+    assert mittag_leffler(alpha, beta, np.array([0.0, z, 0.5]))[1] == value
+
+
+def test_series_refuses_what_it_cannot_sum():
+    # E_{0.1,1}(2) is about 1e445; the first element that overflows is
+    # named, not the ones before it
+    with pytest.raises(ValueError, match=r"^E_\{0.1,1.0\}\(z\) overflows a double at z = 2.0$"):
+        mittag_leffler(0.1, 1.0, np.array([0.5, -1.0, 2.0]))
+    with pytest.raises(ValueError, match="overflows a double at z = -2.0$"):
+        mittag_leffler(0.1, 1.0, -2.0)
+    # at alpha 5e-4 the terms 1/Gamma(alpha k + 1) need about 40000 to fall
+    # below 1e-15 of the sum
+    with pytest.raises(ValueError, match="has not converged after 20100 terms at z = 1.0$"):
+        mittag_leffler(5e-4, 1.0, np.array([0.5, 1.0]))
 
 
 def test_series_keeps_the_kind_and_shape_of_its_argument():
