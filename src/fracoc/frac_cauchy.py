@@ -25,9 +25,9 @@ the work of the block solves.  Two block solvers sit on it:
   ring of four slots, the first four from y_{j-1}; most nodes then take
   one evaluation.  :func:`solve_left_cauchy`, :func:`solve_right_cauchy`
   and the fallback of the sweep's state solve use it;
-- :func:`_linear_march` handles F(x, k) = A_k x + b_k with one dense
-  solve of each block's block-lower-triangular system; it needs only
-  I - h^alpha A_k to be invertible.  Every march of the Pontryagin sweep
+- :func:`_linear_march` handles F(x, k) = A_k x + b_k with one loop per
+  block, solving each node through an inverse built, with every other,
+  before the march starts; it needs only I - h^alpha A_k to be invertible.  Every march of the Pontryagin sweep
   is this one: the adjoint, the linearized state, and each Newton iterate
   of the state on the whole trajectory.  When A_k is exactly the same at
   every node the march is a Toeplitz solve instead, one FFT convolution
@@ -203,6 +203,14 @@ def _march(alpha: float, grid: Grid, start: np.ndarray, solve_block,
     return y[::-1].copy() if reverse else y
 
 
+def _near_weights(alpha: float, n: int) -> list:
+    """Weights of a block row's near sum: entry i is c_i..c_1, which a row
+    dots with the deviations of the i rows before it in its block."""
+    c = gl_coefficients(alpha, n).coeffs
+    rc = np.ascontiguousarray(c[min(_BLOCK - 1, n):0:-1])  # c_{B-1}..c_1
+    return [rc[rc.size - i:] for i in range(rc.size + 1)]
+
+
 def _as_start(value, name: str) -> np.ndarray:
     return np.atleast_1d(_real(value, name, "is")).reshape(-1)
 
@@ -332,9 +340,7 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
     n, d = grid.n, start.size
     nodes = range(n, -1, -1) if reverse else range(n + 1)  # node of march row j
     steps = range(max_iters + 1)
-    c = gl_coefficients(alpha, n).coeffs
-    rc = np.ascontiguousarray(c[min(_BLOCK - 1, n):0:-1])  # c_{B-1}..c_1
-    near = [rc[rc.size - i:] for i in range(rc.size + 1)]  # weights of i deviations
+    near = _near_weights(alpha, n)
     ring = [0.0] * 4  # h^alpha F at march row j in slot (j - 1) & 3
     array, ndarray, isfinite = np.array, np.ndarray, math.isfinite
 
@@ -460,27 +466,16 @@ def _toeplitz_inverse(alpha: float, n: int, d: int, ha_a: bytes):
 
 def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarray,
                   start: np.ndarray, reverse: bool = False) -> TimeSeq:
-    """March F(x, k) = A_k x + b_k with one dense solve per block of nodes.
+    """March F(x, k) = A_k x + b_k with one direct solve per node.
 
     ``a_mats`` has shape (N+1, d, d) and ``b_vecs`` shape (N+1, d), both
     indexed by node; the row of the start node is never read.  Node k solves
-    (I - h^alpha A_k) y_k = const_k + h^alpha b_k.  A non-finite A_k or b_k
-    (``SingularNodeError`` or ``NonFiniteError``) and a singular
-    I - h^alpha A_k (``SingularNodeError``) are named up front, at the first
-    such node in march order.
-
-    In D_j = y_j - y_0, the nodes of a block the kernel hands over form one
-    block-lower-triangular system: the diagonal blocks are I - h^alpha A_k,
-    the block r places below them c_r I, and the right side is
-    h^alpha b_k - (I - h^alpha A_k) y_0 minus the folded memory of older
-    blocks.  It is taken forward in dense solves of ``_BLOCK // d`` nodes
-    (at least one), at most ``_BLOCK`` unknowns each, so that the cubic
-    cost of a solve does not grow with d faster than the nodes it covers;
-    each first subtracts the near sum of the block's nodes solved before
-    it.  Each matrix is the Kronecker product of the Toeplitz matrix of
-    c_0..c_{m-1} with I, built once per march, with its diagonal blocks
-    replaced.  Its round-off differs from a node-by-node solve of the same
-    equations by about eps times the condition of the block.
+    (I - h^alpha A_k) y_k = const_k + h^alpha b_k through an inverse built,
+    with every other, before the march starts; the block solver takes the
+    nodes of a block in one loop, each adding its near sum first.  A
+    non-finite A_k or b_k (``SingularNodeError`` or ``NonFiniteError``) and a
+    singular I - h^alpha A_k (``SingularNodeError``) are named up front, at
+    the first such node in march order.
 
     When A_k equals one A at every node, exactly, the march is the
     lower-triangular Toeplitz system (T - h^alpha A) D = s in D_k = y_k - y_0,
@@ -488,16 +483,16 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
     order.  Its inverse is Toeplitz too, so D is one FFT convolution with the
     coefficients W of :func:`_toeplitz_inverse`, cached on (alpha, N,
     h^alpha A) so that every march of a sweep shares them.  Its round-off
-    differs from the block solves', and where W grows past the cap of that
-    function the block solves run instead.
+    differs from the node loop's, and where W grows past the cap of that
+    function the node loop runs instead.
 
     That round-off is absolute, about eps max|W| |s| at every node, so the
     bound is norm-wise, not pointwise relative.  With A = 0, alpha 0.5,
     N = 800, y_0 = 0 and b_k = 1 except b_N = 1e8, node 1 is 2.1e-9 off the
-    block solves relative to its value, yet no node is off by more than
+    node loop relative to its value, yet no node is off by more than
     1.3e-16 max|y|.  There is no guard on the spread of |s_k|: adjoint
     forcings that are small near the terminal node would fail it and send
-    sweep marches back to the block solves.
+    sweep marches back to the node loop.
     """
     n, d = grid.n, start.size
     ha = grid.h ** alpha
@@ -517,30 +512,22 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
             dev = np.fft.irfft(w_hat @ s_hat[..., None], size, axis=0)[:n, :, 0]
             y = np.vstack([start, start + dev])
             return TimeSeq(y[::-1].copy() if reverse else y)
-    try:  # the dense solves pivot across nodes, so need not see a zero pivot
-        np.linalg.inv(g)
+    try:
+        inv = np.linalg.inv(g)
     except np.linalg.LinAlgError:  # an exact zero pivot, which det sees too
         raise SingularNodeError(int(nodes[np.argmax(np.linalg.det(g) == 0.0)])) from None
-    c = gl_coefficients(alpha, n).coeffs
-    rest = ha * b_vecs[nodes] - g @ start
+    hb = ha * b_vecs[nodes]
     if d == 1:  # the kernel's rows are floats
-        rest = rest[:, 0]
-    k = np.arange(min(_BLOCK, n))
-    near = np.tril(c[np.abs(k[:, None] - k)])  # c_{i-j} on and below the diagonal
-    rows = max(1, _BLOCK // d)  # nodes per dense solve
-    toeplitz = np.kron(near[:rows, :rows], np.eye(d))
+        inv, hb = inv[:, 0, 0], hb[:, 0]
+    near = _near_weights(alpha, n)
 
     def solve_block(lo, hi, base, y, dev):
-        rhs = base + rest[lo - 1:hi - 1]
-        for first in range(0, hi - lo, rows):
-            last = min(first + rows, hi - lo)
-            m = last - first
-            if first:  # the near sum of the nodes solved before
-                rhs[first:last] -= near[first:last, :first] @ dev[lo:lo + first]
-            mat = toeplitz[:m * d, :m * d].copy()
-            mat.reshape(m, d, m, d)[k[:m], :, k[:m], :] = g[lo - 1 + first:lo - 1 + last]
-            solved = np.linalg.solve(mat, rhs[first:last].reshape(-1))
-            dev[lo + first:lo + last] = solved.reshape(rhs[first:last].shape)
-        y[lo:hi] = dev[lo:hi] + start
+        if d == 1:
+            base = base.tolist()
+        y0 = y[0]
+        for i, j in enumerate(range(lo, hi)):
+            const = base[i] - near[i].dot(dev[lo:j]) if i else base[i]
+            y[j] = x = np.dot(inv[j - 1], const + hb[j - 1])
+            dev[j] = x - y0
 
     return TimeSeq(_march(alpha, grid, start, solve_block, reverse))

@@ -640,8 +640,7 @@ def node_loop_linear_march(alpha, grid, a_mats, b, start, reverse):
 @pytest.mark.parametrize("n", (1, B - 1, B, B + 1, 300))
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_time_varying_linear_block_matches_the_node_loop(d, n, reverse):
-    # at d = 3 a block takes three dense solves, the later ones after the
-    # near sum of the earlier ones
+    # the block solver's inverses built up front against a solve per node
     grid = Grid(0.0, 1.0, n)
     a_mats, b, start = varying_march_data(d, n, seed=n)
     got = frac_cauchy._linear_march(0.6, grid, a_mats, b, start, reverse).values
