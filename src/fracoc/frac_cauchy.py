@@ -27,9 +27,10 @@ the work of the block solves.  Two block solvers sit on it:
   and the fallback of the sweep's state solve use it;
 - :func:`_linear_march` handles F(x, k) = A_k x + b_k with one loop per
   block, solving each node through an inverse built, with every other,
-  before the march starts; it needs only I - h^alpha A_k to be invertible.  Every march of the Pontryagin sweep
-  is this one: the adjoint, the linearized state, and each Newton iterate
-  of the state on the whole trajectory.  When A_k is exactly the same at
+  before the march starts; it needs only I - h^alpha A_k to be
+  invertible.  Every march of the Pontryagin sweep is this one: the
+  adjoint, the linearized state, and each Newton iterate of the state on
+  the whole trajectory.  When A_k is exactly the same at
   every node the march is a Toeplitz solve instead, one FFT convolution
   with a power series cached on (alpha, N, h^alpha A), unless that series
   grows more than ``_GROWTH_CAP``-fold or is not finite.

@@ -105,11 +105,18 @@ class FracCoeffs:
 
     alpha: float
     coeffs: np.ndarray
-    partial_sums: np.ndarray
 
     def __post_init__(self) -> None:
         self.coeffs.flags.writeable = False
-        self.partial_sums.flags.writeable = False
+
+    @cached_property
+    def partial_sums(self) -> np.ndarray:
+        """b_r = c_0 + .. + c_r, formed on first use: the marches and the
+        difference operators never read them, and a cached order would
+        otherwise hold them for as long as its weights."""
+        b = np.cumsum(self.coeffs)
+        b.flags.writeable = False
+        return b
 
     @property
     def n(self) -> int:
@@ -123,7 +130,7 @@ def _gl_cached(alpha: float, n: int) -> FracCoeffs:
     c = np.fromiter(itertools.accumulate(range(1, n + 1), initial=1.0,
                                          func=lambda prev, r: prev * (r - 1 - alpha) / r),
                     float, n + 1)
-    return FracCoeffs(alpha=alpha, coeffs=c, partial_sums=np.cumsum(c))
+    return FracCoeffs(alpha=alpha, coeffs=c)
 
 
 def gl_coefficients(alpha, n: int) -> FracCoeffs:
@@ -208,31 +215,39 @@ def _require_window(seq: TimeSeq, n: int, name: str, lo: int = 0,
 
 def _left_difference(alpha, grid: Grid, values: np.ndarray,
                      origin: np.ndarray) -> np.ndarray:
-    """Columnwise sum_j c_j (values_{k-j} - origin) / h^alpha at every node k = 0..n.
+    """Columnwise sum_j c_j (values_{k-j} - origin) / h^alpha at every node k = 0..n."""
+    a = _order_value(alpha)
+    out = _causal_product(gl_coefficients(a, grid.n).coeffs, values, origin)
+    out /= grid.h ** a
+    return out
 
-    Below ``_SECTION`` nodes the sum is ``np.convolve``'s direct one, which
+
+def _causal_product(c: np.ndarray, values: np.ndarray,
+                    origin: np.ndarray) -> np.ndarray:
+    """Columnwise sum_{j<=k} c_j (values_{k-j} - origin) at every row k of
+    ``values``; c has at least as many entries as ``values`` has rows.
+
+    Below ``_SECTION`` rows the sum is ``np.convolve``'s direct one, which
     keeps integer orders exact.  From there on it is a sectioned FFT product
     (Stockham 1966) in O(n^2 / _SECTION + n log _SECTION) work, which adds a
-    round-off of about eps log n sum_r |c_r| |values - origin| to each row,
+    round-off of about eps log n sum_j |c_j| |values - origin| to each row,
     norm-wise, not relative to each term.  A non-finite entry would spread
     through an FFT to every row, so such input keeps the direct sum, which
-    spoils only the rows from its node on.
+    spoils only the rows from that entry's on.
     """
-    a = _order_value(alpha)
-    c = gl_coefficients(a, grid.n).coeffs
-    out = _sectioned_product(c, values, origin) if grid.n + 1 >= _SECTION else None
+    rows = len(values)
+    out = _sectioned_product(c, values, origin) if rows >= _SECTION else None
     if out is None:
         out = np.empty_like(values)
         for j in range(values.shape[1]):
-            out[:, j] = np.convolve(c, values[:, j] - origin[j])[: grid.n + 1]
-    out /= grid.h ** a
+            out[:, j] = np.convolve(c[:rows], values[:, j] - origin[j])[:rows]
     return out
 
 
 def _sectioned_product(c: np.ndarray, values: np.ndarray,
                        origin: np.ndarray) -> np.ndarray | None:
-    """The causal product of c with each column of values - origin, on
-    len(c) rows, or None if some entry of values - origin is not finite.
+    """The causal product of c with each column of values - origin, or
+    None if some entry of values - origin is not finite.
 
     c and values - origin are cut into sections of B = ``_SECTION`` rows,
     each transformed at size 2B.  Output section s is the inverse transform

@@ -11,10 +11,9 @@ this with G the group generator along the solution yields a sequence that
 is constant in k.
 
 The sum is never formed from the matrices.  Its first-column and depth-1
-parts are cumulative sums.  Its band part halves the rows down to 64-row
-leaves, whose tree is walked level by level: leaves in stacked products
-with their weight matrix and one cumulative sum, cross terms in stacked
-FFT products, O(N log^2 N) work in all.
+parts are cumulative sums.  Its band part is two causal products with the
+difference weights, the ones the difference operators take, and one
+cumulative sum.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .frac_cauchy import _real
-from .gl_ops import (Grid, TimeSeq, _order_value, _require_window, delta_minus,
-                     delta_plus, gl_coefficients)
+from .gl_ops import (Grid, TimeSeq, _causal_product, _order_value, _require_window,
+                     delta_minus, delta_plus, gl_coefficients)
 from .pontryagin import OcpProblem, PontryaginSolution, _at_nodes
 
 __all__ = [
@@ -38,10 +37,6 @@ __all__ = [
     "invariance_residual",
     "group_axiom_defect",
 ]
-
-_LEAF = 64  # rows up to which a block of the band sum is summed as a whole
-_BATCH_ROWS = 2048  # rows up to which a level's blocks stack their products
-
 
 @dataclass(frozen=True)
 class OneParamGroup:
@@ -128,8 +123,7 @@ def _weighted_shift_sum(alpha: float, n: int, g: np.ndarray,
 
         sum of c_{m-j+1} g_j . p_m over 1 <= j <= i <= m <= n-1, m > j,
 
-    which ``_band_sum`` evaluates in O(n log^2 n) work.
-    """
+    to row i = 1..n-1, which ``_band_pairs`` forms."""
     co = gl_coefficients(alpha, n)
     c, b = co.coeffs, co.partial_sums
     # += on zeros keeps a -0.0 product out of the result
@@ -142,80 +136,24 @@ def _weighted_shift_sum(alpha: float, n: int, g: np.ndarray,
         dots0 = p[:n] @ g[0]  # dots0[r-1] = g_0 . p_{r-1}, r = 1..n
         out[1:] += np.cumsum(b[1:] * dots0)
         out[2:] -= np.cumsum(c[2:] * dots0[1:])
-        _band_sum(c, g, p, out, 1, n)
+        _band_pairs(c, g, p, out, 1, n)
     return out
 
 
-def _band_sum(c: np.ndarray, g: np.ndarray, p: np.ndarray, out: np.ndarray,
-              lo: int, hi: int) -> None:
-    """Add the band pairs lo <= j < m < hi into rows lo..hi-1 of ``out``.
-
-    Rows are halved at mid = (lo + hi) // 2 down to leaves of ``_LEAF``
-    rows or fewer, summed as ``_level_sum`` says.  A pair with j < mid <= m
-    adds c_{m-j+1} g_j . p_m to each row in [j, m]: rows i < mid the prefix
-    sum over j <= i of g_j . u_j, u_j = sum_{m >= mid} c_{m-j+1} p_m, rows
-    i >= mid the suffix sum over m >= i of p_m . v_m, v_m = sum_{j < mid}
-    c_{m-j+1} g_j.  Both are FFT products with the kernel c_{t+2},
-    t = 0..hi-lo-2, whose wrap-around lands on entries not kept, and add a
-    round-off of about eps log n sum |c_r| |g| |p| to each row.  The tree
-    is walked level by level from the deepest, so each row takes its leaf
-    term, then its ancestors' cross terms, as a depth-first recursion adds
-    them, bit for bit."""
-    levels = [[(lo, hi - lo)] if hi > lo else []]
-    while levels[-1]:
-        levels.append([half for a, w in levels[-1] if w > _LEAF
-                       for half in ((a, w // 2), (a + w // 2, w - w // 2))])
-    for level in reversed(levels[:-1]):
-        for w in {w for _, w in level}:  # at most two widths a level
-            _level_sum(c, g, p, out, np.array([a for a, v in level if v == w])[:, None], w)
-
-
-def _level_sum(c, g, p, out, starts: np.ndarray, w: int) -> None:
-    """The blocks of ``w`` rows at ``starts``, in stacked products of up to
-    ``_BATCH_ROWS`` rows.  A leaf with weights W_jm = c_{m-j+1}, m > j,
-    gives row i the sum over j <= i of g_j . (W p)_j less the sum over
-    m < i of p_m . (W^T g)_m, within about eps w sum |c_r| |g| |p| of its
-    masked Gram sum.  The products multiply a NaN or inf by W's zeros,
-    spoiling the leaf's earlier rows, so a leaf whose sum is not finite
-    takes its Gram sum instead."""
-    if w <= _LEAF:
-        k = np.arange(w)
-        weights = np.triu(c[np.abs(k[None, :] - k[:, None] + 1)], 1)  # W_jm, zero at m <= j
-        trans = weights.T.copy()
-        for s in range(0, len(starts), _BATCH_ROWS // w):
-            rows = (starts[s:s + _BATCH_ROWS // w] + k).T  # a leaf per column
-            gs, ps = g[rows], p[rows]  # (row, leaf, component)
-            # einsum, not matmul: OpenBLAS's work buffer adds 0.4 MB to peak
-            # memory; each sum runs over the leading axis, as for a lone leaf
-            sums = np.einsum("jbd,jbd->jb", gs, np.einsum("mj,m...->j...", trans, ps))
-            sums[1:] -= np.einsum("mbd,mbd->mb", ps, np.einsum("jm,j...->m...", weights, gs))[:-1]
-            np.cumsum(sums, axis=0, out=sums)
-            for b in np.flatnonzero(~np.isfinite(sums[-1])):  # a sum stays non-finite once it is
-                gram = np.einsum("jd,md->jm", gs[:, b], ps[:, b]) * weights
-                sums[:, b] = np.triu(np.cumsum(gram[:, ::-1], axis=1)[:, ::-1]).sum(axis=0)
-            out[rows] += sums
+def _band_pairs(c, g, p, out: np.ndarray, lo: int, hi: int) -> None:
+    """Add c_{m-j+1} g_j . p_m to rows j..m of ``out``, lo <= j < m < hi:
+    for any p, row i gets the sum over lo <= k <= i of g_k . U_k - p_{k-1} .
+    V_{k-1}, U_k = sum_{k<m<hi} c_{m-k+1} p_m, V_k = sum_{lo<=j<k} c_{k-j+1}
+    g_j, causal products with c_2..c_{hi-lo} on p reversed and on g."""
+    if hi - lo < 2:  # no pair
         return
-    d, nl, nr, size = g.shape[1], w // 2, w - w // 2, 1 << (w - 2).bit_length()
-    kernel = np.fft.rfft(c[2:w + 1], size)[:, None]
-    def conv(x: np.ndarray) -> np.ndarray:  # along axis -2
-        return np.fft.irfft(np.fft.rfft(x, size, axis=-2) * kernel, size, axis=-2)
-    step = _BATCH_ROWS // size
-    blocks = ([(slice(a, a + nl), slice(a + nl, a + w)) for a in starts[:, 0]] if step < 2 else
-              [(starts[s:s + step] + np.arange(nl), starts[s:s + step] + np.arange(nl, w))
-               for s in range(0, len(starts), step)])
-    dot = "...d,...d->..."  # row by row
-    for left, right in blocks:
-        gl, pr = g[left], p[right]
-        if step < 2:
-            v, u = conv(gl), conv(pr[::-1])
-        else:
-            x = np.zeros((len(left), nr, 2 * d))
-            x[:, :nl, :d], x[:, :, d:] = gl, pr[:, ::-1]
-            v, u = np.split(conv(x), [d], axis=-1)
-        # v_m at m = mid + b is entry nl-1+b; u_j at j = mid-1-a is entry nr-1+a
-        out[left] += np.cumsum(np.einsum(dot, gl, u[..., w - 2:nr - 2:-1, :]), axis=-1)
-        out[right] += np.cumsum(np.einsum(dot, pr, v[..., nl - 1:w - 1, :])[..., ::-1],
-                                axis=-1)[..., ::-1]
+    zero = np.zeros(g.shape[1])
+    u = _causal_product(c[2:], p[hi - 1:lo:-1], zero)[::-1]  # U_lo..U_{hi-2}
+    v = _causal_product(c[2:], g[lo:hi - 1], zero)  # V_{lo+1}..V_{hi-1}
+    steps = np.zeros(hi - lo)  # U_{hi-1} = V_lo = 0
+    steps[:-1] += np.einsum("kd,kd->k", g[lo:hi - 1], u)
+    steps[2:] -= np.einsum("kd,kd->k", p[lo + 1:hi - 1], v[:-1])
+    out[lo:hi] += np.cumsum(steps)
 
 
 def conserved_quantity(alpha, grid: Grid, gen: TimeSeq, p: TimeSeq) -> TimeSeq:

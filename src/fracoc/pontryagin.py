@@ -13,9 +13,11 @@ control, solves the two Cauchy problems, refreshes the control from the
 stationary condition and repeats until both the stationarity defect and the
 control increment fall below tolerance.
 
-Every march of the sweep is linear, one dense solve per block of nodes:
-the adjoint, the linearized state of :func:`gateaux_derivative`, and each
-Newton iterate of the state on the whole trajectory.  Only a stalled state
+Every march of the sweep is linear: the adjoint, the linearized state of
+:func:`gateaux_derivative`, and each Newton iterate of the state on the
+whole trajectory.  Each solves its nodes one at a time through inverses
+of I - h^alpha A_k built before it starts, or, when A_k is the same at
+every node, as one Toeplitz convolution.  Only a stalled state
 falls back to the one nonlinear march, fixed-point steps node by node, and
 only the state checks h^alpha M < 1, under which they contract.
 A march stops with ``SingularNodeError`` when I - h^alpha df/dx cannot be

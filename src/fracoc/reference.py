@@ -10,8 +10,6 @@ orders.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,23 +46,7 @@ class ConvergenceReport:
     pairwise_orders: tuple
 
 
-# Terms of the log-Gamma tables of :func:`mittag_leffler`, cached per
-# (alpha, beta) in chunks of this many, and the most any element may take.
-_CHUNK = 201
-_MAX_TERMS = 100 * _CHUNK
-
-
-@functools.lru_cache(maxsize=32)
-def _log_gamma_chunk(alpha: float, beta: float, first: int) -> tuple:
-    """log Gamma(alpha k + beta) for k = first..first + _CHUNK - 1."""
-    return tuple(math.lgamma(alpha * k + beta) for k in range(first, first + _CHUNK))
-
-
-def _log_gammas(alpha: float, beta: float):
-    """log Gamma(alpha k + beta) for k = 0, 1, .., ``_MAX_TERMS`` - 1, built a
-    cached chunk at a time as a sum reaches it."""
-    return itertools.chain.from_iterable(_log_gamma_chunk(alpha, beta, first)
-                                         for first in range(0, _MAX_TERMS, _CHUNK))
+_MAX_TERMS = 20100  # the most terms any element of a series may take
 
 
 def mittag_leffler(alpha: float, beta: float, z):
@@ -79,6 +61,10 @@ def mittag_leffler(alpha: float, beta: float, z):
     10^445): an element whose term or partial sum overflows, or that has
     not met its stopping rule after ``_MAX_TERMS`` terms, raises
     ``ValueError`` naming it, where a truncated sum would come out low.
+    For z < 0 the terms alternate; an element whose term sizes add to more
+    than 1e8 times its sum has lost about eight of its digits, or all of
+    them, to cancellation (E_{0.2,1}(-2) would come out 0.46 against
+    0.31), and raises ``ValueError`` naming it too.
     """
     if not (0 < alpha < math.inf and 0 < beta < math.inf):  # NaN fails too
         raise ValueError(f"series parameters must be positive and finite, "
@@ -90,16 +76,20 @@ def mittag_leffler(alpha: float, beta: float, z):
         raise ValueError(f"series evaluation restricted to |z| <= 2, "
                          f"got {flat[bad.argmax()]}")
     total = np.full(flat.shape, 1.0 / math.gamma(beta))  # the value at z = 0
-    # the elements still summing: their index, log|z|, sign and partial sum
+    # the elements still summing: their index, log|z|, sign, partial sum and
+    # sum of term sizes, which is the partial sum itself for z > 0
     live = np.flatnonzero(flat)
     log_abs_z = np.log(np.abs(flat[live]))
     negative = flat[live] < 0.0
     partial = np.zeros(live.size)
+    sizes = np.zeros(live.size)
+    lost = np.zeros(flat.shape, dtype=bool)  # sizes past 1e8 |sum|
     with np.errstate(over="ignore"):  # an overflow is refused below
-        for k, log_gamma in enumerate(_log_gammas(alpha, beta)):
+        for k in range(_MAX_TERMS):
             if not live.size:
                 break
-            term = np.exp(k * log_abs_z - log_gamma)
+            term = np.exp(k * log_abs_z - math.lgamma(alpha * k + beta))
+            sizes += term
             if k & 1:
                 np.negative(term, out=term, where=negative)
             partial += term
@@ -107,9 +97,10 @@ def mittag_leffler(alpha: float, beta: float, z):
             done = np.abs(term) <= 1e-15 * np.abs(partial)
             if done.any():
                 total[live[done]] = partial[done]
+                lost[live[done]] = sizes[done] > 1e8 * np.abs(partial[done])
                 keep = ~done
-                live, log_abs_z, negative, partial = (
-                    live[keep], log_abs_z[keep], negative[keep], partial[keep])
+                live, log_abs_z, negative, partial, sizes = (
+                    live[keep], log_abs_z[keep], negative[keep], partial[keep], sizes[keep])
     over = ~np.isfinite(total)
     if over.any():
         raise ValueError(f"E_{{{alpha},{beta}}}(z) overflows a double at "
@@ -117,6 +108,9 @@ def mittag_leffler(alpha: float, beta: float, z):
     if live.size:
         raise ValueError(f"E_{{{alpha},{beta}}}(z) has not converged after "
                          f"{_MAX_TERMS} terms at z = {flat[live[0]]}")
+    if lost.any():
+        raise ValueError(f"E_{{{alpha},{beta}}}(z) loses its digits to cancellation "
+                         f"at z = {flat[lost.argmax()]}")
     return total.reshape(zs.shape) if zs.ndim else float(total[0])
 
 

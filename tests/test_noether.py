@@ -168,8 +168,8 @@ def test_shift_sum_matches_per_depth_loop(alpha, n):
 
 
 def gram_leaf(c, g, p, out, lo, hi):
-    """The masked Gram sum that leaves took before the product leaf: every
-    pair of rows weighted, then a suffix sum over m and a column sum over j."""
+    """A masked Gram sum: every pair of rows weighted, then a suffix sum
+    over m and a column sum over j."""
     k = np.arange(hi - lo)
     weights = np.triu(c[np.abs(k[None, :] - k[:, None] + 1)], 1)
     gram = weights * np.einsum("jd,md->jm", g[lo:hi], p[lo:hi])
@@ -177,14 +177,10 @@ def gram_leaf(c, g, p, out, lo, hi):
     out[lo:hi] += np.triu(tails).sum(axis=0)
 
 
-def product_leaf(c, g, p, out, lo, hi):
-    if hi > lo:  # n = 1 leaves no band rows
-        noether._level_sum(c, g, p, out, np.array([[lo]]), hi - lo)
-
-
-def recursive_band_sum(c, g, p, out, lo, hi, leaf=product_leaf):
-    """The depth-first band sum that the level walk replaced: each block's
-    halves first, then its cross terms, one recursion frame per block."""
+def recursive_band_sum(c, g, p, out, lo, hi, leaf=gram_leaf):
+    """The band pairs lo <= j < m < hi added into rows lo..hi-1 by halving
+    the rows: each block's halves first, then its cross terms, in which a
+    pair with j < mid <= m adds c_{m-j+1} g_j . p_m to each row in [j, m]."""
     w = hi - lo
     if w <= 64:
         leaf(c, g, p, out, lo, hi)
@@ -203,30 +199,32 @@ def recursive_band_sum(c, g, p, out, lo, hi, leaf=product_leaf):
                                        v[nl - 1:nl - 1 + nr])[::-1])[::-1]
 
 
-def walk_and_recursion(monkeypatch, evaluate, band_sum=recursive_band_sum):
-    """``evaluate()`` by the level walk, then by ``band_sum``."""
-    walk = evaluate()
-    with monkeypatch.context() as patch:
-        patch.setattr(noether, "_band_sum", band_sum)
-        return walk, evaluate()
-
-
-def gram_band_sum(c, g, p, out, lo, hi):
-    recursive_band_sum(c, g, p, out, lo, hi, gram_leaf)
+def recursive_shift_sum(alpha, n, g, p):
+    """The weighted shift sum with its band part from ``recursive_band_sum``."""
+    co = gl_coefficients(alpha, n)
+    c, b = co.coeffs, co.partial_sums
+    out = np.zeros(n + 1)
+    with np.errstate(invalid="ignore"):
+        out += c[1] * np.einsum("kd,kd->k", g, p)
+        dots0 = p[:n] @ g[0]
+        out[1:] += np.cumsum(b[1:] * dots0)
+        out[2:] -= np.cumsum(c[2:] * dots0[1:])
+        recursive_band_sum(c, g, p, out, 1, n)
+    return out
 
 
 @pytest.mark.parametrize("w", (1, 2, 3, 49, 50, 63, 64))
 def test_product_leaf_matches_the_gram_leaf(w):
-    # three leaves of one width in one call, each against its Gram sum
+    # three blocks of w rows, none starting at row 1, each by the band
+    # sum's causal products against its Gram sum
     rng = np.random.default_rng(w)
-    starts = np.array([[0], [w], [3 * w]])
     for alpha in (0.3, 0.6, 1.0):
         c = gl_coefficients(alpha, 64).coeffs
         for d in (1, 2, 3):
             g, p = rng.normal(size=(4 * w, d)), rng.normal(size=(4 * w, d))
             got, ref = np.zeros(4 * w), np.zeros(4 * w)
-            noether._level_sum(c, g, p, got, starts, w)
-            for lo in starts[:, 0]:
+            for lo in (0, w, 3 * w):
+                noether._band_pairs(c, g, p, got, lo, lo + w)
                 gram_leaf(c, g, p, ref, lo, lo + w)
             if alpha == 1.0:  # every band weight is 0, so nothing is rounded
                 npt.assert_array_equal(got, ref)
@@ -234,33 +232,68 @@ def test_product_leaf_matches_the_gram_leaf(w):
                 assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 50, 51, 63, 64, 65, 67, 127, 128, 129, 130,
+                               257, 1000, 3200, 6401, 25600))
+def test_band_sum_matches_the_recursion(n):
+    # from n = 1026 on the band's causal products are sectioned FFT products;
+    # p_n is left nonzero, since the band sum does not lean on p_n = 0
+    rng = np.random.default_rng(n)
+    grid = Grid(0.0, 1.0, n)
+    for d in (1, 2, 3):
+        g, p = rng.normal(size=(n + 1, d)), rng.normal(size=(n + 1, d))
+        for alpha in (0.3, 0.6, 1.0):
+            got = conserved_quantity(alpha, grid, TimeSeq(g), TimeSeq(p)).values[:, 0]
+            ref = recursive_shift_sum(alpha, n, g, p)
+            if alpha == 1.0:  # every band weight is 0, so nothing is rounded
+                npt.assert_array_equal(got, ref)
+            else:
+                npt.assert_allclose(got, ref, rtol=0,
+                                    atol=1e-13 * max(1.0, np.max(np.abs(ref))))
+
+
 @pytest.mark.parametrize("n", (130, 1000, 6401))
 @pytest.mark.parametrize("bad", (np.nan, np.inf))
 @pytest.mark.parametrize("where", ("g", "p"))
-def test_band_sum_keeps_a_bad_value_where_the_gram_leaf_kept_it(n, bad, where, monkeypatch):
-    # W's structural zeros times a NaN or inf would spoil a product leaf's
-    # rows before the bad node; such a leaf takes its Gram sum instead
+def test_band_sum_keeps_a_bad_value_where_the_gram_leaf_kept_it(n, bad, where):
+    # a NaN or inf keeps the causal products on their direct sums, so it
+    # spoils the rows it reaches and no others; whether a spoiled row reads
+    # NaN or inf depends on the order in which infs meet, so only the set of
+    # spoiled rows is compared
     rng = np.random.default_rng(n)
     g, p = rng.normal(size=(n + 1, 2)), rng.normal(size=(n + 1, 2))
     (g if where == "g" else p)[n // 3, 1] = bad
-
-    def evaluate():
-        return conserved_quantity(0.6, Grid(0.0, 1.0, n), TimeSeq(g),
-                                  TimeSeq(p)).values[:, 0]
-
-    inv, ref = walk_and_recursion(monkeypatch, evaluate)
-    npt.assert_array_equal(inv, ref)
-    _, gram = walk_and_recursion(monkeypatch, evaluate, gram_band_sum)
-    spoiled = ~np.isfinite(gram)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv = conserved_quantity(0.6, Grid(0.0, 1.0, n), TimeSeq(g),
+                                 TimeSeq(p)).values[:, 0]
+    spoiled = ~np.isfinite(recursive_shift_sum(0.6, n, g, p))
+    assert 0 < spoiled.sum() < n + 1
     npt.assert_array_equal(~np.isfinite(inv), spoiled)
-    npt.assert_array_equal(inv[spoiled], gram[spoiled])
     if where == "g":  # g_j reaches rows j and after only
         assert np.flatnonzero(spoiled)[0] == n // 3
 
 
+@pytest.mark.parametrize("n", (130, 1000, 6401))
+def test_band_sum_level_walk_keeps_the_recursions_nan_pattern(n):
+    # a NaN, unlike an inf, cannot turn into an inf, so the rows the
+    # recursion reads NaN are the band sum's NaN rows, label included
+    rng = np.random.default_rng(n)
+    g, p = rng.normal(size=(n + 1, 2)), rng.normal(size=(n + 1, 2))
+    g[n // 3, 1] = np.nan
+    inv = conserved_quantity(0.6, Grid(0.0, 1.0, n), TimeSeq(g),
+                             TimeSeq(p)).values[:, 0]
+    ref = recursive_shift_sum(0.6, n, g, p)
+    assert 0 < np.isnan(ref).sum() < n + 1
+    npt.assert_array_equal(np.isnan(inv), np.isnan(ref))
+    finite = ~np.isnan(ref)
+    npt.assert_array_equal(np.isfinite(inv), finite)
+    npt.assert_allclose(inv[finite], ref[finite], rtol=0,
+                        atol=1e-13 * max(1.0, np.max(np.abs(ref[finite]))))
+
+
 @pytest.mark.parametrize("n", (130, 1000))
 @pytest.mark.parametrize("where", ("g", "p"))
-def test_an_inf_input_is_taken_without_a_warning(n, where, monkeypatch):
+def test_an_inf_input_is_taken_without_a_warning(n, where):
     # as delta_minus takes it: the inf meets zero weights and an opposite inf
     # in the band sum's products, and the NaN rows that make are the answer
     rng = np.random.default_rng(n)
@@ -268,51 +301,13 @@ def test_an_inf_input_is_taken_without_a_warning(n, where, monkeypatch):
     p[n] = 0.0
     (g if where == "g" else p)[43, 1] = np.inf
     grid, gs, ps = Grid(0.0, 1.0, n), TimeSeq(g), TimeSeq(p)
-
-    def evaluate():
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            delta_minus(0.6, grid, gs, caputo=True)
-            return (conserved_quantity(0.6, grid, gs, ps).values[:, 0],
-                    transfer_residual(0.6, grid, gs, ps))
-
-    (inv, res), (gram, gram_res) = walk_and_recursion(monkeypatch, evaluate, gram_band_sum)
-    assert math.isnan(res) and math.isnan(gram_res)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delta_minus(0.6, grid, gs, caputo=True)
+        inv = conserved_quantity(0.6, grid, gs, ps).values[:, 0]
+        assert math.isnan(transfer_residual(0.6, grid, gs, ps))
     assert 0 < np.isnan(inv).sum() < n + 1
-    npt.assert_array_equal(np.isnan(inv), np.isnan(gram))
-    npt.assert_array_equal(np.isinf(inv), np.isinf(gram))
-
-
-@pytest.mark.parametrize("n", (1, 2, 3, 63, 64, 65, 67, 127, 128, 129, 130, 257,
-                               1000, 3200, 6401, 25600))
-def test_band_sum_level_walk_matches_the_recursion_bit_for_bit(n, monkeypatch):
-    # n = 130 puts a 64-row leaf and a 65-row block on one level, so leaves
-    # sit at two depths; from n = 1000 on, the leaves of a level, and from
-    # 3200 on its stacked transforms, take several batches
-    rng = np.random.default_rng(n)
-    grid = Grid(0.0, 1.0, n)
-    for d in (1, 2, 3):
-        g, p = rng.normal(size=(n + 1, d)), rng.normal(size=(n + 1, d))
-        p[n] = 0.0
-        for alpha in (0.3, 0.6, 1.0):
-            inv, ref = walk_and_recursion(monkeypatch, lambda: conserved_quantity(
-                alpha, grid, TimeSeq(g), TimeSeq(p)).values)
-            npt.assert_array_equal(inv, ref)
-        # the same shift sum, so once per d is enough
-        res, ref = walk_and_recursion(monkeypatch, lambda: transfer_residual(
-            0.6, grid, TimeSeq(g), TimeSeq(p)))
-        assert res == ref
-
-
-@pytest.mark.parametrize("n", (130, 1000, 6401))
-def test_band_sum_level_walk_keeps_the_recursions_nan_pattern(n, monkeypatch):
-    rng = np.random.default_rng(n)
-    g, p = rng.normal(size=(n + 1, 2)), rng.normal(size=(n + 1, 2))
-    g[n // 3, 1] = np.nan
-    inv, ref = walk_and_recursion(monkeypatch, lambda: conserved_quantity(
-        0.6, Grid(0.0, 1.0, n), TimeSeq(g), TimeSeq(p)).values)
-    assert 0 < np.isnan(ref).sum() < n + 1
-    npt.assert_array_equal(inv, ref)  # NaN where, and only where, the recursion has one
+    npt.assert_array_equal(~np.isfinite(inv), ~np.isfinite(recursive_shift_sum(0.6, n, g, p)))
 
 
 def test_conserved_quantity_validation():

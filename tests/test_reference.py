@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ import pytest
 from fracoc import (ConvergenceReport, DegenerateDataError, Grid, TimeSeq,
                     convergence_order, lq_exact_control, max_control_error,
                     mittag_leffler, solved_example_exact_control)
-from fracoc.reference import _log_gammas
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -86,8 +86,9 @@ def scalar_mittag_leffler(alpha, beta, z):
         return 1.0 / math.gamma(beta)
     log_abs_z = math.log(abs(z))
     total = 0.0
-    for k, log_gamma in enumerate(_log_gammas(alpha, beta)):
-        term = math.copysign(1.0, z) ** k * math.exp(k * log_abs_z - log_gamma)
+    for k in itertools.count():
+        term = (math.copysign(1.0, z) ** k
+                * math.exp(k * log_abs_z - math.lgamma(alpha * k + beta)))
         total += term
         if abs(term) <= 1e-15 * abs(total):
             break
@@ -106,6 +107,13 @@ def test_array_series_matches_the_scalar_loop(alpha, shift):
         with pytest.raises(ValueError, match="overflows a double at z = -2.0$"):
             mittag_leffler(alpha, beta, z)
         z = z[np.abs(z) <= 1.3]
+        # from z = -1.2 down the term sizes add to more than 1e8 times the
+        # sum, which the array series refuses as lost to cancellation;
+        # z = -1.15 sits at the edge, refused at beta 1 only
+        for zk in z[z < -1.175]:
+            with pytest.raises(ValueError, match=f"cancellation at z = {zk}$"):
+                mittag_leffler(alpha, beta, zk)
+        z = z[z > -1.125]
     got = mittag_leffler(alpha, beta, z)
     assert got.shape == z.shape
     for zk, gk in zip(z, got):
@@ -143,6 +151,21 @@ def test_series_refuses_what_it_cannot_sum():
     # below 1e-15 of the sum
     with pytest.raises(ValueError, match="has not converged after 20100 terms at z = 1.0$"):
         mittag_leffler(5e-4, 1.0, np.array([0.5, 1.0]))
+
+
+def test_series_refuses_a_sum_lost_to_cancellation():
+    # E_{0.2,1}(-2) is 0.3057, but its term sizes add to E_{0.2,1}(2) = 3.9e14,
+    # so a double sum came out 0.461; E_{0.05,1}(-1.35) came out 1.8e162
+    assert oracle_ml(0.2, 1.0, 2.0, 600) > 1e8 * abs(oracle_ml(0.2, 1.0, -2.0, 600))
+    with pytest.raises(ValueError, match=r"^E_\{0.2,1.0\}\(z\) loses its digits "
+                                         r"to cancellation at z = -2.0$"):
+        mittag_leffler(0.2, 1.0, np.array([0.5, -2.0, 1.0]))
+    with pytest.raises(ValueError, match="cancellation at z = -1.35$"):
+        mittag_leffler(0.05, 1.0, -1.35)
+    # E_{0.5,1}(-2) = e^4 erfc(2), whose term sizes add to about 430 times it
+    with mpmath.workdps(50):
+        exact = float(mpmath.exp(4) * mpmath.erfc(2))
+    npt.assert_allclose(mittag_leffler(0.5, 1.0, -2.0), exact, rtol=1e-12)
 
 
 def test_series_keeps_the_kind_and_shape_of_its_argument():
