@@ -11,20 +11,23 @@ the package.  It adds the memory of older blocks of ``_BLOCK`` nodes by
 FFT products folded in ahead and hands each block, with that far memory,
 to a block solver, which sums the memory within the block and solves its
 node equations.  One march costs O(N log^2 N) for the memory sums plus
-the work of the block solves.  Two block solvers sit on it:
+the work of the block solves.  Both block solvers sum the memory within
+the block from one scratch block per march (:func:`_near_sums`):
 
 - :func:`_fixed_point_march` solves nonlinear node equations with the
   fixed-point step x <- h^alpha F(x) + const, once it has checked
   h^alpha * K < 1 for the Lipschitz bound K of F its caller passes
   (``ContractionError`` otherwise), under which that step contracts.  One
-  loop per block, on Python floats per component, accepts a node once
-  |x - h^alpha F(x) - const| <= tol * max(1, |x|) and returns its
-  fixed-point image h^alpha F(x) + const.  Only h^alpha F(x) in the node
-  equation is unknown, so each node starts from const plus the cubic
-  extrapolation of h^alpha F over the last four accepted nodes, kept in a
-  ring of four slots, the first four from y_{j-1}; most nodes then take
-  one evaluation.  :func:`solve_left_cauchy`, :func:`solve_right_cauchy`
-  and the fallback of the sweep's state solve use it;
+  loop per block accepts a node once |x - h^alpha F(x) - const| <=
+  tol * max(1, |x|) and returns its fixed-point image h^alpha F(x) + const;
+  it runs on one Python float a value at d = 1, an unpacked pair at d = 2
+  and a list from d = 3 on, and writes the block's rows of y at once.
+  Only h^alpha F(x) in the node equation is unknown, so each node starts
+  from const plus the cubic extrapolation of h^alpha F over the last four
+  accepted nodes, kept in a ring of four slots, the first four from
+  y_{j-1}; most nodes then take one evaluation.  :func:`solve_left_cauchy`,
+  :func:`solve_right_cauchy` and the fallback of the sweep's state solve
+  use it;
 - :func:`_linear_march` handles F(x, k) = A_k x + b_k with one loop per
   block, solving each node through an inverse built, with every other,
   before the march starts; it needs only I - h^alpha A_k to be
@@ -161,15 +164,15 @@ def _march(alpha: float, grid: Grid, start: np.ndarray, solve_block,
     the deviations of j's own block of ``_BLOCK`` rows directly.  far_j
     holds the older ones and is complete when the block starts, so the
     kernel hands the block of rows lo..hi-1 to ``solve_block(lo, hi, base,
-    y, dev)`` with base = y_0 - far_j for its rows, of shape (hi - lo,) at
-    d = 1 and (hi - lo, d) otherwise.  The block solver adds the near sums,
-    solves the block's node equations in march order and writes its rows
-    of y and of dev = y - y_0; y and dev are 1-D at d = 1, and row 0 of y is
-    y_0.  After row j, a multiple of the block, the kernel adds the last
-    L = j & -j deviations into far_{j+1..j+L} by one FFT product of size 2L
-    with c_1..c_{2L-1}, cut short where the march ends first (Hairer,
-    Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), reusing the
-    kernel spectra of sizes up to ``_SPECTRUM_CAP`` within the march.
+    y)`` with base = y_0 - far_j for its rows, of shape (hi - lo,) at d = 1
+    and (hi - lo, d) otherwise.  The block solver adds the near sums, solves
+    the block's node equations in march order and writes its rows of y; y
+    is 1-D at d = 1, and its row 0 is y_0.  After row j, a multiple of the
+    block, the kernel adds the last L = j & -j deviations y_i - y_0 into
+    far_{j+1..j+L} by one FFT product of size 2L with c_1..c_{2L-1}, cut
+    short where the march ends first (Hairer, Lubich & Schlichte, SIAM J.
+    Sci. Stat. Comput. 6, 1985), reusing the kernel spectra of sizes up to
+    ``_SPECTRUM_CAP`` within the march.
     These squares tile the block pairs below the diagonal once each, so a
     march costs O(N log^2 N) for the memory sums plus the work of the block
     solves.  The FFT adds a round-off of about eps log L sum_r |c_r|
@@ -182,11 +185,10 @@ def _march(alpha: float, grid: Grid, start: np.ndarray, solve_block,
     cols = c if d == 1 else c[:, None]
     spectra = {}            # FFT size up to the cap -> rfft of cols at that size
     y = np.zeros(shape)     # y_j holds far_j until row j is solved
-    dev = np.empty(shape)   # y_j - y_0, from row 1 on
     y[0] = y0
     for lo in range(1, n + 1, _BLOCK):
         hi = min(lo + _BLOCK, n + 1)
-        solve_block(lo, hi, y0 - y[lo:hi], y, dev)
+        solve_block(lo, hi, y0 - y[lo:hi], y)
         j = hi - 1
         if j % _BLOCK or j == n:
             continue
@@ -195,7 +197,7 @@ def _march(alpha: float, grid: Grid, start: np.ndarray, solve_block,
         size = width + targets  # 2L, or less where the march ends first
         if size <= _SPECTRUM_CAP and size not in spectra:
             spectra[size] = np.fft.rfft(cols[:size], size, axis=0)
-        product = np.fft.rfft(dev[j - width + 1:j + 1], size, axis=0)
+        product = np.fft.rfft(y[j - width + 1:j + 1] - y0, size, axis=0)
         # a spectrum past the cap is a temporary, freed before the irfft
         product *= (spectra[size] if size in spectra
                     else np.fft.rfft(cols[:size], size, axis=0))
@@ -204,12 +206,16 @@ def _march(alpha: float, grid: Grid, start: np.ndarray, solve_block,
     return y[::-1].copy() if reverse else y
 
 
-def _near_weights(alpha: float, n: int) -> list:
-    """Weights of a block row's near sum: entry i is c_i..c_1, which a row
-    dots with the deviations of the i rows before it in its block."""
+def _near_sums(alpha: float, n: int, d: int) -> tuple:
+    """A march's scratch block ``blk`` for the deviations y - y_0 of the block
+    being solved, shaped as the kernel's rows, its views[i] = blk[:i] and
+    the dots[i] of c_i..c_1, so that block row i's near sum is
+    dots[i](views[i])."""
     c = gl_coefficients(alpha, n).coeffs
     rc = np.ascontiguousarray(c[min(_BLOCK - 1, n):0:-1])  # c_{B-1}..c_1
-    return [rc[rc.size - i:] for i in range(rc.size + 1)]
+    blk = np.empty((_BLOCK,) if d == 1 else (_BLOCK, d))
+    rows = range(rc.size + 1)
+    return blk, [blk[:i] for i in rows], [rc[rc.size - i:].dot for i in rows]
 
 
 def _as_start(value, name: str) -> np.ndarray:
@@ -328,11 +334,14 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
 
     The kernel hands over a block of ``_BLOCK`` rows at a time, and one loop
     solves them in march order, each node's near sum, start, steps and ring
-    update inline.  Const, the iterate, its image, the residual and the
-    ring are Python floats, per component at d >= 2, where a small array
-    costs more than the arithmetic; |r| and |x| are then maxima over the
-    components, with a NaN found by their sum, since ``max`` skips a NaN
-    that is not the first element.
+    update inline, the near sum from the march's scratch block
+    (:func:`_near_sums`), into whose row i it writes row i's deviation; the
+    block's rows of y are written once, after its last row.  Const, the
+    iterate, its image, the residual and the ring are Python floats, where
+    a small array costs more than the arithmetic: one each at d = 1, an
+    unpacked pair at d = 2 (every planar example), a list from d = 3 on.
+    |r| and |x| are then maxima over the components, with a NaN past the
+    first component checked apart, since a maximum keeps a NaN only first.
     """
     ha = grid.h ** alpha
     _check_step(ha, lipschitz)
@@ -341,19 +350,19 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
     n, d = grid.n, start.size
     nodes = range(n, -1, -1) if reverse else range(n + 1)  # node of march row j
     steps = range(max_iters + 1)
-    near = _near_weights(alpha, n)
+    blk, views, dots = _near_sums(alpha, n, d)
     ring = [0.0] * 4  # h^alpha F at march row j in slot (j - 1) & 3
     array, ndarray, isfinite = np.array, np.ndarray, math.isfinite
 
     if d == 1:
         y0 = float(start[0])
 
-        def solve_block(lo, hi, base, y, dev):
-            base, ks = base.tolist(), nodes[lo:hi]
+        def solve_block(lo, hi, base, y):
+            base, ks, rows = base.tolist(), nodes[lo:hi], []
             args = ks if at is None else at[ks].tolist()
             x = y0  # the start of row 1; rows past 4 start from the cubic
             for i, j in enumerate(range(lo, hi)):
-                const = base[i] - float(near[i].dot(dev[lo:j])) if i else base[i]
+                const = base[i] - float(dots[i](views[i])) if i else base[i]
                 k = ks[i]
                 slot = (j - 1) & 3
                 if j > 4:
@@ -374,17 +383,60 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
                 else:
                     raise FixedPointDivergenceError(k, err, tol)
                 ring[slot] = g
-                y[j] = x = fixed
-                dev[j] = fixed - y0
+                rows.append(fixed)
+                blk[i] = fixed - y0
+                x = fixed
+            y[lo:hi] = rows
+    elif d == 2:
+        y00, y01 = start.tolist()
+        ring1 = [0.0] * 4  # the second components; ``ring`` holds the first
+
+        def solve_block(lo, hi, base, y):
+            base, ks, rows = base.tolist(), nodes[lo:hi], []
+            args = ks if at is None else at[ks].tolist()
+            x0, x1 = y00, y01
+            for i, j in enumerate(range(lo, hi)):
+                const0, const1 = base[i]
+                if i:
+                    s0, s1 = dots[i](views[i]).tolist()
+                    const0, const1 = const0 - s0, const1 - s1
+                k = ks[i]
+                slot = (j - 1) & 3
+                if j > 4:
+                    x0 = const0 + (4.0 * (ring[slot - 1] + ring[slot - 3])
+                                   - 6.0 * ring[slot - 2] - ring[slot])
+                    x1 = const1 + (4.0 * (ring1[slot - 1] + ring1[slot - 3])
+                                   - 6.0 * ring1[slot - 2] - ring1[slot])
+                for _ in steps:
+                    v = field(array([x0, x1]), args[i])
+                    if not (type(v) is ndarray and v.dtype is _FLOAT and v.size == 2):
+                        v = _sized(v, 2)
+                    v0, v1 = (v if v.ndim == 1 else v.reshape(-1)).tolist()
+                    g0, g1 = ha * v0, ha * v1
+                    fixed0, fixed1 = g0 + const0, g1 + const1
+                    r0, r1 = abs(x0 - fixed0), abs(x1 - fixed1)
+                    err = r1 if r1 > r0 else r0  # max(r0, r1), which keeps a NaN r0
+                    if not isfinite(err) or r1 != r1:
+                        raise NonFiniteError(k)
+                    if err <= tol or err <= tol * max(abs(x0), abs(x1)):
+                        break
+                    x0, x1 = fixed0, fixed1
+                else:
+                    raise FixedPointDivergenceError(k, err, tol)
+                ring[slot], ring1[slot] = g0, g1
+                rows.append((fixed0, fixed1))
+                blk[i, 0], blk[i, 1] = fixed0 - y00, fixed1 - y01
+                x0, x1 = fixed0, fixed1
+            y[lo:hi] = rows
     else:
         y0 = start.tolist()
 
-        def solve_block(lo, hi, base, y, dev):
+        def solve_block(lo, hi, base, y):
             base, ks, rows = base.tolist(), nodes[lo:hi], []
             args = ks if at is None else at[ks].tolist()
             x = y0
             for i, j in enumerate(range(lo, hi)):
-                const = (list(map(sub, base[i], near[i].dot(dev[lo:j]).tolist()))
+                const = (list(map(sub, base[i], dots[i](views[i]).tolist()))
                          if i else base[i])
                 k = ks[i]
                 slot = (j - 1) & 3
@@ -409,7 +461,7 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
                     raise FixedPointDivergenceError(k, err, tol)
                 ring[slot] = g
                 rows.append(fixed)
-                dev[j] = list(map(sub, fixed, y0))
+                blk[i] = list(map(sub, fixed, y0))
                 x = fixed
             y[lo:hi] = rows
 
@@ -520,15 +572,15 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
     hb = ha * b_vecs[nodes]
     if d == 1:  # the kernel's rows are floats
         inv, hb = inv[:, 0, 0], hb[:, 0]
-    near = _near_weights(alpha, n)
+    blk, views, dots = _near_sums(alpha, n, d)
 
-    def solve_block(lo, hi, base, y, dev):
+    def solve_block(lo, hi, base, y):
         if d == 1:
             base = base.tolist()
         y0 = y[0]
         for i, j in enumerate(range(lo, hi)):
-            const = base[i] - near[i].dot(dev[lo:j]) if i else base[i]
+            const = base[i] - dots[i](views[i]) if i else base[i]
             y[j] = x = np.dot(inv[j - 1], const + hb[j - 1])
-            dev[j] = x - y0
+            blk[i] = x - y0
 
     return TimeSeq(_march(alpha, grid, start, solve_block, reverse))

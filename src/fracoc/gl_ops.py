@@ -232,22 +232,28 @@ def _causal_product(c: np.ndarray, values: np.ndarray,
     (Stockham 1966) in O(n^2 / _SECTION + n log _SECTION) work, which adds a
     round-off of about eps log n sum_j |c_j| |values - origin| to each row,
     norm-wise, not relative to each term.  A non-finite entry would spread
-    through an FFT to every row, so such input keeps the direct sum, which
-    spoils only the rows from that entry's on.
+    through an FFT to every later row, so the rows from the first section
+    that holds one on take the direct sum, in O(_SECTION n) work when that
+    section is the last; it spoils only the rows from that entry's on.
     """
     rows = len(values)
-    out = _sectioned_product(c, values, origin) if rows >= _SECTION else None
-    if out is None:
-        out = np.empty_like(values)
-        for j in range(values.shape[1]):
-            out[:, j] = np.convolve(c[:rows], values[:, j] - origin[j])[:rows]
+    out, top = (_sectioned_product(c, values, origin) if rows >= _SECTION
+                else (np.empty_like(values), 0))
+    for j in range(values.shape[1] if top < rows else 0):
+        x = values[:, j] - origin[j]
+        if top:  # rows - 1 - top zeros ahead, so that row k takes c_0..c_k
+            x = np.concatenate((np.zeros(rows - 1 - top), x))
+            out[top:, j] = np.convolve(x, c[:rows], "valid")
+        else:
+            out[:, j] = np.convolve(c[:rows], x)[:rows]
     return out
 
 
 def _sectioned_product(c: np.ndarray, values: np.ndarray,
-                       origin: np.ndarray) -> np.ndarray | None:
-    """The causal product of c with each column of values - origin, or
-    None if some entry of values - origin is not finite.
+                       origin: np.ndarray) -> tuple[np.ndarray, int]:
+    """The causal product of c with each column of values - origin on its
+    rows before the first section that holds a non-finite entry, and the
+    count of those rows; the later rows are left for the caller.
 
     c and values - origin are cut into sections of B = ``_SECTION`` rows,
     each transformed at size 2B.  Output section s is the inverse transform
@@ -265,7 +271,8 @@ def _sectioned_product(c: np.ndarray, values: np.ndarray,
         part = slice(p * _SECTION, (p + 1) * _SECTION)
         piece = values[part] - origin
         if not np.isfinite(piece).all():
-            return None
+            count = p  # output sections from p on would take this piece
+            break
         c_hat[p] = np.fft.rfft(c[part], size)
         x_hat[p] = np.fft.rfft(piece, size, axis=0)
     out = np.zeros((rows, d))
@@ -275,7 +282,7 @@ def _sectioned_product(c: np.ndarray, values: np.ndarray,
         y = np.fft.irfft(np.einsum("pf,pfd->fd", c_hat[:s + 1], x_hat[s::-1]),
                          size, axis=0)
         out[lo:hi] += y[:hi - lo]
-    return out
+    return out, min(rows, count * _SECTION)
 
 
 def delta_minus(alpha, grid: Grid, seq: TimeSeq, caputo: bool = False) -> TimeSeq:

@@ -171,12 +171,12 @@ def test_solution_satisfies_the_operator_equation(alpha):
 
 # -- iteration behaviour ----------------------------------------------------------
 
-@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("d", (1, 2, 3))
 def test_node_solves_stay_within_iteration_budget(d):
     # count rhs evaluations per node by wrapping the right-hand side
     grid = Grid(0.0, 1.0, 10)
     opts = FixedPointOpts(tol=1e-12)
-    start = np.array([1.0, -0.5][:d])
+    start = np.array([1.0, -0.5, 0.25][:d])
     left_calls = np.zeros(11, dtype=int)
     right_calls = np.zeros(11, dtype=int)
 
@@ -228,10 +228,10 @@ def test_iteration_budget_exhaustion_raises():
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf))
-@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("d", (1, 2, 3))
 def test_non_finite_rhs_stops_at_its_node(d, bad):
     # reported on the first evaluation that returns it, not after the budget;
-    # with d = 2 only the last component goes bad
+    # with d >= 2 only the last component goes bad
     grid = Grid(0.0, 1.0, 8)
     start = np.ones(d)
     seen = []
@@ -257,36 +257,40 @@ def test_non_finite_rhs_stops_at_its_node(d, bad):
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf))
 def test_a_bad_middle_component_is_named_at_its_node(bad):
-    # the residual's size is a Python max, which skips a NaN that is not the
-    # first element; node 6 starts from the predicted value in both marches
-    grid, start = Grid(0.0, 1.0, 16), np.array([0.5, -0.2, 0.8])
-    seen = []
+    # the residual's size is a maximum, which skips a NaN that is not its
+    # first element; node 6 starts from the predicted value in both marches.
+    # d = 2 has its own loop, so each of its components is poisoned too
+    grid = Grid(0.0, 1.0, 16)
+    for start, poisoned_component in ((np.array([0.5, -0.2, 0.8]), 1),
+                                      (np.array([0.5, -0.2]), 1),
+                                      (np.array([0.5, -0.2]), 0)):
+        seen = []
 
-    def field(x, poisoned):
-        value = -np.tanh(x)
-        if poisoned:
-            value[1] = bad
-        return value
+        def field(x, poisoned):
+            value = -np.tanh(x)
+            if poisoned:
+                value[poisoned_component] = bad
+            return value
 
-    def left(x, t):
-        seen.append(t)
-        return field(x, t == grid.times[6])
+        def left(x, t):
+            seen.append(t)
+            return field(x, t == grid.times[6])
 
-    with pytest.raises(NonFiniteError) as exc:
-        solve_left_cauchy(0.5, grid, CauchyRhs(left, 1.0), start)
-    assert exc.value.node == 6
-    assert seen.count(grid.times[6]) == 1
+        with pytest.raises(NonFiniteError) as exc:
+            solve_left_cauchy(0.5, grid, CauchyRhs(left, 1.0), start)
+        assert exc.value.node == 6
+        assert seen.count(grid.times[6]) == 1
 
-    with pytest.raises(NonFiniteError) as exc:
-        solve_right_cauchy(0.5, grid, lambda x, k: field(x, k == 6), 1.0, start)
-    assert exc.value.node == 6
+        with pytest.raises(NonFiniteError) as exc:
+            solve_right_cauchy(0.5, grid, lambda x, k: field(x, k == 6), 1.0, start)
+        assert exc.value.node == 6
 
 
 def tanh_field(d, n, omega=3.0, k_tanh=0.8):
     """-K tanh(x) + cos(omega t) as a left rhs, a node-indexed right rhs and
     a call count for each."""
     grid = Grid(0.0, 1.0, n)
-    weights = np.array([1.0, -0.5][:d])
+    weights = np.array([1.0, -0.5, 0.25][:d])
     forcing = np.multiply.outer(np.cos(omega * grid.times), weights)
     calls = {"left": 0, "right": 0}
 
@@ -303,13 +307,13 @@ def tanh_field(d, n, omega=3.0, k_tanh=0.8):
 
 def tanh_marches(alpha, d, n, opts=None):
     grid, rhs, right, calls = tanh_field(d, n)
-    start = np.array([0.6, -0.3][:d])
+    start = np.array([0.6, -0.3, 0.9][:d])
     q = solve_left_cauchy(alpha, grid, rhs, start, opts).values
     p = solve_right_cauchy(alpha, grid, right, rhs.lipschitz_K, start, opts).values
     return q, p, calls
 
 
-@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("d", (1, 2, 3))
 @pytest.mark.parametrize("alpha", (0.3, 0.9))
 def test_extrapolated_start_takes_few_evaluations_per_node(alpha, d):
     # from y_{j-1} a node starts O(h) off: about 4 evaluations per node at
@@ -324,7 +328,7 @@ def test_extrapolated_start_takes_few_evaluations_per_node(alpha, d):
     assert calls["right"] / 2000 <= most
 
 
-@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("d", (1, 2, 3))
 @pytest.mark.parametrize("alpha", (0.3, 0.9))
 def test_extrapolated_start_is_only_a_start(alpha, d):
     # the fixed point is unique, so a tight solve lands on the same values
@@ -343,7 +347,7 @@ def test_march_history_does_not_leak_between_calls():
         npt.assert_array_equal(p, p2)
 
 
-@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("d", (1, 2, 3))
 def test_non_finite_rhs_past_the_first_nodes_is_named(d):
     # node 5 starts from the predicted value in both marches (the fifth
     # node of the left one, the twelfth of the right one on 16 intervals)
@@ -367,7 +371,7 @@ def test_non_finite_rhs_past_the_first_nodes_is_named(d):
     assert exc.value.node == 5
 
 
-@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("d", (1, 2, 3))
 def test_a_field_cubic_in_t_is_predicted_exactly(d):
     # with K = 0 and F cubic in t, h^alpha F is a cubic in the node index, so
     # from node 5 on the predicted start is the fixed point to round-off and
@@ -375,7 +379,7 @@ def test_a_field_cubic_in_t_is_predicted_exactly(d):
     # take two.  A start extrapolated from y itself takes about two everywhere
     n = 400
     grid = Grid(0.0, 1.0, n)
-    weights = np.array([1.0, -0.5][:d])
+    weights = np.array([1.0, -0.5, 0.25][:d])
     calls = {"left": 0, "right": 0}
 
     def cubic(t):
@@ -389,7 +393,7 @@ def test_a_field_cubic_in_t_is_predicted_exactly(d):
         calls["right"] += 1
         return cubic(grid.times[k])
 
-    start = np.array([0.4, -0.2][:d])
+    start = np.array([0.4, -0.2, 0.1][:d])
     solve_left_cauchy(0.6, grid, CauchyRhs(left, 0.0), start)
     solve_right_cauchy(0.6, grid, right, 0.0, start)
     assert calls["left"] <= n + 4
@@ -397,7 +401,7 @@ def test_a_field_cubic_in_t_is_predicted_exactly(d):
 
 
 @pytest.mark.parametrize("bad", (np.inf, np.nan))
-@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("d", (1, 2, 3))
 def test_a_non_finite_start_is_refused_at_its_node(d, bad):
     # before any evaluation, and named by the start node, not the first
     # node marched from it
@@ -435,11 +439,10 @@ def node_by_node(alpha, n, solve_node, reverse):
     rc = np.ascontiguousarray(c[min(B - 1, n):0:-1])
     top = rc.size
 
-    def block(lo, hi, base, y, dev):
+    def block(lo, hi, base, y):
         for i, j in enumerate(range(lo, hi)):
-            const = base[i] - rc[top - i:].dot(dev[lo:j]) if i else base[i]
+            const = base[i] - rc[top - i:].dot(y[lo:j] - y[0]) if i else base[i]
             y[j] = solve_node(const, n - j if reverse else j, y[j - 1])
-            dev[j] = y[j] - y[0]
 
     return block
 
@@ -572,7 +575,7 @@ def test_fixed_point_block_matches_the_node_loop(d, n):
             npt.assert_array_less(np.abs(got - want), 1e-14 * np.maximum(1.0, np.abs(want)))
 
 
-@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("d", (1, 2, 3))
 def test_a_non_finite_rhs_mid_block_is_named(d):
     # march row 70 is the sixth row of the second block in both directions
     grid, left, by_node = tanh_fields(d, 200)
@@ -594,12 +597,12 @@ def test_a_non_finite_rhs_mid_block_is_named(d):
     assert exc.value.node == 130
 
 
-@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("d", (1, 2, 3))
 def test_every_evaluation_gets_its_own_x(d):
     # the block loop keeps its iterates as floats, so a callback may keep or
     # overwrite the array it is handed without touching the march
     grid, left, by_node = tanh_fields(d, 200)
-    start, kept = np.array([0.6, -0.3][:d]), []
+    start, kept = np.array([0.6, -0.3, 0.9][:d]), []
 
     def scribbling(x, t):
         value = left(x, t)
@@ -790,7 +793,7 @@ def test_rhs_shape_mismatch_is_reported():
 
 
 
-@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("d", (1, 2, 3))
 def test_complex_rhs_values_are_refused(d):
     # a float conversion would keep the real part and only warn
     grid, start = Grid(0.0, 1.0, 8), np.ones(d)
@@ -798,6 +801,34 @@ def test_complex_rhs_values_are_refused(d):
         solve_left_cauchy(0.5, grid, CauchyRhs(lambda x, t: -x + 1j, 0.5), start)
     with pytest.raises(ValueError, match="rhs returned a complex value"):
         solve_right_cauchy(0.5, grid, lambda x, k: (-x).astype(complex), 0.5, start)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_a_column_or_row_rhs_value_is_taken_as_its_entries(d):
+    grid, left, by_node = tanh_fields(d, 70)
+    start = np.array([0.6, -0.3, 0.9][:d])
+    q = solve_left_cauchy(0.6, grid, CauchyRhs(left, 0.3), start).values
+    p = solve_right_cauchy(0.6, grid, by_node, 0.3, start).values
+    for shape in ((d, 1), (1, d)):
+        npt.assert_array_equal(solve_left_cauchy(
+            0.6, grid, CauchyRhs(lambda x, t: left(x, t).reshape(shape), 0.3), start).values, q)
+        npt.assert_array_equal(solve_right_cauchy(
+            0.6, grid, lambda x, k: by_node(x, k).reshape(shape), 0.3, start).values, p)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_the_residual_is_scaled_by_the_largest_component(d):
+    # a node is accepted once |r| <= tol * max(1, |x|) in the infinity norm;
+    # the last component sits near 1e8, whose round-off alone is about
+    # 1e-8, so a rule scaled by any other component runs out the budget
+    grid = Grid(0.0, 1.0, 40)
+    start = np.r_[np.full(d - 1, 0.1), 1e8]
+
+    def field(x, t):
+        return -0.5 * x + np.cos(3.0 * t)
+
+    solve_left_cauchy(0.5, grid, CauchyRhs(field, 0.5), start)
+    solve_right_cauchy(0.5, grid, lambda x, k: field(x, grid.times[k]), 0.5, start)
 
 
 @pytest.mark.parametrize("start", ([1.0 + 2j], np.array([1.0 + 2j]), np.array([1.0, 2j])))
@@ -810,13 +841,13 @@ def test_complex_starts_are_refused_by_name(start):
         solve_right_cauchy(0.5, grid, lambda x, k: -x, 0.5, start)
 
 
-@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("d", (1, 2, 3))
 def test_the_march_never_writes_into_a_callback_value(d):
     # a read-only value, one buffer refilled on every call and one cached
     # constant each give the march of a callback that returns a fresh array
     grid = Grid(0.0, 1.0, 40)
-    weights, start = np.array([1.0, -0.5][:d]), np.array([0.6, -0.3][:d])
-    constant, buffer = np.array([0.3, -0.7][:d]), np.empty(d)
+    weights, start = np.array([1.0, -0.5, 0.25][:d]), np.array([0.6, -0.3, 0.9][:d])
+    constant, buffer = np.array([0.3, -0.7, 0.2][:d]), np.empty(d)
 
     def fresh(x, t):
         return -0.8 * np.tanh(x) + np.cos(3.0 * t) * weights
@@ -840,7 +871,7 @@ def test_the_march_never_writes_into_a_callback_value(d):
                              (lambda x, t: constant, lambda x, t: constant.copy())):
         for got, want in zip(marches(field), marches(reference)):
             npt.assert_array_equal(got, want)
-    npt.assert_array_equal(constant, [0.3, -0.7][:d])
+    npt.assert_array_equal(constant, [0.3, -0.7, 0.2][:d])
 
 
 def test_option_and_bound_validation():

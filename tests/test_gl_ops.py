@@ -275,6 +275,31 @@ def test_non_finite_input_spoils_only_later_rows(bad):
                         atol=1e-14 * np.abs(clean).max())
 
 
+@pytest.mark.parametrize("alpha", [0.6, 1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_past_the_first_section_keeps_the_fft_rows_before_it(bad, alpha):
+    # only the rows from the section that holds the bad entry on take the
+    # direct sum: those before it are the finite input's FFT rows bit for
+    # bit, and the rows it spoils, NaN or inf, are the direct sum's
+    rng = np.random.default_rng(17)
+    n, k = 3 * _SECTION + 200, 2 * _SECTION + 100
+    grid = Grid(0.0, 1.0, n)
+    seq = random_seq(rng, n, dim=2)
+    clean = delta_minus(alpha, grid, seq).values
+    seq.values[k, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spoiled = delta_minus(alpha, grid, seq).values
+    npt.assert_array_equal(spoiled[:2 * _SECTION], clean[:2 * _SECTION])
+    ref = convolve_oracle(delta_minus, alpha, grid, seq.values, False)  # rows 1..n
+    npt.assert_array_equal(np.isnan(spoiled[1:]), np.isnan(ref))
+    npt.assert_array_equal(np.isinf(spoiled[1:]), np.isinf(ref))
+    assert np.isfinite(ref[:k - 1]).all() and not np.isfinite(ref[k - 1:, 1]).any()
+    finite = np.isfinite(ref)
+    npt.assert_allclose(spoiled[1:][finite], clean[1:][finite], rtol=0,
+                        atol=1e-14 * np.abs(clean[1:]).max())
+
+
 def test_operator_rejects_partial_or_mismatched_input():
     grid = Grid(0.0, 1.0, 5)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from fracoc import (Grid, OcpProblem, OneParamGroup, SweepOpts, TimeSeq,
                     matrix_entry, rotation_groups, solve_pontryagin,
                     transfer_residual)
 from fracoc import noether
+from fracoc.gl_ops import _SECTION
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0)
 SKEW = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -255,8 +257,9 @@ def test_band_sum_matches_the_recursion(n):
 @pytest.mark.parametrize("bad", (np.nan, np.inf))
 @pytest.mark.parametrize("where", ("g", "p"))
 def test_band_sum_keeps_a_bad_value_where_the_gram_leaf_kept_it(n, bad, where):
-    # a NaN or inf keeps the causal products on their direct sums, so it
-    # spoils the rows it reaches and no others; whether a spoiled row reads
+    # a NaN or inf sends the causal products' rows from its section on to
+    # their direct sums, so it spoils the rows it reaches and no others (at
+    # n 6401 it sits past the first section); whether a spoiled row reads
     # NaN or inf depends on the order in which infs meet, so only the set of
     # spoiled rows is compared
     rng = np.random.default_rng(n)
@@ -308,6 +311,40 @@ def test_an_inf_input_is_taken_without_a_warning(n, where):
         assert math.isnan(transfer_residual(0.6, grid, gs, ps))
     assert 0 < np.isnan(inv).sum() < n + 1
     npt.assert_array_equal(~np.isfinite(inv), ~np.isfinite(recursive_shift_sum(0.6, n, g, p)))
+
+
+def test_an_inf_in_the_last_row_costs_about_what_finite_input_costs(monkeypatch):
+    # g_{N-2} is the last row the band sum's products take.  A bad entry
+    # sends only the rows of its own section of the product and later to
+    # the direct sum, here fewer than _SECTION rows, where the whole direct
+    # sum would add about N^2 / 2 terms a column; the FFT sections before
+    # it cost what they cost on finite input
+    alpha, grid = 0.6, Grid(0.0, 1.0, 25600)
+    rng = np.random.default_rng(7)
+    g, p = rng.normal(size=(grid.n + 1, 2)), rng.normal(size=(grid.n + 1, 2))
+    p[-1] = 0.0
+    spoiled = g.copy()
+    spoiled[-3, 0] = np.inf
+    pairs = ((TimeSeq(g), TimeSeq(p)), (TimeSeq(spoiled), TimeSeq(p)))
+    convolve, terms = np.convolve, []
+
+    def counted(a, v, mode="full"):
+        short, long = sorted((len(a), len(v)))
+        terms.append(short * (long - short + 1 if mode == "valid" else long))
+        return convolve(a, v, mode)
+
+    monkeypatch.setattr(np, "convolve", counted)
+    inv = conserved_quantity(alpha, grid, *pairs[1]).values[:, 0]
+    npt.assert_array_equal(np.flatnonzero(~np.isfinite(inv)), [grid.n - 2, grid.n - 1])
+    assert 0 < sum(terms) <= 2 * _SECTION * grid.n
+    monkeypatch.undo()
+    best = [math.inf, math.inf]
+    for _ in range(5):  # interleaved, so that a slower spell hits both
+        for case, pair in enumerate(pairs):
+            started = time.perf_counter()
+            conserved_quantity(alpha, grid, *pair)
+            best[case] = min(best[case], time.perf_counter() - started)
+    assert best[1] <= 3.0 * best[0], f"{best[1]:.4f} s against {best[0]:.4f} s"
 
 
 def test_conserved_quantity_validation():
