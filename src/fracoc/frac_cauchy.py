@@ -21,13 +21,12 @@ the block from one scratch block per march (:func:`_near_sums`):
   loop per block accepts a node once |x - h^alpha F(x) - const| <=
   tol * max(1, |x|) and returns its fixed-point image h^alpha F(x) + const;
   it runs on one Python float a value at d = 1, an unpacked pair at d = 2
-  and a list from d = 3 on, and writes the block's rows of y at once.
+  and a list from d = 3 on, and makes no list per block below d = 3.
   Only h^alpha F(x) in the node equation is unknown, so each node starts
   from const plus the cubic extrapolation of h^alpha F over the last four
-  accepted nodes, kept in a ring of four slots, the first four from
-  y_{j-1}; most nodes then take one evaluation.  :func:`solve_left_cauchy`,
-  :func:`solve_right_cauchy` and the fallback of the sweep's state solve
-  use it;
+  accepted nodes, the first four from y_{j-1}; most nodes then take one
+  evaluation.  :func:`solve_left_cauchy`, :func:`solve_right_cauchy` and
+  the fallback of the sweep's state solve use it;
 - :func:`_linear_march` handles F(x, k) = A_k x + b_k with one loop per
   block, solving each node through an inverse built, with every other,
   before the march starts; it needs only I - h^alpha A_k to be
@@ -48,6 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import count
 from operator import add, sub
 from typing import Callable
 
@@ -139,15 +139,15 @@ class FixedPointOpts:
 
 
 # Width of the base blocks of :func:`_march`: a block solver sums the
-# deviations of its own block directly, at most _BLOCK - 1 terms a node, and
-# older ones reach it folded.  A power of two, so that a fold after node j
-# spans j & -j nodes.
-_BLOCK = 64
+# deviations of its own block directly, at most _BLOCK - 1 terms a node in one
+# dot about as fast at any length up to here, and older ones reach it folded
+# by FFT pairs.  A power of two, so that a fold after node j spans j & -j nodes.
+_BLOCK = 256
 
 # Largest FFT size whose kernel spectrum one march keeps for its later folds.
-# Fold sizes take only log2 N values, and 15 folds in 16 are of this size or
+# Fold sizes take only log2 N values, and 3 folds in 4 are of this size or
 # less, so the cap keeps most reuses while holding the kept spectra to about
-# 16 kB per component.
+# 12 kB per component.
 _SPECTRUM_CAP = 1024
 
 
@@ -301,22 +301,23 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
                        reverse: bool = False, at=None) -> TimeSeq:
     """March with node equations solved by fixed-point steps.
 
-    ``field(x, k)`` returns F at node k, or ``field(x, at[k])`` given an
-    array ``at`` indexed by node, which reaches ``field`` as Python floats
-    (the left march passes its times), converted a block at a time.  x is
-    a fresh float array of shape (d,) on every call.  A float64 array of d
-    elements is taken as it is; any other value goes through ``_sized``, so
-    a complex value, or one of any size but d, raises ``ValueError``.  The
-    march only reads that value, so a read-only or cached array is safe to
-    return.  ``lipschitz`` is a Lipschitz bound K of F in x.  A node is
-    accepted on its residual r(x) = x - h^alpha F(x) - const once
-    |r| <= tol * max(1, |x|), checked before each of at most ``max_iters``
-    steps and after the last.  Each step maps x to its fixed-point image
-    h^alpha F(x) + const = x - r, which multiplies |r| by at most
-    h^alpha K; the march refuses h^alpha K >= 1 (``ContractionError``), so
-    the step contracts.  Each evaluation forms the image once and r as x
-    minus it, and an accepted node returns the image, which costs no
-    evaluation and is closer to the solution by that same factor.
+    ``field(x, k)`` returns F at node k, or ``field(x, at[j])`` given an
+    array ``at`` indexed by march row j, which reaches ``field`` as Python
+    floats (the left march passes its times), a block's slice at a time.
+    x is a fresh float array of shape (d,) on every call.  A float64 array
+    of d elements is taken as it is; any other value goes through
+    ``_sized``, so a complex value, or one of any size but d, raises
+    ``ValueError``.  The march only reads that value, so a read-only or
+    cached array is safe to return.  ``lipschitz`` is a Lipschitz bound K
+    of F in x.  A node is accepted on its residual
+    r(x) = x - h^alpha F(x) - const once |r| <= tol * max(1, |x|), checked
+    before each of at most ``max_iters`` steps and after the last.  Each
+    step maps x to its fixed-point image h^alpha F(x) + const = x - r,
+    which multiplies |r| by at most h^alpha K; the march refuses
+    h^alpha K >= 1 (``ContractionError``), so the step contracts.  Each
+    evaluation forms the image once and r as x minus it, and an accepted
+    node returns the image, which costs no evaluation and is closer to the
+    solution by that same factor.
 
     const_j is known before node j is solved, so only g = h^alpha F(y_j) is
     to be predicted (the predictor of fractional Adams methods; Diethelm,
@@ -325,23 +326,27 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
     at the last four accepted iterates of this march, newest first: the
     cubic through them, h^alpha times an O(h^4) error on a smooth field,
     where y_{j-1} is O(h) off.  The first four nodes start from y_{j-1}.
-    The four values live in a ring of four slots, march row j in slot
-    (j - 1) mod 4.  The start reuses values the loop computed, so it costs
-    no evaluation.  The fixed point is unique, so the start moves only the
-    path to it: 1.01 evaluations per node on the march benchmark, where a
-    start from y_{j-1} takes 3.99 and one extrapolated from the nodes
-    themselves 1.63.
+    The four values are locals of the block loop, shifted down by one at
+    each accepted node, and kept in ``hist`` from one block to the next.
+    The start reuses values the loop computed, so it costs no evaluation.
+    The fixed point is unique, so the start moves only the path to it: 1.01
+    evaluations per node on the march benchmark, where a start from y_{j-1}
+    takes 3.99 and one extrapolated from the nodes themselves 1.63.
 
     The kernel hands over a block of ``_BLOCK`` rows at a time, and one loop
-    solves them in march order, each node's near sum, start, steps and ring
-    update inline, the near sum from the march's scratch block
-    (:func:`_near_sums`), into whose row i it writes row i's deviation; the
-    block's rows of y are written once, after its last row.  Const, the
-    iterate, its image, the residual and the ring are Python floats, where
-    a small array costs more than the arithmetic: one each at d = 1, an
-    unpacked pair at d = 2 (every planar example), a list from d = 3 on.
-    |r| and |x| are then maxima over the components, with a NaN past the
-    first component checked apart, since a maximum keeps a NaN only first.
+    solves them in march order, each node's near sum, start, steps and
+    history shift inline, the near sum from the march's scratch block
+    (:func:`_near_sums`), into whose row i it writes row i's deviation; at
+    row 0 that sum is an empty dot, 0.  Const, the iterate, its image, the
+    residual and the four values g are Python floats, where a small array
+    costs more than the arithmetic: one each at d = 1, an unpacked pair at
+    d = 2 (every planar example), a list from d = 3 on.  |r| and |x| are
+    then maxima over the components, with a NaN past the first component
+    checked apart, since a maximum keeps a NaN only first.  Up to d = 2 the
+    loop reads base and the times through memoryviews and writes each row
+    of y and of the scratch block through them, so no block builds a list
+    of its floats; from d = 3 on it collects the block's rows and writes
+    them once, after its last row.
     """
     ha = grid.h ** alpha
     _check_step(ha, lipschitz)
@@ -351,101 +356,90 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
     nodes = range(n, -1, -1) if reverse else range(n + 1)  # node of march row j
     steps = range(max_iters + 1)
     blk, views, dots = _near_sums(alpha, n, d)
-    ring = [0.0] * 4  # h^alpha F at march row j in slot (j - 1) & 3
+    devs = memoryview(blk)  # writes a float faster than blk's own indexing
+    hist = [0.0] * (8 if d == 2 else 4)  # g1..g4 between blocks, per component at d = 2
     array, ndarray, isfinite = np.array, np.ndarray, math.isfinite
 
     if d == 1:
         y0 = float(start[0])
 
         def solve_block(lo, hi, base, y):
-            base, ks, rows = base.tolist(), nodes[lo:hi], []
-            args = ks if at is None else at[ks].tolist()
-            x = y0  # the start of row 1; rows past 4 start from the cubic
-            for i, j in enumerate(range(lo, hi)):
-                const = base[i] - float(dots[i](views[i])) if i else base[i]
-                k = ks[i]
-                slot = (j - 1) & 3
-                if j > 4:
-                    x = const + (4.0 * (ring[slot - 1] + ring[slot - 3])
-                                 - 6.0 * ring[slot - 2] - ring[slot])
+            g1, g2, g3, g4 = hist
+            args = nodes[lo:hi] if at is None else memoryview(at[lo:hi])
+            rows, first, x = memoryview(y[lo:hi]), 4 - lo, y0  # rows past 4: i > first
+            for i, b, arg, dot, view in zip(count(), memoryview(base), args, dots, views):
+                const = b - float(dot(view))
+                if i > first:
+                    x = const + (4.0 * (g1 + g3) - 6.0 * g2 - g4)
                 for _ in steps:
-                    v = field(array([x]), args[i])
+                    v = field(array([x]), arg)
                     if not (type(v) is ndarray and v.dtype is _FLOAT and v.size == 1):
                         v = _sized(v, 1)
                     g = ha * v.item()
                     fixed = g + const
                     err = abs(x - fixed)
                     if not isfinite(err):
-                        raise NonFiniteError(k)
+                        raise NonFiniteError(nodes[lo + i])
                     if err <= tol or err <= tol * abs(x):  # err <= tol * max(1, |x|)
                         break
                     x = fixed
                 else:
-                    raise FixedPointDivergenceError(k, err, tol)
-                ring[slot] = g
-                rows.append(fixed)
-                blk[i] = fixed - y0
+                    raise FixedPointDivergenceError(nodes[lo + i], err, tol)
+                g4, g3, g2, g1 = g3, g2, g1, g
+                rows[i] = fixed
+                devs[i] = fixed - y0
                 x = fixed
-            y[lo:hi] = rows
+            hist[:] = g1, g2, g3, g4
     elif d == 2:
         y00, y01 = start.tolist()
-        ring1 = [0.0] * 4  # the second components; ``ring`` holds the first
 
         def solve_block(lo, hi, base, y):
-            base, ks, rows = base.tolist(), nodes[lo:hi], []
-            args = ks if at is None else at[ks].tolist()
-            x0, x1 = y00, y01
-            for i, j in enumerate(range(lo, hi)):
-                const0, const1 = base[i]
-                if i:
-                    s0, s1 = dots[i](views[i]).tolist()
-                    const0, const1 = const0 - s0, const1 - s1
-                k = ks[i]
-                slot = (j - 1) & 3
-                if j > 4:
-                    x0 = const0 + (4.0 * (ring[slot - 1] + ring[slot - 3])
-                                   - 6.0 * ring[slot - 2] - ring[slot])
-                    x1 = const1 + (4.0 * (ring1[slot - 1] + ring1[slot - 3])
-                                   - 6.0 * ring1[slot - 2] - ring1[slot])
+            g1, g2, g3, g4, e1, e2, e3, e4 = hist  # first components g, second e
+            args = nodes[lo:hi] if at is None else memoryview(at[lo:hi])
+            rows, first, x0, x1 = memoryview(y[lo:hi]), 4 - lo, y00, y01
+            b0s, b1s = memoryview(base[:, 0]), memoryview(base[:, 1])
+            for i, b0, b1, arg, dot, view in zip(count(), b0s, b1s, args, dots, views):
+                s0, s1 = dot(view).tolist()
+                const0, const1 = b0 - s0, b1 - s1
+                if i > first:
+                    x0 = const0 + (4.0 * (g1 + g3) - 6.0 * g2 - g4)
+                    x1 = const1 + (4.0 * (e1 + e3) - 6.0 * e2 - e4)
                 for _ in steps:
-                    v = field(array([x0, x1]), args[i])
+                    v = field(array([x0, x1]), arg)
                     if not (type(v) is ndarray and v.dtype is _FLOAT and v.size == 2):
                         v = _sized(v, 2)
                     v0, v1 = (v if v.ndim == 1 else v.reshape(-1)).tolist()
-                    g0, g1 = ha * v0, ha * v1
-                    fixed0, fixed1 = g0 + const0, g1 + const1
+                    h0, h1 = ha * v0, ha * v1
+                    fixed0, fixed1 = h0 + const0, h1 + const1
                     r0, r1 = abs(x0 - fixed0), abs(x1 - fixed1)
                     err = r1 if r1 > r0 else r0  # max(r0, r1), which keeps a NaN r0
                     if not isfinite(err) or r1 != r1:
-                        raise NonFiniteError(k)
+                        raise NonFiniteError(nodes[lo + i])
                     if err <= tol or err <= tol * max(abs(x0), abs(x1)):
                         break
                     x0, x1 = fixed0, fixed1
                 else:
-                    raise FixedPointDivergenceError(k, err, tol)
-                ring[slot], ring1[slot] = g0, g1
-                rows.append((fixed0, fixed1))
-                blk[i, 0], blk[i, 1] = fixed0 - y00, fixed1 - y01
+                    raise FixedPointDivergenceError(nodes[lo + i], err, tol)
+                g4, g3, g2, g1 = g3, g2, g1, h0
+                e4, e3, e2, e1 = e3, e2, e1, h1
+                rows[i, 0], rows[i, 1] = fixed0, fixed1
+                devs[i, 0], devs[i, 1] = fixed0 - y00, fixed1 - y01
                 x0, x1 = fixed0, fixed1
-            y[lo:hi] = rows
+            hist[:] = g1, g2, g3, g4, e1, e2, e3, e4
     else:
         y0 = start.tolist()
 
         def solve_block(lo, hi, base, y):
-            base, ks, rows = base.tolist(), nodes[lo:hi], []
-            args = ks if at is None else at[ks].tolist()
-            x = y0
-            for i, j in enumerate(range(lo, hi)):
-                const = (list(map(sub, base[i], dots[i](views[i]).tolist()))
-                         if i else base[i])
-                k = ks[i]
-                slot = (j - 1) & 3
-                if j > 4:
-                    x = [cq + (4.0 * (g1 + g3) - 6.0 * g2 - g4) for cq, g1, g2, g3, g4
-                         in zip(const, ring[slot - 1], ring[slot - 2], ring[slot - 3],
-                                ring[slot])]
+            g1, g2, g3, g4 = hist
+            args = nodes[lo:hi] if at is None else at[lo:hi].tolist()
+            rows, first, x = [], 4 - lo, y0
+            for i, b, arg, dot, view in zip(count(), base.tolist(), args, dots, views):
+                const = list(map(sub, b, dot(view).tolist()))
+                if i > first:
+                    x = [cq + (4.0 * (p1 + p3) - 6.0 * p2 - p4) for cq, p1, p2, p3, p4
+                         in zip(const, g1, g2, g3, g4)]
                 for _ in steps:
-                    v = field(array(x), args[i])
+                    v = field(array(x), arg)
                     if not (type(v) is ndarray and v.dtype is _FLOAT and v.size == d):
                         v = _sized(v, d)
                     g = [ha * vq for vq in (v if v.ndim == 1 else v.reshape(-1)).tolist()]
@@ -453,16 +447,17 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
                     r = list(map(sub, x, fixed))
                     err = max(map(abs, r))
                     if not isfinite(err) or math.isnan(sum(r)):
-                        raise NonFiniteError(k)
+                        raise NonFiniteError(nodes[lo + i])
                     if err <= tol or err <= tol * max(map(abs, x)):
                         break
                     x = fixed
                 else:
-                    raise FixedPointDivergenceError(k, err, tol)
-                ring[slot] = g
+                    raise FixedPointDivergenceError(nodes[lo + i], err, tol)
+                g4, g3, g2, g1 = g3, g2, g1, g
                 rows.append(fixed)
                 blk[i] = list(map(sub, fixed, y0))
                 x = fixed
+            hist[:] = g1, g2, g3, g4
             y[lo:hi] = rows
 
     return TimeSeq(_march(alpha, grid, start, solve_block, reverse))
@@ -570,17 +565,22 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
     except np.linalg.LinAlgError:  # an exact zero pivot, which det sees too
         raise SingularNodeError(int(nodes[np.argmax(np.linalg.det(g) == 0.0)])) from None
     hb = ha * b_vecs[nodes]
-    if d == 1:  # the kernel's rows are floats
-        inv, hb = inv[:, 0, 0], hb[:, 0]
     blk, views, dots = _near_sums(alpha, n, d)
 
-    def solve_block(lo, hi, base, y):
-        if d == 1:
-            base = base.tolist()
-        y0 = y[0]
-        for i, j in enumerate(range(lo, hi)):
-            const = base[i] - dots[i](views[i]) if i else base[i]
-            y[j] = x = np.dot(inv[j - 1], const + hb[j - 1])
-            blk[i] = x - y0
+    if d == 1:  # the kernel's rows are floats, and so are the node solves
+        inv, hb, y0, devs = inv[:, 0, 0], hb[:, 0], float(start[0]), memoryview(blk)
+
+        def solve_block(lo, hi, base, y):
+            rows = memoryview(y[lo:hi])
+            for i, b, dot, view, a, f in zip(count(), memoryview(base), dots, views,
+                                             memoryview(inv[lo - 1:hi - 1]),
+                                             memoryview(hb[lo - 1:hi - 1])):
+                rows[i] = x = a * (b - float(dot(view)) + f)
+                devs[i] = x - y0
+    else:
+        def solve_block(lo, hi, base, y):
+            for i, j in enumerate(range(lo, hi)):
+                y[j] = x = np.dot(inv[j - 1], base[i] - dots[i](views[i]) + hb[j - 1])
+                blk[i] = x - start
 
     return TimeSeq(_march(alpha, grid, start, solve_block, reverse))

@@ -461,10 +461,12 @@ def direct_march(alpha, n, start, solve_node, reverse):
 @pytest.mark.parametrize("reverse", (False, True))
 @pytest.mark.parametrize("alpha", (0.3, 0.9, 1.0))
 @pytest.mark.parametrize("d", (1, 2))
-@pytest.mark.parametrize("n", (1, 2, B - 1, B, B + 1, 2 * B, 3 * B + 5, 1000, 4103))
+@pytest.mark.parametrize("n", (1, 2, 63, 64, 65, 128, 197, B - 1, B, B + 1, 2 * B,
+                               3 * B + 5, 1000, 4103))
 def test_march_kernel_matches_its_direct_sum(n, d, alpha, reverse):
     # folded far blocks plus the near sum of each block give every memory term
-    # once; the node solve is closed-form, so only the sums can differ
+    # once; the node solve is closed-form, so only the sums can differ.  The
+    # marches shorter than a block take their near sums alone
     rng = np.random.default_rng(n)
     noise, start = rng.standard_normal((n + 1, d)), rng.standard_normal(d)
     rows = noise[:, 0] if d == 1 else noise  # the kernel runs on floats at d = 1
@@ -558,11 +560,12 @@ def tanh_fields(d, n):
     return grid, left, lambda x, k: left(x, grid.times[k])
 
 
-@pytest.mark.parametrize("n", (1, B - 1, B, B + 1, 200))
+@pytest.mark.parametrize("n", (1, 63, 64, 65, 200, B - 1, B, B + 1, 2 * B + 5))
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_fixed_point_block_matches_the_node_loop(d, n):
     # the same floats at d = 1; at d >= 2 the predictor sums its cubic in
-    # another order, which moves only the start of each node
+    # another order, which moves only the start of each node.  At 2B + 5 the
+    # four predictor values carry across two block boundaries
     grid, left, by_node = tanh_fields(d, n)
     start = np.array([0.6, -0.3, 0.9][:d])
     for reverse, got in (
@@ -577,31 +580,32 @@ def test_fixed_point_block_matches_the_node_loop(d, n):
 
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_a_non_finite_rhs_mid_block_is_named(d):
-    # march row 70 is the sixth row of the second block in both directions
-    grid, left, by_node = tanh_fields(d, 200)
+    # march row B + 6 is the sixth row of the second block in both directions
+    n, row = 2 * B + 8, B + 6
+    grid, left, by_node = tanh_fields(d, n)
     start, seen = np.full(d, 0.5), []
 
     def poisoned(x, t):
         seen.append(t)
-        return np.full(d, np.nan) if t == grid.times[70] else left(x, t)
+        return np.full(d, np.nan) if t == grid.times[row] else left(x, t)
 
     with pytest.raises(NonFiniteError) as exc:
         solve_left_cauchy(0.6, grid, CauchyRhs(poisoned, 0.3), start)
-    assert exc.value.node == 70
-    assert seen.count(grid.times[70]) == 1 and max(seen) == grid.times[70]
+    assert exc.value.node == row
+    assert seen.count(grid.times[row]) == 1 and max(seen) == grid.times[row]
 
     with pytest.raises(NonFiniteError) as exc:
         solve_right_cauchy(0.6, grid,
-                           lambda x, k: np.r_[x[:-1], np.nan] if k == 130 else by_node(x, k),
+                           lambda x, k: np.r_[x[:-1], np.nan] if k == n - row else by_node(x, k),
                            0.3, start)
-    assert exc.value.node == 130
+    assert exc.value.node == n - row
 
 
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_every_evaluation_gets_its_own_x(d):
     # the block loop keeps its iterates as floats, so a callback may keep or
     # overwrite the array it is handed without touching the march
-    grid, left, by_node = tanh_fields(d, 200)
+    grid, left, by_node = tanh_fields(d, 2 * B + 8)  # three blocks
     start, kept = np.array([0.6, -0.3, 0.9][:d]), []
 
     def scribbling(x, t):
@@ -613,7 +617,7 @@ def test_every_evaluation_gets_its_own_x(d):
     q = solve_left_cauchy(0.6, grid, CauchyRhs(scribbling, 0.3), start).values
     p = solve_right_cauchy(0.6, grid, lambda x, k: scribbling(x, grid.times[k]), 0.3,
                            start).values
-    assert len({id(x) for x in kept}) == len(kept) > 400
+    assert len({id(x) for x in kept}) == len(kept) > 2 * grid.n
     npt.assert_array_equal(q, solve_left_cauchy(0.6, grid, CauchyRhs(left, 0.3), start).values)
     npt.assert_array_equal(p, solve_right_cauchy(0.6, grid, by_node, 0.3, start).values)
 
@@ -640,7 +644,7 @@ def node_loop_linear_march(alpha, grid, a_mats, b, start, reverse):
 
 
 @pytest.mark.parametrize("reverse", (False, True))
-@pytest.mark.parametrize("n", (1, B - 1, B, B + 1, 300))
+@pytest.mark.parametrize("n", (1, 63, 64, 65, 300, B - 1, B, B + 1, 2 * B + 5))
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_time_varying_linear_block_matches_the_node_loop(d, n, reverse):
     # the block solver's inverses built up front against a solve per node
@@ -655,15 +659,17 @@ def test_time_varying_linear_block_matches_the_node_loop(d, n, reverse):
 @pytest.mark.parametrize("reverse", (False, True))
 @pytest.mark.parametrize("d", (1, 2))
 def test_a_singular_node_in_the_second_block_is_named(d, reverse):
-    # h^alpha = 1/16 exactly, so h^alpha A_k = 16/16 leaves a zero pivot;
-    # march rows 100 and 150 are both singular, and 100 comes first
-    grid = Grid(0.0, 1.0, 256)
-    a_mats, b, start = varying_march_data(d, 256)
-    for row in (100, 150):
-        a_mats[256 - row if reverse else row, 0] = [16.0] + [0.0] * (d - 1)
+    # h = 1/4B = 1/1024, so h^alpha = 1/32 exactly and h^alpha A_k = 32/32
+    # leaves a zero pivot; march rows B + 100 and B + 150 are both singular,
+    # and B + 100 comes first
+    n = 4 * B
+    grid = Grid(0.0, 1.0, n)
+    a_mats, b, start = varying_march_data(d, n)
+    for row in (B + 100, B + 150):
+        a_mats[n - row if reverse else row, 0] = [32.0] + [0.0] * (d - 1)
     with pytest.raises(frac_cauchy.SingularNodeError) as exc:
         frac_cauchy._linear_march(0.5, grid, a_mats, b, start, reverse)
-    assert exc.value.node == (156 if reverse else 100)
+    assert exc.value.node == (n - B - 100 if reverse else B + 100)
 
 
 # -- linear march with a constant Jacobian ---------------------------------------
