@@ -88,7 +88,8 @@ class Grid:
 
     def index_of(self, t: float) -> int:
         """Node index of a grid time, for callbacks handed t rather than k."""
-        k = int(round((t - self.a) / self.h))
+        x = (t - self.a) / self.h
+        k = int(round(x)) if abs(x) <= self.n + 1 else -1  # not inf or NaN either
         if not 0 <= k <= self.n or abs(t - self.times[k]) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"t={t} is not a node of {self}")
         return k

@@ -53,25 +53,35 @@ class OneParamGroup:
     vectorized: bool = False
 
 
+def _moved(phi: OneParamGroup, rows: np.ndarray, s: float | None = None) -> np.ndarray:
+    """phi(s, .), or phi's generator if s is None, at every row: one call if
+    phi is vectorized, else one per row.  A value of another shape than the
+    rows', or a complex one, raises ``ValueError``."""
+    name = "group generator" if s is None else "group map"
+    fn = phi.generator if s is None else (lambda x: phi.map(s, x))
+    out = _real(fn(rows) if phi.vectorized else np.stack([fn(x) for x in rows]),
+                f"a {name}")
+    if out.shape != rows.shape:
+        raise ValueError(f"a {'vectorized ' if phi.vectorized else ''}{name} returned "
+                         f"shape {out.shape} for rows of shape {rows.shape}")
+    return out
+
+
 def group_axiom_defect(group: OneParamGroup, points: Sequence[np.ndarray]) -> float:
     """Largest sampled defect of the identity and generator axioms.
 
     The generator is compared with the central difference of ``map`` at
-    s = +-1e-5.  A complex point or value raises ``ValueError``.
+    s = +-1e-5.  A vectorized group is handed each point as a one-row stack
+    (1, d), any other group the point as is; a map or generator value of
+    another shape than its argument, or a complex point or value, raises
+    ``ValueError``.
     """
-    def row(value, name: str = "a group map") -> np.ndarray:
-        value = _real(value, name)
-        return value[0] if group.vectorized else value
-
-    s = 1e-5
-    gaps = []
+    s, gaps = 1e-5, []
     for x in points:
-        x = np.atleast_1d(_real(x, "a point", "is"))
-        arg = x[None] if group.vectorized else x  # a one-row stack when vectorized
-        at_zero = row(group.map(0.0, arg))
-        fd = (row(group.map(s, arg)) - row(group.map(-s, arg))) / (2 * s)
-        gen = row(group.generator(arg), "a group generator")
-        gaps += [np.max(np.abs(at_zero - x)), np.max(np.abs(fd - gen))]
+        rows = np.atleast_1d(_real(x, "a point", "is"))[None]
+        at_zero = _moved(group, rows, 0.0)
+        fd = (_moved(group, rows, s) - _moved(group, rows, -s)) / (2 * s)
+        gaps += [np.max(np.abs(at_zero - rows)), np.max(np.abs(fd - _moved(group, rows)))]
     return float(np.max(gaps, initial=0.0))  # NaN stays NaN, unlike max()
 
 
@@ -233,18 +243,10 @@ def invariance_residual(problem: OcpProblem, groups: Sequence[OneParamGroup],
         return (running[1:] + (w @ f[1:, :, None]).reshape(-1)
                 - (w @ dq.values[1:, :, None]).reshape(-1))
 
-    def moved(phi: OneParamGroup, s: float, rows: np.ndarray) -> np.ndarray:
-        out = _real(phi.map(s, rows) if phi.vectorized
-                    else np.stack([phi.map(s, x) for x in rows]), "a group map")
-        if out.shape != rows.shape:
-            raise ValueError(f"a {'vectorized ' if phi.vectorized else ''}group map returned "
-                             f"shape {out.shape} for rows of shape {rows.shape}")
-        return out
-
     base = bracket(q.values, u.values, p.values[:n])
     # U_0 is never read, so it is kept as is rather than moved
-    gaps = [np.abs(bracket(moved(phi1, s, q.values),
-                           np.concatenate([u.values[:1], moved(phi2, s, u.values[1:])]),
-                           moved(phi3, s, p.values[:n])) - base)
+    gaps = [np.abs(bracket(_moved(phi1, q.values, s),
+                           np.concatenate([u.values[:1], _moved(phi2, u.values[1:], s)]),
+                           _moved(phi3, p.values[:n], s)) - base)
             for s in map(float, s_samples)]
     return float(np.max(gaps, initial=0.0))

@@ -28,8 +28,8 @@ Every callback value the layer reads at (Q_k, U_k, t_k) comes from one walk
 over the nodes, ``_at_nodes``, which makes one call per callback on a
 vectorized problem and one per node otherwise; the adjoint's read of node
 k + 1 is one roll of its rows.  A closed-form control update is one such
-call too.  Only the fallback root solve of the control update goes node by
-node, since it names the node it fails at.  Every walk checks its inputs'
+call too; without one, the control update is a bracketed root solve at every
+node at once, one walk per evaluation.  Every walk checks its inputs'
 windows and row sizes once, on entry, and then reads rows.
 """
 
@@ -95,7 +95,7 @@ _ANDERSON_COND = 1e10
 
 
 class ControlUpdateError(RuntimeError):
-    """The fallback scalar solve for the stationary condition failed."""
+    """The bracketed root solve of the stationary condition failed."""
 
     def __init__(self, node: int, detail: str):
         self.node = node
@@ -169,7 +169,7 @@ class OcpProblem:
                     raise ValueError(f"{name} returned {value.size} values at "
                                      f"t = {tk}, expected {size}")
                 rows.append(value.reshape(shape))
-            return np.array(rows)
+            return np.array(rows).reshape(k, *shape)  # (0, *shape) for no rows
         value = _real(fn(x, v, t), name)
         if value.size == size:  # one value that holds at every node
             return np.broadcast_to(value.reshape(shape), (k, *shape))
@@ -222,11 +222,12 @@ class SweepOpts:
     passes, damped by beta = 0.5 (see :func:`solve_pontryagin`).
     ``inner`` sets the state solve's nodewise residual tolerance and the
     budget of its trajectory Newton iterates and of its fixed-point
-    fallback's steps per node, and nothing else: the control update's
-    fallback root solve stops at ``tol_stationarity / sqrt(m)`` per
-    component.  At m = 1 a root it returns already passes the stationarity
-    test; at m > 1 its few coupling passes may stop short of it, and what
-    guarantees the result is the sweep's own stationarity test.
+    fallback's steps per node, and nothing else: without a closed-form
+    ``control_update``, the root solve of the stationary condition stops at
+    ``tol_stationarity / sqrt(m)`` per component.  At m = 1 a root it
+    returns already passes the stationarity test; at m > 1 its few coupling
+    passes may stop short of it, and what guarantees the result is the
+    sweep's own stationarity test.
     """
 
     tol_stationarity: float = 1e-9
@@ -374,67 +375,65 @@ def stationarity_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq,
     return TimeSeq(_node_norms(g), 1, problem.grid.n)
 
 
-def _secant_root(g, x0: float, tol: float, node: int) -> float:
-    """Scalar root of a monotone function: secant, then bracketed bisection."""
-    f0 = g(x0)
-    if abs(f0) <= tol:
-        return x0
-    x1 = x0 + max(1e-4, 1e-4 * abs(x0))
-    f1 = g(x1)
-    for _ in range(60):
-        if abs(f1) <= tol:
-            return x1
-        if f1 == f0:
-            break
-        x0, x1 = x1, x1 - f1 * (x1 - x0) / (f1 - f0)
-        f0, f1 = f1, g(x1)
-    # secant stalled; expand a bracket around the best iterate
-    lo, hi = x1 - 1.0, x1 + 1.0
-    for _ in range(80):
-        flo, fhi = g(lo), g(hi)
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo * fhi < 0.0:
-            break
-        lo, hi = x1 - 2 * (x1 - lo), x1 + 2 * (hi - x1)
-    else:
-        raise ControlUpdateError(node, "no sign change found (is dH/dv monotone?)")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = g(mid)
-        if abs(fm) <= tol or hi - lo <= 1e-15 * max(1.0, abs(mid)):
-            return mid
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    raise ControlUpdateError(node, "bisection did not reach tolerance")
+def _root_controls(problem: OcpProblem, x: np.ndarray, w: np.ndarray, t: np.ndarray,
+                   v: np.ndarray, tol: float) -> np.ndarray:
+    """Controls from dH/dv(x_k, v_k, w_k, t_k) = 0 at every row k, node k + 1.
 
-
-def _root_control(problem: OcpProblem, x, w, t, v_start, tol: float,
-                  node: int) -> np.ndarray:
-    """U_k from dH/dv = 0 at one node, by componentwise scalar root solves.
-
-    A few passes over the components, in case they couple.
+    Per component, a row off by more than ``tol`` tries v_k -+ 1, 2, 4, ...
+    (first where an increasing dH/dv has its root) until dH/dv changes sign,
+    then closes the bracket by regula falsi with the Illinois step (Dowell &
+    Jarratt, BIT 11, 1971) until within ``tol`` or narrower than
+    1e-15 max(1, |v_k|).  Each evaluation is one walk over the open rows; at
+    m > 1 up to four passes over the components let them couple.
     """
-    v = np.array(v_start, dtype=float).reshape(problem.m).copy()
-    for _ in range(4):
-        moved = 0.0
+    v = np.array(v, dtype=float)
+
+    def dh(rows: np.ndarray, vals: np.ndarray) -> np.ndarray:  # rows in order
+        xs, ts = x[rows], t[rows]
+        g = problem._rows("dL_dv", xs, vals, ts) + np.einsum(
+            "kdm,kd->km", problem._rows("df_dv", xs, vals, ts), w[rows])
+        i = np.isfinite(g).all(axis=1).argmin()  # the first bad row is the lowest
+        if not np.isfinite(g[i]).all():  # no bracket can mend it
+            raise ControlUpdateError(rows[i] + 1, f"dH/dv not finite at v = {vals[i]}")
+        return g
+
+    g = dh(np.arange(len(t)), v)
+    for _ in range(4 if problem.m > 1 else 1):
         for j in range(problem.m):
-            def comp(s, j=j):
-                v_try = v.copy()
-                v_try[j] = s
-                dh = float(problem.dh_dv(x, v_try, w, t)[j])
-                if not np.isfinite(dh):  # no bracket can mend it
-                    raise ControlUpdateError(node, f"dH/dv not finite at v = {v_try}")
-                return dh
-            new = _secant_root(comp, float(v[j]), tol, node)
-            moved = max(moved, abs(new - v[j]))
-            v[j] = new
-        if moved <= tol:
-            break
+            # the start a and the newest point b, of opposite signs once bracketed
+            a, fa, b, fb = v[:, j].copy(), g[:, j].copy(), *np.zeros((2, len(t)))
+            wide, live = np.flatnonzero(np.abs(fa) > tol), np.arange(0)
+            for r in range(160):  # 80 doublings, each side in turn
+                if not wide.size:
+                    break
+                vals = v[wide]
+                vals[:, j] -= np.sign(fa[wide]) * (-1.0) ** r * 2.0 ** (r // 2)
+                gt = dh(wide, vals)
+                root = np.abs(gt[:, j]) <= tol
+                more = ~root & (gt[:, j] * fa[wide] < 0)
+                v[wide[root]], g[wide[root]] = vals[root], gt[root]
+                b[wide[more]], fb[wide[more]] = vals[more, j], gt[more, j]
+                live, wide = np.union1d(live, wide[more]), wide[~root & ~more]
+            if wide.size:
+                raise ControlUpdateError(wide[0] + 1,
+                                         "no sign change found (is dH/dv monotone?)")
+            for _ in range(200):
+                if not live.size:
+                    break
+                c = b[live] - fb[live] * (b[live] - a[live]) / (fb[live] - fa[live])
+                vals = v[live]
+                vals[:, j] = c
+                gc = dh(live, vals)
+                flip = live[gc[:, j] * fb[live] < 0]  # the sign changed since b
+                fa[live] *= 0.5  # Illinois: an end kept twice counts half
+                a[flip], fa[flip] = b[flip], fb[flip]
+                b[live], fb[live] = c, gc[:, j]
+                done = np.abs(gc[:, j]) <= tol
+                done |= np.abs(c - a[live]) <= 1e-15 * np.maximum(1.0, np.abs(c))
+                v[live[done]], g[live[done]] = vals[done], gc[done]
+                live = live[~done]
+            if live.size:
+                raise ControlUpdateError(live[0] + 1, "regula falsi did not reach tolerance")
     return v
 
 
@@ -459,11 +458,11 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
     """Forward-backward sweep for the full shifted system.
 
     Each pass solves the state forward, the adjoint backward, then refreshes
-    the control from the stationary condition node by node and mixes the
-    refreshed U* in by type-II Anderson mixing.  With f = U* - U over rows
-    1..N, and the last (at most 20) differences of f and of U* as the
-    columns of dF and dG, it solves the least-squares problem dF gamma ~ f
-    and sets
+    the control from the stationary condition at every node at once and
+    mixes the refreshed U* in by type-II Anderson mixing.  With f = U* - U
+    over rows 1..N, and the last (at most 20) differences of f and of U* as
+    the columns of dF and dG, it solves the least-squares problem
+    dF gamma ~ f and sets
 
         U <- U* - dG gamma - (1 - beta) (f - dF gamma),
 
@@ -495,15 +494,13 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
         p = adjoint_solve(problem, u, q)
         residual = stationarity_residual(problem, q, u, p).sup_norm()
 
-        step = np.zeros_like(u.values)
+        # U* - U over rows 1..N, U* from (Q_k, P_{k-1}, t_k)
+        args = (q.values[1:], p.values[:-1], grid.times[1:])
         if problem.control_update is not None:
-            step[1:] = problem._rows("control_update", q.values[1:], p.values[:-1],
-                                     grid.times[1:]) - u.values[1:]
+            step = problem._rows("control_update", *args) - u.values[1:]
         else:
-            rows = zip(q.values[1:], p.values[:-1], grid.times[1:], u.values[1:])
-            for k, (x, w, t, v) in enumerate(rows, 1):
-                step[k] = _root_control(problem, x, w, t, v, root_tol, k) - v
-        increment = float(np.max(np.abs(step[1:])))
+            step = _root_controls(problem, *args, u.values[1:], root_tol) - u.values[1:]
+        increment = float(np.max(np.abs(step)))
 
         if residual <= opts.tol_stationarity and increment <= opts.tol_control:
             u.values[0] = u.values[1]
@@ -521,8 +518,7 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
                 f"the control increment grew on {grew} passes in a row")
         increment_prev = increment
 
-        # rows 1..N, flattened; row 0 of the step is zero
-        f = step[1:].reshape(-1)
+        f = step.reshape(-1)  # rows 1..N, flattened
         g = u.values[1:].reshape(-1) + f
         if f_prev is not None:
             dfs.append(f - f_prev)

@@ -103,6 +103,9 @@ def test_grid_nodes_and_index_lookup():
         grid.index_of(0.1)  # between nodes
     with pytest.raises(ValueError):
         grid.index_of(2.3)  # outside [a, b]
+    for t in (np.inf, -np.inf, np.nan):  # no overflow or NaN cast on the way
+        with pytest.raises(ValueError, match=r"t=-?(inf|nan) is not a node of"):
+            grid.index_of(t)
 
 
 @pytest.mark.parametrize("a,b,n", [(1.0, 1.0, 4), (2.0, 1.0, 4), (0.0, 1.0, 0),

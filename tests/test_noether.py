@@ -612,6 +612,21 @@ def test_group_axioms_hand_a_stacked_group_one_row():
     assert group_axiom_defect(broken, points) >= 1e-3
 
 
+@pytest.mark.parametrize("vectorized", (True, False))
+def test_group_axioms_refuse_misshapen_values_on_both_paths(vectorized):
+    # a flat (d,) value for a one-row stack used to be read row 0 first, and
+    # its first entry taken for the whole row
+    rot = dataclasses.replace(rotation_groups()[0], vectorized=vectorized)
+    flat = (lambda s, x: rot.map(s, x).reshape(-1)) if vectorized else plus_one_entry(rot.map)
+    points = [np.array([1.0, 0.5])]
+    kind = "a vectorized " if vectorized else "a "
+    for broken, name in ((dataclasses.replace(rot, map=flat), "group map"),
+                         (dataclasses.replace(rot, generator=lambda x: flat(1.0, x)),
+                          "group generator")):
+        with pytest.raises(ValueError, match=f"^{kind}{name} returned shape"):
+            group_axiom_defect(broken, points)
+
+
 def plus_one_entry(move):
     return lambda s, x: np.concatenate([move(s, x), np.ones(np.shape(x)[:-1] + (1,))], axis=-1)
 

@@ -17,7 +17,7 @@ from fracoc import (CauchyRhs, ContractionError, FixedPointDivergenceError,
                     gl_coefficients, invariance_residual, rotation_groups,
                     solve_left_cauchy, solve_pontryagin, state_solve,
                     stationarity_residual)
-from fracoc.pontryagin import ControlUpdateError, _secant_root
+from fracoc.pontryagin import ControlUpdateError, _root_controls
 
 TIGHT_INNER = FixedPointOpts(tol=1e-14, max_iters=200)
 
@@ -650,24 +650,108 @@ def test_sweep_option_validation():
 
 # -- scalar control updates without a closed form -------------------------------------
 
-def test_secant_root_finds_monotone_cubic_root():
-    root = _secant_root(lambda s: s ** 3 - 2.0, 1.0, 1e-13, node=3)
+def stacked_roots(dh, starts, tol, calls=None):
+    """``_root_controls`` on nodes 1..K whose dH/dv at node k is dh(s, k)."""
+    grid = Grid(0.0, 1.0, len(starts))
+
+    def dl_dv(x, v, t):
+        k = grid.index_of(t)
+        if calls is not None:
+            calls[k] = calls.get(k, 0) + 1
+        return dh(float(v[0]), k)
+
+    zero = lambda x, v, t: 0.0
+    problem = OcpProblem(d=1, m=1, alpha=0.5, grid=grid, initial=np.zeros(1), L=zero,
+                         dL_dx=zero, dL_dv=dl_dv, f=zero, df_dx=zero, df_dv=zero,
+                         lipschitz_M=1.0)
+    rows = np.zeros((len(starts), 1))
+    return _root_controls(problem, rows, rows, grid.times[1:],
+                          np.reshape(starts, (-1, 1)), tol)[:, 0]
+
+
+def test_root_controls_find_monotone_cubic_root():
+    root, = stacked_roots(lambda s, k: s ** 3 - 2.0, [1.0], 1e-13)
     npt.assert_allclose(root, 2.0 ** (1.0 / 3.0), rtol=1e-10)
 
 
-def test_secant_root_reports_rootless_input():
-    with pytest.raises(ControlUpdateError):
-        _secant_root(lambda s: 1.0 / (1.0 + s * s) + 0.5, 0.0, 1e-13, node=7)
+def test_root_controls_report_rootless_input():
+    with pytest.raises(ControlUpdateError, match="no sign change found") as err:
+        stacked_roots(lambda s, k: 1.0 / (1.0 + s * s) + 0.5, [0.0], 1e-13)
+    assert err.value.node == 1
 
 
 @pytest.mark.parametrize("dh, x0", [
-    (lambda s: float(np.clip(s - 5.0, -1.0, 1.0)), 0.0),  # a plateau stalls the secant
-    (lambda s: float(np.clip(2.0 - s, -1.0, 1.0)), 10.0),  # decreasing
-    (lambda s: 0.0 if s >= 3.0 else -1.0, 0.0),            # the bracket's top is a root
-    (lambda s: 0.0 if s <= -3.0 else 1.0, 0.0),            # and here its bottom
+    (lambda s: float(np.clip(s - 5.0, -1.0, 1.0)), 0.0),
+    (lambda s: float(np.clip(2.0 - s, -1.0, 1.0)), 10.0),
+    (lambda s: 0.0 if s >= 3.0 else -1.0, 0.0),
+    (lambda s: 0.0 if s <= -3.0 else 1.0, 0.0),
+], ids=["plateau", "decreasing", "root_at_top", "root_at_bottom"])
+def test_root_controls_bracket_and_close_on_hard_input(dh, x0):
+    root, = stacked_roots(lambda s, k: dh(s), [x0], 1e-12)
+    assert abs(dh(root)) <= 1e-12
+
+
+def test_root_controls_close_a_convex_bracket_from_both_ends():
+    # plain regula falsi keeps the lower end and takes 67 evaluations here;
+    # the Illinois step halves that end's value and takes 15
+    calls = {}
+    root, = stacked_roots(lambda s, k: s ** 10 - 1.0, [0.2], 1e-12, calls)
+    assert abs(root - 1.0) <= 1e-12 and calls[1] <= 20
+
+
+@pytest.mark.parametrize("first, root, most", [
+    (lambda s: s - 1.0, 1.0, 3),               # the start, then one trial per component
+    (lambda s: s ** 3 - 2.0, 2.0 ** (1.0 / 3.0), 17),  # a closed bracket, then a trial
 ])
-def test_secant_root_brackets_and_bisects_after_a_stall(dh, x0):
-    assert abs(dh(_secant_root(dh, x0, 1e-12, node=4))) <= 1e-12
+def test_root_controls_pass_fresh_values_between_components(first, root, most):
+    # dH/dv = (first(v_1), v_2 - v_1): the second component starts from
+    # dH/dv at the first one's root only if the values found there are kept
+    calls = []
+    grid = Grid(0.0, 1.0, 1)
+    zero = lambda x, v, t: 0.0
+
+    def dl_dv(x, v, t):
+        calls.append(1)
+        return np.array([first(v[0]), v[1] - v[0]])
+
+    problem = OcpProblem(d=1, m=2, alpha=0.5, grid=grid, initial=np.zeros(1), L=zero,
+                         dL_dx=zero, dL_dv=dl_dv, f=zero, df_dx=zero,
+                         df_dv=lambda x, v, t: np.zeros(2), lipschitz_M=1.0)
+    v = _root_controls(problem, np.zeros((1, 1)), np.zeros((1, 1)), grid.times[1:],
+                       np.zeros((1, 2)), 1e-12)
+    npt.assert_allclose(v, [[root, root]], rtol=1e-12)
+    assert len(calls) <= most
+
+
+def test_root_controls_keep_each_node_to_its_own_solve():
+    # nodes that close after different numbers of steps, or none, must each
+    # end where a solve of that node alone ends, bit for bit
+    funcs = [lambda s: s - 0.3, lambda s: s ** 3 - 2.0,
+             lambda s: float(np.clip(s - 5.0, -1.0, 1.0)),
+             lambda s: np.tanh(3.0 * (s + 2.5)), lambda s: s - 0.7,
+             lambda s: float(np.clip(2.0 - s, -1.0, 1.0)), lambda s: 0.01 * (s + 40.0)]
+    starts = [0.0, 1.0, 0.0, 0.0, 0.7, 10.0, 0.0]
+    calls = {}
+    roots = stacked_roots(lambda s, k: funcs[k - 1](s), starts, 1e-12, calls)
+    for k, (fn, x0) in enumerate(zip(funcs, starts), 1):
+        alone, = stacked_roots(lambda s, _: fn(s), [x0], 1e-12)
+        assert roots[k - 1] == alone
+        assert abs(fn(alone)) <= 1e-12
+    assert len(set(calls.values())) >= 4  # the nodes did close at different steps
+
+
+@pytest.mark.parametrize("start_20, width", [(0.0, 1.0), (-2.4, 0.3)])
+def test_root_controls_name_the_lowest_non_finite_node(start_20, width):
+    # NaN within width of the root at nodes 20 and 30, met in one walk: the
+    # first, or the first closing step, node 20 having taken longer to bracket
+    def dh(s, k):
+        return np.nan if k in (20, 30) and abs(s - 0.6) < width else s - 0.6
+
+    starts = np.zeros(40)
+    starts[19] = start_20
+    with pytest.raises(ControlUpdateError, match="node 20: dH/dv not finite") as err:
+        stacked_roots(dh, starts, 1e-12)
+    assert err.value.node == 20
 
 
 def test_fallback_root_solve_stops_on_a_non_finite_derivative():
@@ -889,7 +973,8 @@ def test_vectorized_callbacks_only_see_stacked_nodes():
 
 
 def test_closed_form_update_and_root_solve_agree_when_stacked():
-    # without control_update each node's root solve calls dh_dv at one node
+    # without control_update the root solve walks dL_dv and df_dv over all
+    # open nodes in one call each per evaluation
     stacked = build_example("lq", 0.5, 40)
     rooted = dataclasses.replace(stacked, control_update=None)
     a, b = solve_pontryagin(stacked), solve_pontryagin(rooted)
@@ -942,6 +1027,15 @@ def test_callback_values_of_the_wrong_size_are_refused():
     with pytest.raises(ValueError, match=r"f returned 2 values at t = .*, expected 1$"):
         state_solve(dataclasses.replace(stacked, vectorized=False,
                                         f=lambda x, v, t: np.ones(2)), u)
+
+
+@pytest.mark.parametrize("vectorized", (True, False))
+def test_callbacks_at_no_nodes_keep_their_value_shape(vectorized):
+    # the root solve walks only its open nodes, which may be none
+    rot = dataclasses.replace(build_example("rotation", 0.5, 8), vectorized=vectorized)
+    none, t = np.zeros((0, 2)), np.zeros(0)
+    for name, shape in (("L", (0,)), ("f", (0, 2)), ("df_dv", (0, 2, 2))):
+        assert rot._rows(name, none, none, t).shape == shape
 
 
 def test_a_complex_initial_value_is_refused_by_name():
