@@ -614,8 +614,8 @@ def test_group_axioms_hand_a_stacked_group_one_row():
 
 @pytest.mark.parametrize("vectorized", (True, False))
 def test_group_axioms_refuse_misshapen_values_on_both_paths(vectorized):
-    # a flat (d,) value for a one-row stack used to be read row 0 first, and
-    # its first entry taken for the whole row
+    # read as a row, a flat (d,) value for a one-row stack would give its
+    # first entry for the whole point
     rot = dataclasses.replace(rotation_groups()[0], vectorized=vectorized)
     flat = (lambda s, x: rot.map(s, x).reshape(-1)) if vectorized else plus_one_entry(rot.map)
     points = [np.array([1.0, 0.5])]

@@ -1031,7 +1031,7 @@ def test_callback_values_of_the_wrong_size_are_refused():
 
 @pytest.mark.parametrize("vectorized", (True, False))
 def test_callbacks_at_no_nodes_keep_their_value_shape(vectorized):
-    # the root solve walks only its open nodes, which may be none
+    # a walk over no nodes still gives (0, *shape), per node as stacked
     rot = dataclasses.replace(build_example("rotation", 0.5, 8), vectorized=vectorized)
     none, t = np.zeros((0, 2)), np.zeros(0)
     for name, shape in (("L", (0,)), ("f", (0, 2)), ("df_dv", (0, 2, 2))):
