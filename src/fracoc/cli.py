@@ -9,6 +9,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -154,6 +155,7 @@ def _parse_n_list(text: str) -> tuple:
     return values
 
 
+@functools.cache  # one parser a process, shared: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracoc",

@@ -29,13 +29,12 @@ the block from one scratch block per march (:func:`_near_sums`):
   the fallback of the sweep's state solve use it;
 - :func:`_linear_march` handles F(x, k) = A_k x + b_k with one loop per
   block, solving each node through an inverse built, with every other,
-  before the march starts; it needs only I - h^alpha A_k to be
-  invertible.  Every march of the Pontryagin sweep is this one: the
-  adjoint, the linearized state, and each Newton iterate of the state on
-  the whole trajectory.  When A_k is exactly the same at
-  every node the march is a Toeplitz solve instead, one FFT convolution
-  with a power series cached on (alpha, N, h^alpha A), unless that series
-  grows more than ``_GROWTH_CAP``-fold or is not finite.
+  before the loop starts; it needs only I - h^alpha A_k to be invertible.
+  Every march of the Pontryagin sweep is this one: the adjoint, the
+  linearized state, and each Newton iterate of the state on the whole
+  trajectory.  When A_k is exactly the same at every node the march is a
+  Toeplitz solve instead, one FFT convolution with a power series cached on
+  (alpha, N, h^alpha A), unless it grows past ``_GROWTH_CAP`` or is not finite.
 
 Every march stops at once, naming the node, when a value turns NaN or
 infinite, and the linear one, before it starts, when I - h^alpha A_k is
@@ -516,14 +515,13 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
                   start: np.ndarray, reverse: bool = False) -> TimeSeq:
     """March F(x, k) = A_k x + b_k with one direct solve per node.
 
-    ``a_mats`` has shape (N+1, d, d) and ``b_vecs`` shape (N+1, d), both
-    indexed by node; the row of the start node is never read.  Node k solves
+    ``a_mats`` (N+1, d, d) and ``b_vecs`` (N+1, d) are indexed by node and
+    read as views in march order, the start node's row never.  Node k solves
     (I - h^alpha A_k) y_k = const_k + h^alpha b_k through an inverse built,
-    with every other, before the march starts; the block solver takes the
-    nodes of a block in one loop, each adding its near sum first.  A
-    non-finite A_k or b_k (``SingularNodeError`` or ``NonFiniteError``) and a
-    singular I - h^alpha A_k (``SingularNodeError``) are named up front, at
-    the first such node in march order.
+    with every other, before a block loop that adds each node's near sum
+    first.  A non-finite A_k or b_k (``SingularNodeError`` or
+    ``NonFiniteError``) and a singular I - h^alpha A_k (``SingularNodeError``)
+    are named before any node is solved, at the first such node in march order.
 
     When A_k equals one A at every node, exactly, the march is the
     lower-triangular Toeplitz system (T - h^alpha A) D = s in D_k = y_k - y_0,
@@ -544,27 +542,29 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
     """
     n, d = grid.n, start.size
     ha = grid.h ** alpha
-    nodes = np.arange(n - 1, -1, -1) if reverse else np.arange(1, n + 1)  # march order
-    g = np.eye(d) - ha * a_mats[nodes]  # row j - 1 for march row j
-    singular = ~np.isfinite(g).all(axis=(1, 2))
-    bad = singular | ~np.isfinite(b_vecs[nodes]).all(axis=1)
+    order = slice(n - 1, None, -1) if reverse else slice(1, n + 1)  # march rows 1..N
+    nodes, a_k, b_k = range(n + 1)[order], a_mats[order], b_vecs[order]  # views
+    constant = (a_k == a_k[0]).all()
+    g = np.eye(d) - ha * (a_k[:1] if constant else a_k)  # one row serves all if constant
+    singular = np.broadcast_to(~np.isfinite(g).all(axis=(1, 2)), n)
+    bad = singular | ~np.isfinite(b_k).all(axis=1)
     if bad.any():  # a non-finite A_k also spoils b_k of a linearization
-        j = np.argmax(bad)
-        raise (SingularNodeError if singular[j] else NonFiniteError)(int(nodes[j]))
-    a = a_mats[nodes[0]]
-    if (a_mats[nodes] == a).all():
-        series = _toeplitz_inverse(alpha, n, d, (ha * a).tobytes())
+        j = int(np.argmax(bad))
+        raise (SingularNodeError if singular[j] else NonFiniteError)(nodes[j])
+    if constant:
+        series = _toeplitz_inverse(alpha, n, d, (ha * a_k[0]).tobytes())
         if series is not None:
             size, w_hat = series
-            s_hat = np.fft.rfft(ha * (b_vecs[nodes] + a @ start), size, axis=0)
+            s_hat = np.fft.rfft(ha * (b_k + a_k[0] @ start), size, axis=0)
             dev = np.fft.irfft(w_hat @ s_hat[..., None], size, axis=0)[:n, :, 0]
             y = np.vstack([start, start + dev])
             return TimeSeq(y[::-1].copy() if reverse else y)
+        g = np.broadcast_to(g, (n, d, d))
     try:
         inv = np.linalg.inv(g)
     except np.linalg.LinAlgError:  # an exact zero pivot, which det sees too
-        raise SingularNodeError(int(nodes[np.argmax(np.linalg.det(g) == 0.0)])) from None
-    hb = ha * b_vecs[nodes]
+        raise SingularNodeError(nodes[int(np.argmax(np.linalg.det(g) == 0.0))]) from None
+    hb = ha * b_k
     blk, views, dots = _near_sums(alpha, n, d)
 
     if d == 1:  # the kernel's rows are floats, and so are the node solves

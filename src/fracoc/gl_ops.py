@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
+from numbers import Integral
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,8 +42,8 @@ def _integer(value, name: str, least: int | None = None) -> int:
     """``value`` as an int, refused unless it is an integer (numpy's too,
     but not a bool) and, when ``least`` is given, at least ``least``; floats
     are never truncated."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or (least is not None and value < least)):
+    if (isinstance(value, bool) or type(value) is not int and not isinstance(value, Integral)
+            or (least is not None and value < least)):  # an int skips the slow ABC check
         bound = "" if least is None else f" >= {least}"
         raise ValueError(f"{name} must be an integer{bound}, got {name}={value!r}")
     return int(value)

@@ -27,10 +27,10 @@ NaN or infinity.
 Every callback value the layer reads at (Q_k, U_k, t_k) comes from one walk
 over the nodes, ``_at_nodes``, which makes one call per callback on a
 vectorized problem and one per node otherwise; the adjoint's read of node
-k + 1 is one roll of its rows.  A closed-form control update is one such
-call too; without one, the control update is a bracketed root solve at every
-node at once, one walk per evaluation.  Every walk checks its inputs'
-windows and row sizes once, on entry, and then reads rows.
+k + 1 is one shift of its rows.  A closed-form control update is one such
+call too; without one, it is a bracketed root solve at every node at once,
+from the stationarity walk's rows and one walk per further evaluation.
+Every walk checks its inputs' windows and row sizes on entry, then reads rows.
 """
 
 from __future__ import annotations
@@ -327,8 +327,8 @@ def adjoint_solve(problem: OcpProblem, u: TimeSeq, q: TimeSeq) -> TimeSeq:
     matrix (``SingularNodeError`` otherwise).
     """
     lx, fx = _at_nodes(problem, q, u, "dL_dx", "df_dx")
-    # row k takes node k + 1; row N takes the zero row 0, never read
-    lx, fx = np.roll(lx, -1, axis=0), np.roll(fx, -1, axis=0)
+    # row k takes node k + 1; row N keeps node N, never read
+    lx[:-1], fx[:-1] = lx[1:], fx[1:]
     return _linear_march(problem.alpha, problem.grid, fx.transpose(0, 2, 1), lx,
                          np.zeros(problem.d), reverse=True)
 
@@ -365,39 +365,44 @@ def gateaux_derivative(problem: OcpProblem, u: TimeSeq, ubar: TimeSeq,
                                   + np.sum(lv[1:] * ub))
 
 
+def _dh_dv(problem: OcpProblem, q: TimeSeq, u: TimeSeq, p: TimeSeq) -> np.ndarray:
+    """dH/dv(Q_k, U_k, P_{k-1}, t_k) over nodes k = 1..N, row 0 zero."""
+    _require_window(p, problem.grid.n, "adjoint", 0, problem.grid.n - 1, dim=problem.d)
+    lv, fv = _at_nodes(problem, q, u, "dL_dv", "df_dv")
+    lv[1:] += np.einsum("kdm,kd->km", fv[1:], p.values[:-1])
+    return lv
+
+
 def stationarity_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq,
                           p: TimeSeq) -> TimeSeq:
     """Nodewise norm of dH/dv(Q_k, U_k, P_{k-1}, t_k), valid on [1, N]."""
-    _require_window(p, problem.grid.n, "adjoint", 0, problem.grid.n - 1, dim=problem.d)
-    lv, fv = _at_nodes(problem, q, u, "dL_dv", "df_dv")
-    # row k pairs with P_{k-1}; the zero row 0 pairs with P_N
-    g = lv + np.einsum("kdm,kd->km", fv, np.roll(p.values, 1, axis=0))
-    return TimeSeq(_node_norms(g), 1, problem.grid.n)
+    return TimeSeq(_node_norms(_dh_dv(problem, q, u, p)), 1, problem.grid.n)
 
 
 def _root_controls(problem: OcpProblem, x: np.ndarray, w: np.ndarray, t: np.ndarray,
-                   v: np.ndarray, tol: float) -> np.ndarray:
+                   v: np.ndarray, g: np.ndarray, tol: float) -> np.ndarray:
     """Controls from dH/dv(x_k, v_k, w_k, t_k) = 0 at every row k, node k + 1.
 
-    Per component, a row off by more than ``tol`` tries v_k -+ 1, 2, 4, ...
-    (first where an increasing dH/dv has its root) until dH/dv changes sign,
-    then closes the bracket by regula falsi with the Illinois step (Dowell &
-    Jarratt, BIT 11, 1971) until within ``tol`` or narrower than
-    1e-15 max(1, |v_k|).  Each evaluation is one walk over the open rows; at
-    m > 1 up to four passes over the components let them couple.
+    From v, where dH/dv is ``g`` (overwritten), a row off by more than ``tol``
+    per component tries v_k -+ 1, 2, 4, ... (first where an increasing dH/dv
+    has its root) until dH/dv changes sign, then closes the bracket by regula
+    falsi with the Illinois step (Dowell & Jarratt, BIT 11, 1971) until within
+    ``tol`` or narrower than 1e-15 max(1, |v_k|).  Each further evaluation
+    walks the open rows once; at m > 1 up to four passes let the components couple.
     """
     v = np.array(v, dtype=float)
 
-    def dh(rows: np.ndarray, vals: np.ndarray) -> np.ndarray:  # rows in order
-        xs, ts = x[rows], t[rows]
-        g = problem._rows("dL_dv", xs, vals, ts) + np.einsum(
-            "kdm,kd->km", problem._rows("df_dv", xs, vals, ts), w[rows])
+    def dh(rows: np.ndarray, vals: np.ndarray, g=None) -> np.ndarray:  # rows in order
+        if g is None:  # else g holds dH/dv there already
+            xs, ts = x[rows], t[rows]
+            g = problem._rows("dL_dv", xs, vals, ts) + np.einsum(
+                "kdm,kd->km", problem._rows("df_dv", xs, vals, ts), w[rows])
         i = np.isfinite(g).all(axis=1).argmin()  # the first bad row is the lowest
         if not np.isfinite(g[i]).all():  # no bracket can mend it
             raise ControlUpdateError(rows[i] + 1, f"dH/dv not finite at v = {vals[i]}")
         return g
 
-    g = dh(np.arange(len(t)), v)
+    g = dh(np.arange(len(t)), v, g)
     for _ in range(4 if problem.m > 1 else 1):
         for j in range(problem.m):
             # the start a and the newest point b, of opposite signs once bracketed
@@ -444,11 +449,12 @@ def _anderson_mix(dfs: list, dgs: list, f: np.ndarray, g: np.ndarray) -> np.ndar
     they are worse conditioned than ``_ANDERSON_COND``; with none left it
     takes the damped step U + beta f, beta = ``_ANDERSON_BETA``.
     """
-    while dfs and np.linalg.cond(np.column_stack(dfs)) > _ANDERSON_COND:
+    df = np.column_stack(dfs) if dfs else None
+    while dfs and np.linalg.cond(df[:, -len(dfs):]) > _ANDERSON_COND:
         del dfs[0], dgs[0]
     if not dfs:
         return g - (1.0 - _ANDERSON_BETA) * f
-    df, dg = np.column_stack(dfs), np.column_stack(dgs)
+    df, dg = np.ascontiguousarray(df[:, -len(dfs):]), np.column_stack(dgs)
     gamma = np.linalg.lstsq(df, f, rcond=None)[0]
     return g - dg @ gamma - (1.0 - _ANDERSON_BETA) * (f - df @ gamma)
 
@@ -492,14 +498,16 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
     for outer in range(1, opts.max_outer_iters + 1):
         q = state_solve(problem, u, opts.inner)
         p = adjoint_solve(problem, u, q)
-        residual = stationarity_residual(problem, q, u, p).sup_norm()
-
         # U* - U over rows 1..N, U* from (Q_k, P_{k-1}, t_k)
         args = (q.values[1:], p.values[:-1], grid.times[1:])
         if problem.control_update is not None:
+            residual = stationarity_residual(problem, q, u, p).sup_norm()
             step = problem._rows("control_update", *args) - u.values[1:]
-        else:
-            step = _root_controls(problem, *args, u.values[1:], root_tol) - u.values[1:]
+        else:  # the root solve starts from the residual's own dH/dv rows
+            g = _dh_dv(problem, q, u, p)
+            residual = TimeSeq(_node_norms(g), 1, n).sup_norm()
+            step = _root_controls(problem, *args, u.values[1:], g[1:],
+                                  root_tol) - u.values[1:]
         increment = float(np.max(np.abs(step)))
 
         if residual <= opts.tol_stationarity and increment <= opts.tol_control:
@@ -564,6 +572,6 @@ def euler_lagrange_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq) -> Time
 
     lv, lx = _at_nodes(problem, q, dq, "dL_dv", "dL_dx")
     # row k takes node k + 1; row N takes the zero row 0
-    lv, lx = np.roll(lv, -1, axis=0), np.roll(lx, -1, axis=0)
+    lv[:-1], lx[:-1], lv[-1], lx[-1] = lv[1:], lx[1:], 0.0, 0.0
     dm = delta_plus(problem.alpha, grid, TimeSeq(-lv))
     return TimeSeq(_node_norms(dm.values - lx), 0, n - 1)

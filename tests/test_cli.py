@@ -216,6 +216,24 @@ def test_module_entry_point_runs_the_cli(tmp_path):
         assert header[:2] == ["k", "t"] and len(rows) == 5
 
 
+def test_one_process_runs_match_fresh_processes(tmp_path, capsys):
+    # main parses with one parser a process; a failed parse must leave it as
+    # a fresh process builds it, so later runs write the same bytes
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    with pytest.raises(SystemExit):
+        main(["converge", "--example", "solved", "--n-list", "8,x", "--out", "c.csv"])
+    for argv in (["solve", "--example", "lq", "--alpha", "0.5", "--n", "40"],
+                 ["noether", "--example", "rotation", "--alpha", "0.75", "--n", "40"]):
+        capsys.readouterr()
+        here, fresh = tmp_path / "here.csv", tmp_path / "fresh.csv"
+        assert main(argv + ["--out", str(here)]) == 0
+        said = capsys.readouterr().out
+        done = subprocess.run([sys.executable, "-m", "fracoc", *argv, "--out", str(fresh)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert here.read_bytes() == fresh.read_bytes() and said == done.stdout
+
+
 def test_solver_tolerances_are_threaded_through(tmp_path, capsys):
     code, _ = run(tmp_path, "t.csv", "solve", "--example", "solved",
                   "--alpha", "0.5", "--n", "20", "--tol-stat", "1e-11",

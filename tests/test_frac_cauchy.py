@@ -786,6 +786,63 @@ def test_constant_jacobian_march_names_a_non_finite_node(reverse):
     assert exc.value.node == 5
 
 
+@pytest.mark.parametrize("reverse", (False, True))
+@pytest.mark.parametrize("d", (1, 2))
+def test_linear_march_refusals_name_their_node(d, reverse):
+    # march rows are read as views in march order; each refusal names the
+    # node where the march meets it first
+    n = 40
+    grid = Grid(0.0, 1.0, n)
+    first = n - 1 if reverse else 1
+    march = lambda *data: frac_cauchy._linear_march(0.5, grid, *data, reverse)
+    for value in (np.inf, -np.inf):  # a constant non-finite A
+        a_mats, b, start = constant_march_data(d, n)
+        with pytest.raises(frac_cauchy.SingularNodeError) as exc:
+            march(np.full_like(a_mats, value), b, start)
+        assert exc.value.node == first
+    a_mats, b, start = constant_march_data(d, n)
+    a_mats[17, -1, 0] = np.nan  # one A_k, which also ends the Toeplitz path
+    with pytest.raises(frac_cauchy.SingularNodeError) as exc:
+        march(a_mats, b, start)
+    assert exc.value.node == 17
+    for a_mats in (constant_march_data(d, n)[0], varying_march_data(d, n)[0]):
+        late = 2 if reverse else n - 2  # near the march's end
+        b[late, 0] = np.inf
+        with pytest.raises(NonFiniteError) as exc:
+            march(a_mats, b, start)
+        assert exc.value.node == late
+        b[late, 0] = 0.0
+    # h = 1/16 and alpha 0.5 give h^alpha = 1/4, so A = 4 I makes h^alpha A = I
+    grid = Grid(0.0, 1.0, 16)
+    with pytest.raises(frac_cauchy.SingularNodeError) as exc:
+        frac_cauchy._linear_march(0.5, grid, np.broadcast_to(4.0 * np.eye(d), (17, d, d)),
+                                  np.ones((17, d)), np.ones(d), reverse)
+    assert exc.value.node == (15 if reverse else 1)
+
+
+@pytest.mark.parametrize("reverse", (False, True))
+@pytest.mark.parametrize("d", (1, 2))
+def test_toeplitz_path_inverts_no_node_stack(monkeypatch, d, reverse):
+    # with one A at every node the march inverts no stack of N node matrices:
+    # the only inverse is the d x d one of the cached series
+    n = 300
+    grid = Grid(0.0, 1.0, n)
+    a_mats, b, start = constant_march_data(d, n)
+    inv, shapes = np.linalg.inv, []
+
+    def counted(m):
+        shapes.append(np.shape(m))
+        return inv(m)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    frac_cauchy._toeplitz_inverse.cache_clear()
+    fast = frac_cauchy._linear_march(0.5, grid, a_mats, b, start, reverse).values
+    assert shapes == [(d, d)]
+    loop = node_loop_march(monkeypatch, 0.5, grid, a_mats, b, start, reverse)
+    assert shapes[1:] == [(n, d, d)]  # the node loop does invert the stack
+    npt.assert_allclose(fast, loop, rtol=0.0, atol=1e-12 * np.abs(loop).max())
+
+
 # -- input validation --------------------------------------------------------------
 
 def test_rhs_shape_mismatch_is_reported():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from fracoc import (Grid, TimeSeq, delta_minus, delta_plus, dfibp_residual,
                     gl_coefficients, shift)
-from fracoc.gl_ops import _SECTION
+from fracoc.gl_ops import _SECTION, _integer
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0)
 
@@ -89,6 +90,28 @@ def test_weights_need_at_least_one_step():
     with pytest.raises(ValueError, match="n=2.5"):  # not the n = 2 weights
         gl_coefficients(0.5, 2.5)
     assert gl_coefficients(0.5, np.int64(3)) is gl_coefficients(0.5, 3)
+
+
+def refusal(value, name, least=None):
+    """The message of ``_integer``'s refusal of ``value``."""
+    with pytest.raises(ValueError) as exc:
+        _integer(value, name, least)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 2.0, Fraction(2)],
+                         ids=["bool", "numpy-bool", "float", "fraction"])
+def test_counts_refuse_bools_and_non_integers(value):
+    # a plain int takes a fast path; everything else still meets the Integral test
+    assert refusal(value, "n", 1) == f"n must be an integer >= 1, got n={value!r}"
+    assert refusal(value, "k") == f"k must be an integer, got k={value!r}"
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3)], ids=["int", "numpy-int"])
+def test_counts_take_ints_and_numpy_ints(value):
+    got = _integer(value, "n", 1)
+    assert got == 3 and type(got) is int
+    assert refusal(value, "n", 4) == f"n must be an integer >= 4, got n={value!r}"
 
 
 # -- grid and sequence containers ---------------------------------------------

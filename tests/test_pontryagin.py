@@ -650,6 +650,13 @@ def test_sweep_option_validation():
 
 # -- scalar control updates without a closed form -------------------------------------
 
+def root_controls(problem, x, w, t, v, tol):
+    """``_root_controls`` from dH/dv at the start v, walked as the sweep walks it."""
+    g = problem._rows("dL_dv", x, v, t) + np.einsum(
+        "kdm,kd->km", problem._rows("df_dv", x, v, t), w)
+    return _root_controls(problem, x, w, t, v, g, tol)
+
+
 def stacked_roots(dh, starts, tol, calls=None):
     """``_root_controls`` on nodes 1..K whose dH/dv at node k is dh(s, k)."""
     grid = Grid(0.0, 1.0, len(starts))
@@ -665,8 +672,8 @@ def stacked_roots(dh, starts, tol, calls=None):
                          dL_dx=zero, dL_dv=dl_dv, f=zero, df_dx=zero, df_dv=zero,
                          lipschitz_M=1.0)
     rows = np.zeros((len(starts), 1))
-    return _root_controls(problem, rows, rows, grid.times[1:],
-                          np.reshape(starts, (-1, 1)), tol)[:, 0]
+    return root_controls(problem, rows, rows, grid.times[1:],
+                         np.reshape(starts, (-1, 1)), tol)[:, 0]
 
 
 def test_root_controls_find_monotone_cubic_root():
@@ -717,8 +724,8 @@ def test_root_controls_pass_fresh_values_between_components(first, root, most):
     problem = OcpProblem(d=1, m=2, alpha=0.5, grid=grid, initial=np.zeros(1), L=zero,
                          dL_dx=zero, dL_dv=dl_dv, f=zero, df_dx=zero,
                          df_dv=lambda x, v, t: np.zeros(2), lipschitz_M=1.0)
-    v = _root_controls(problem, np.zeros((1, 1)), np.zeros((1, 1)), grid.times[1:],
-                       np.zeros((1, 2)), 1e-12)
+    v = root_controls(problem, np.zeros((1, 1)), np.zeros((1, 1)), grid.times[1:],
+                      np.zeros((1, 2)), 1e-12)
     npt.assert_allclose(v, [[root, root]], rtol=1e-12)
     assert len(calls) <= most
 
@@ -768,6 +775,38 @@ def test_fallback_root_solve_stops_on_a_non_finite_derivative():
         solve_pontryagin(problem)
     assert err.value.node == 20
     assert len(calls) <= 3  # not the whole bracket search
+
+
+def test_root_solve_starts_from_the_stationarity_walk(monkeypatch):
+    # each pass walks dH/dv at (Q, U, P_{k-1}) once, for the residual, and the
+    # root solve starts from those rows, bit for bit the ones a walk of its own
+    # would give: 52 dL_dv calls over 12 passes here, where walking them again
+    # in the root solve made 64
+    closed = build_example("lq", 0.5, 6400)
+    calls, inside, starts = [], [], []
+    root = pontryagin._root_controls
+
+    def dl_dv(x, v, t):
+        calls.append(1)
+        return closed.dL_dv(x, v, t)
+
+    def start_checked(problem, x, w, t, v, g, tol):
+        own = closed._rows("dL_dv", x, v, t) + np.einsum(
+            "kdm,kd->km", closed._rows("df_dv", x, v, t), w)
+        starts.append(np.array_equal(g, own))
+        before = len(calls)
+        try:
+            return root(problem, x, w, t, v, g, tol)
+        finally:
+            inside.append(len(calls) - before)
+
+    monkeypatch.setattr(pontryagin, "_root_controls", start_checked)
+    sol = solve_pontryagin(dataclasses.replace(closed, control_update=None, dL_dv=dl_dv))
+    assert starts == [True] * sol.outer_iters
+    assert len(calls) - sum(inside) == sol.outer_iters  # one walk a pass outside
+    assert len(calls) <= 4.5 * sol.outer_iters, f"{len(calls)} over {sol.outer_iters}"
+    assert sol.stationarity_residual <= 1e-9
+    assert np.abs(sol.U.values - solve_pontryagin(closed).U.values).max() <= 1e-8
 
 
 def test_implicit_control_update_agrees_with_cardano():
