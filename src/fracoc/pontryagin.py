@@ -454,7 +454,7 @@ def _anderson_mix(dfs: list, dgs: list, f: np.ndarray, g: np.ndarray) -> np.ndar
         del dfs[0], dgs[0]
     if not dfs:
         return g - (1.0 - _ANDERSON_BETA) * f
-    df, dg = np.ascontiguousarray(df[:, -len(dfs):]), np.column_stack(dgs)
+    df, dg = df[:, -len(dfs):], np.column_stack(dgs)
     gamma = np.linalg.lstsq(df, f, rcond=None)[0]
     return g - dg @ gamma - (1.0 - _ANDERSON_BETA) * (f - df @ gamma)
 
