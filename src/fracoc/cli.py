@@ -31,6 +31,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_rows(table: np.ndarray) -> list[str]:
+    """Row k of ``table`` as "k,x,y,...", each float as ``_fmt`` prints it, one
+    row's floats at a time: all at once would grow the small-object arenas."""
+    row = "%d" + ",%.17g" * table.shape[1]  # '%.17g' % x == format(x, '.17g')
+    return [row % (k, *cells.tolist()) for k, cells in enumerate(table)]
+
+
 def _write_csv(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -54,14 +61,9 @@ def run_solve(cfg: argparse.Namespace) -> int:
               + [f"u_{j + 1}" for j in range(problem.m)]
               + [f"q_{j + 1}" for j in range(problem.d)]
               + [f"p_{j + 1}" for j in range(problem.d)])
-    lines = [",".join(header)]
-    for k in range(grid.n + 1):
-        cells = [str(k), _fmt(grid.times[k])]
-        cells += [_fmt(v) for v in solution.U.values[k]]
-        cells += [_fmt(v) for v in solution.Q.values[k]]
-        cells += [_fmt(v) for v in solution.P.values[k]]
-        lines.append(",".join(cells))
-    _write_csv(cfg.out, lines)
+    table = np.column_stack((grid.times, solution.U.values, solution.Q.values,
+                             solution.P.values))
+    _write_csv(cfg.out, [",".join(header)] + _csv_rows(table))
     print(f"stationarity_residual={_fmt(solution.stationarity_residual)}")
     print(f"cost={_fmt(solution.cost)}")
     print(f"outer_iters={solution.outer_iters}")
@@ -133,10 +135,7 @@ def run_noether(cfg: argparse.Namespace) -> int:
         gen = TimeSeq(rotation_groups()[0].generator(solution.Q.values))
     inv = conserved_quantity(cfg.alpha, grid, gen, solution.P)
 
-    lines = ["k,t,I_k"]
-    for k in range(grid.n + 1):
-        lines.append(",".join([str(k), _fmt(grid.times[k]), _fmt(inv.values[k, 0])]))
-    _write_csv(cfg.out, lines)
+    _write_csv(cfg.out, ["k,t,I_k"] + _csv_rows(np.column_stack((grid.times, inv.values))))
     iv = inv.values[:, 0]
     print(f"max_drift={_fmt(np.max(np.abs(iv - iv[0])))}")
     print(f"max_abs={_fmt(np.max(np.abs(iv)))}")

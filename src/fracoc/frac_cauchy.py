@@ -21,7 +21,7 @@ the block from one scratch block per march (:func:`_near_sums`):
   loop per block accepts a node once |x - h^alpha F(x) - const| <=
   tol * max(1, |x|) and returns its fixed-point image h^alpha F(x) + const;
   it runs on one Python float a value at d = 1, an unpacked pair at d = 2
-  and a list from d = 3 on, and makes no list per block below d = 3.
+  and a list from d = 3 on, and makes no list per block.
   Only h^alpha F(x) in the node equation is unknown, so each node starts
   from const plus the cubic extrapolation of h^alpha F over the last four
   accepted nodes, the first four from y_{j-1}; most nodes then take one
@@ -341,11 +341,10 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
     costs more than the arithmetic: one each at d = 1, an unpacked pair at
     d = 2 (every planar example), a list from d = 3 on.  |r| and |x| are
     then maxima over the components, with a NaN past the first component
-    checked apart, since a maximum keeps a NaN only first.  Up to d = 2 the
-    loop reads base and the times through memoryviews and writes each row
-    of y and of the scratch block through them, so no block builds a list
-    of its floats; from d = 3 on it collects the block's rows and writes
-    them once, after its last row.
+    checked apart, since a maximum keeps a NaN only first.  The loop reads
+    base and the times through memoryviews and writes each row of y and of
+    the scratch block through them, element by element, so no block builds
+    a list of its floats.
     """
     ha = grid.h ** alpha
     _check_step(ha, lipschitz)
@@ -430,9 +429,10 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
 
         def solve_block(lo, hi, base, y):
             g1, g2, g3, g4 = hist
-            args = nodes[lo:hi] if at is None else at[lo:hi].tolist()
-            rows, first, x = [], 4 - lo, y0
-            for i, b, arg, dot, view in zip(count(), base.tolist(), args, dots, views):
+            args = nodes[lo:hi] if at is None else memoryview(at[lo:hi])
+            rows, first, x = memoryview(y[lo:hi]), 4 - lo, y0
+            bases = zip(*map(memoryview, base.T))  # row i of base as a tuple of floats
+            for i, b, arg, dot, view in zip(count(), bases, args, dots, views):
                 const = list(map(sub, b, dot(view).tolist()))
                 if i > first:
                     x = [cq + (4.0 * (p1 + p3) - 6.0 * p2 - p4) for cq, p1, p2, p3, p4
@@ -453,11 +453,11 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
                 else:
                     raise FixedPointDivergenceError(nodes[lo + i], err, tol)
                 g4, g3, g2, g1 = g3, g2, g1, g
-                rows.append(fixed)
-                blk[i] = list(map(sub, fixed, y0))
+                for q, fq, y0q in zip(range(d), fixed, y0):
+                    rows[i, q] = fq
+                    devs[i, q] = fq - y0q
                 x = fixed
             hist[:] = g1, g2, g3, g4
-            y[lo:hi] = rows
 
     return TimeSeq(_march(alpha, grid, start, solve_block, reverse))
 
@@ -515,18 +515,21 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
                   start: np.ndarray, reverse: bool = False) -> TimeSeq:
     """March F(x, k) = A_k x + b_k with one direct solve per node.
 
-    ``a_mats`` (N+1, d, d) and ``b_vecs`` (N+1, d) are indexed by node and
-    read as views in march order, the start node's row never.  Node k solves
+    ``a_mats`` is one (d, d) matrix A for every node, or an (N+1, d, d)
+    stack of A_k; it and ``b_vecs`` (N+1, d) are indexed by node and read
+    as views in march order, the start node's row never.  Node k solves
     (I - h^alpha A_k) y_k = const_k + h^alpha b_k through an inverse built,
     with every other, before a block loop that adds each node's near sum
     first.  A non-finite A_k or b_k (``SingularNodeError`` or
     ``NonFiniteError``) and a singular I - h^alpha A_k (``SingularNodeError``)
     are named before any node is solved, at the first such node in march order.
 
-    When A_k equals one A at every node, exactly, the march is the
-    lower-triangular Toeplitz system (T - h^alpha A) D = s in D_k = y_k - y_0,
-    with c_r on the diagonals of T and s_k = h^alpha (A y_0 + b_k) in march
-    order.  Its inverse is Toeplitz too, so D is one FFT convolution with the
+    When A_k is one matrix, or a stack whose rows all equal the first
+    exactly, the march is the lower-triangular Toeplitz system
+    (T - h^alpha A) D = s in D_k = y_k - y_0, with c_r on the diagonals of
+    T and s_k = h^alpha (A y_0 + b_k) in march order.  One matrix is taken
+    with no scan, and D is written into the rows of y in place.  The
+    inverse is Toeplitz too, so D is one FFT convolution with the
     coefficients W of :func:`_toeplitz_inverse`, cached on (alpha, N,
     h^alpha A) so that every march of a sweep shares them.  Its round-off
     differs from the node loop's, and where W grows past the cap of that
@@ -543,22 +546,26 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
     n, d = grid.n, start.size
     ha = grid.h ** alpha
     order = slice(n - 1, None, -1) if reverse else slice(1, n + 1)  # march rows 1..N
-    nodes, a_k, b_k = range(n + 1)[order], a_mats[order], b_vecs[order]  # views
-    constant = (a_k == a_k[0]).all()
-    g = np.eye(d) - ha * (a_k[:1] if constant else a_k)  # one row serves all if constant
-    singular = np.broadcast_to(~np.isfinite(g).all(axis=(1, 2)), n)
-    bad = singular | ~np.isfinite(b_k).all(axis=1)
-    if bad.any():  # a non-finite A_k also spoils b_k of a linearization
-        j = int(np.argmax(bad))
+    nodes, a, b_k = range(n + 1)[order], a_mats, b_vecs[order]  # views
+    if a.ndim == 3:  # a stack is one matrix when every A_k equals the first
+        a = a[order]
+        a = a[0] if (a == a[0]).all() else a
+    g = np.eye(d) - ha * a
+    if not (np.isfinite(g).all() and np.isfinite(b_k).all()):
+        singular = np.broadcast_to(~np.isfinite(g).all(axis=(-2, -1)), n)
+        bad = singular | ~np.isfinite(b_k).all(axis=1)
+        j = int(np.argmax(bad))  # a non-finite A_k also spoils b_k of a linearization
         raise (SingularNodeError if singular[j] else NonFiniteError)(nodes[j])
-    if constant:
-        series = _toeplitz_inverse(alpha, n, d, (ha * a_k[0]).tobytes())
+    if a.ndim == 2:
+        series = _toeplitz_inverse(alpha, n, d, (ha * a).tobytes())
         if series is not None:
             size, w_hat = series
-            s_hat = np.fft.rfft(ha * (b_k + a_k[0] @ start), size, axis=0)
+            s_hat = np.fft.rfft(ha * (b_k + a @ start), size, axis=0)
             dev = np.fft.irfft(w_hat @ s_hat[..., None], size, axis=0)[:n, :, 0]
-            y = np.vstack([start, start + dev])
-            return TimeSeq(y[::-1].copy() if reverse else y)
+            y = np.empty((n + 1, d))
+            y[n if reverse else 0] = start
+            np.add(start, dev, out=y[order])
+            return TimeSeq(y)
         g = np.broadcast_to(g, (n, d, d))
     try:
         inv = np.linalg.inv(g)

@@ -26,7 +26,7 @@ import numpy as np
 from .frac_cauchy import _real
 from .gl_ops import (Grid, TimeSeq, _causal_product, _order_value, _require_window,
                      delta_minus, delta_plus, gl_coefficients)
-from .pontryagin import OcpProblem, PontryaginSolution, _at_nodes
+from .pontryagin import OcpProblem, PontryaginSolution, _walk
 
 __all__ = [
     "OneParamGroup",
@@ -230,17 +230,16 @@ def invariance_residual(problem: OcpProblem, groups: Sequence[OneParamGroup],
     phi1, phi2, phi3 = groups
     grid, n = problem.grid, problem.grid.n
     q, p, u = solution.Q, solution.P, solution.U
-    _require_window(q, n, "state")
-    _require_window(u, n, "control", 1)
+    _require_window(q, n, "state", dim=problem.d)
+    _require_window(u, n, "control", 1, dim=problem.m)
     _require_window(p, n, "adjoint", 0, n - 1, dim=problem.d)
 
     def bracket(qv: np.ndarray, uv: np.ndarray, pv: np.ndarray) -> np.ndarray:
-        q_m, u_m = TimeSeq(qv), TimeSeq(uv, 1, n)
-        dq = delta_minus(problem.alpha, grid, q_m, caputo=True)
-        running, f = _at_nodes(problem, q_m, u_m, "L", "f")
+        dq = delta_minus(problem.alpha, grid, TimeSeq(qv), caputo=True)
+        running, f = _walk(problem, qv, uv, "L", "f")
         w = pv.reshape(n, 1, problem.d)
         # each row dot summed through matmul as w_k @ f_k sums it
-        return (running[1:] + (w @ f[1:, :, None]).reshape(-1)
+        return (running + (w @ f[:, :, None]).reshape(-1)
                 - (w @ dq.values[1:, :, None]).reshape(-1))
 
     base = bracket(q.values, u.values, p.values[:n])

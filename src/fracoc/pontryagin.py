@@ -25,16 +25,20 @@ inverted at a node, and with ``NonFiniteError`` when a callback returns
 NaN or infinity.
 
 Every callback value the layer reads at (Q_k, U_k, t_k) comes from one walk
-over the nodes, ``_at_nodes``, which makes one call per callback on a
-vectorized problem and one per node otherwise; the adjoint's read of node
-k + 1 is one shift of its rows.  A closed-form control update is one such
-call too; without one, it is a bracketed root solve at every node at once,
-from the stationarity walk's rows and one walk per further evaluation.
-Every walk checks its inputs' windows and row sizes on entry, then reads rows.
+over the nodes, ``_walk``, which makes one call per callback on a
+vectorized problem and one per node otherwise; the adjoint reads node
+k + 1 from the same rows.  A vectorized ``df_dx`` or ``df_dv`` that returns
+one value stays one matrix, which each march takes as one Toeplitz solve.
+A closed-form control update is one such call too; without one, it is a
+bracketed root solve at every node at once, from the stationarity walk's
+rows and one walk per further evaluation.  The public solvers check their
+inputs' windows and row sizes, then run array-level steps, which
+``solve_pontryagin`` drives itself after checking ``u_init``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -115,7 +119,8 @@ class OcpProblem:
     stacked nodes, x of shape (K, d), v of shape (K, m) and t of shape
     (K,), and is called once per walk over the nodes.  It returns either K
     stacked values, node first, or one value that holds at every node
-    (``df_dx = lambda x, v, t: np.eye(d)``); a return of any other size,
+    (``df_dx = lambda x, v, t: np.eye(d)``), which a ``df_dx`` or ``df_dv``
+    keeps as one matrix through the sweep; a return of any other size,
     or with another leading axis than K, raises ``ValueError`` naming the
     callback.  ``control_update(x, w, t)`` follows the same convention,
     with w stacked as x is.  A callback written with ``x[..., 0]`` and
@@ -152,10 +157,11 @@ class OcpProblem:
 
     # -- normalized callback evaluation -------------------------------------
     def _rows(self, name: str, x: np.ndarray, v: np.ndarray,
-              t: np.ndarray) -> np.ndarray:
+              t: np.ndarray, one: bool = False) -> np.ndarray:
         """Callback ``name`` at K stacked nodes, normalized to (K, *shape).
 
-        One call if the problem is vectorized, else one call per row.
+        One call if the problem is vectorized, else one call per row.  With
+        ``one``, a vectorized callback's one value is returned unbroadcast.
         """
         d, m = self.d, self.m
         shape = {"L": (), "f": (d,), "dL_dx": (d,), "dL_dv": (m,),
@@ -172,7 +178,8 @@ class OcpProblem:
             return np.array(rows).reshape(k, *shape)  # (0, *shape) for no rows
         value = _real(fn(x, v, t), name)
         if value.size == size:  # one value that holds at every node
-            return np.broadcast_to(value.reshape(shape), (k, *shape))
+            value = value.reshape(shape)
+            return value if one else np.broadcast_to(value, (k, *shape))
         if value.size == k * size and value.shape[0] == k:
             return value.reshape(k, *shape)
         expected = f"{size}" if k == 1 else f"{size} or {k * size}"
@@ -253,23 +260,34 @@ class PontryaginSolution:
     cost: float
 
 
-def _at_nodes(problem: OcpProblem, xs: TimeSeq, vs: TimeSeq, *names: str) -> list:
-    """Each named callback at (x_k, v_k, t_k) over nodes k = 1..N, row 0 zero.
+def _walk(problem: OcpProblem, x: np.ndarray, v: np.ndarray, *names: str) -> list:
+    """Each named callback at (x_k, v_k, t_k) over nodes k = 1..N.
 
-    ``xs`` and ``vs`` are checked once to be valid on [1, N], with rows of
-    size d and m; each callback then takes their rows 1..N in one call, or
-    one call per row if the problem is not vectorized.
+    ``x`` and ``v`` are node arrays of N + 1 rows, read from row 1 on.  Each
+    callback takes rows 1..N in one call, or one call per row if the problem
+    is not vectorized, and gives N stacked rows, except that a vectorized
+    ``df_dx`` or ``df_dv`` that returns one value stays that one matrix.
     """
+    t = problem.grid.times[1:]
+    return [problem._rows(name, x[1:], v[1:], t, one=name in ("df_dx", "df_dv"))
+            for name in names]
+
+
+def _by_node(rows: np.ndarray, ahead: bool = False) -> np.ndarray:
+    """Rows of nodes 1..N as N + 1 rows indexed by node k, or by k - 1 when
+    ``ahead``; the one row no march reads repeats its neighbour."""
+    return np.concatenate((rows, rows[-1:]) if ahead else (rows[:1], rows))
+
+
+def _check_windows(problem: OcpProblem, u: TimeSeq, q: TimeSeq | None = None,
+                   p: TimeSeq | None = None) -> None:
+    """Refuse an adjoint, state or control off the rows the layer reads."""
     n = problem.grid.n
-    _require_window(xs, n, "state", 1, dim=problem.d)
-    _require_window(vs, n, "control", 1, dim=problem.m)
-    out = []
-    for name in names:
-        rows = problem._rows(name, xs.values[1:], vs.values[1:], problem.grid.times[1:])
-        col = np.zeros((n + 1, *rows.shape[1:]))
-        col[1:] = rows
-        out.append(col)
-    return out
+    if p is not None:
+        _require_window(p, n, "adjoint", 0, n - 1, dim=problem.d)
+    if q is not None:
+        _require_window(q, n, "state", 1, dim=problem.d)
+    _require_window(u, n, "control", 1, dim=problem.m)
 
 
 def _node_norms(g: np.ndarray) -> np.ndarray:
@@ -291,28 +309,35 @@ def state_solve(problem: OcpProblem, u: TimeSeq,
     h^alpha M < 1 (``ContractionError`` otherwise): a wrong ``df_dx`` costs
     work, never the answer.  u_0 is never read.
     """
-    opts = opts or FixedPointOpts()
+    _check_windows(problem, u)
+    return TimeSeq(_state(problem, u.values, opts or FixedPointOpts()))
+
+
+def _state(problem: OcpProblem, v: np.ndarray, opts: FixedPointOpts) -> np.ndarray:
+    """:func:`state_solve` on the node array ``v`` of the control."""
     alpha, grid = problem.alpha, problem.grid
     ha = grid.h ** alpha
     _check_step(ha, problem.lipschitz_M)
     q = TimeSeq.constant(problem.initial, grid.n)
     for it in range(opts.max_iters + 1):
-        f, = _at_nodes(problem, q, u, "f")
-        # Q_k - const_k = h^alpha (left_reg Q)_k, zero at the constant start;
-        # row 0 is zero on both sides
-        dq = delta_minus(alpha, grid, q, caputo=True).values if it else 0.0
-        r = ha * np.abs(dq - f).max(axis=1)
-        if (r <= opts.tol * np.maximum(1.0, np.abs(q.values).max(axis=1))).all():
-            return q
+        f, = _walk(problem, q.values, v, "f")
+        # Q_k - const_k = h^alpha (left_reg Q)_k, zero at the constant start
+        dq = delta_minus(alpha, grid, q, caputo=True).values[1:] if it else 0.0
+        # row maxima a column at a time, where numpy's max(axis=1) walks the
+        # short rows one by one (50 times slower at d = 2, N 102400)
+        r = ha * functools.reduce(np.maximum, np.abs(dq - f).T)
+        if (r <= opts.tol * functools.reduce(np.maximum, np.abs(q.values[1:]).T, 1.0)).all():
+            return q.values
         if it and not r.max() <= 0.5 * worst or it == opts.max_iters:  # NaN too
             break
         worst = r.max()
-        fx, = _at_nodes(problem, q, u, "df_dx")
-        b = f - np.einsum("kij,kj->ki", fx, q.values)
-        q = _linear_march(alpha, grid, fx, b, problem.initial)
-    v, times = u.values, grid.times
+        fx, = _walk(problem, q.values, v, "df_dx")
+        b = _by_node(f - np.einsum("...ij,...j->...i", fx, q.values[1:]))
+        q = _linear_march(alpha, grid, fx if fx.ndim == 2 else _by_node(fx), b,
+                          problem.initial)
+    times = grid.times
     return _fixed_point_march(alpha, grid, lambda x, k: problem.f_at(x, v[k], times[k]),
-                              problem.initial, problem.lipschitz_M, opts)
+                              problem.initial, problem.lipschitz_M, opts).values
 
 
 def adjoint_solve(problem: OcpProblem, u: TimeSeq, q: TimeSeq) -> TimeSeq:
@@ -326,15 +351,20 @@ def adjoint_solve(problem: OcpProblem, u: TimeSeq, q: TimeSeq) -> TimeSeq:
     no iteration to tune and no step-size gate, only an invertible node
     matrix (``SingularNodeError`` otherwise).
     """
-    lx, fx = _at_nodes(problem, q, u, "dL_dx", "df_dx")
-    # row k takes node k + 1; row N keeps node N, never read
-    lx[:-1], fx[:-1] = lx[1:], fx[1:]
-    return _linear_march(problem.alpha, problem.grid, fx.transpose(0, 2, 1), lx,
-                         np.zeros(problem.d), reverse=True)
+    _check_windows(problem, u, q)
+    return TimeSeq(_adjoint(problem, u.values, q.values))
 
 
-def _running_cost(problem: OcpProblem, q: TimeSeq, u: TimeSeq) -> float:
-    running, = _at_nodes(problem, q, u, "L")
+def _adjoint(problem: OcpProblem, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`adjoint_solve` on node arrays."""
+    lx, fx = _walk(problem, q, v, "dL_dx", "df_dx")
+    fx = fx.T if fx.ndim == 2 else _by_node(fx.transpose(0, 2, 1), ahead=True)
+    return _linear_march(problem.alpha, problem.grid, fx, _by_node(lx, ahead=True),
+                         np.zeros(problem.d), reverse=True).values
+
+
+def _running_cost(problem: OcpProblem, q: np.ndarray, v: np.ndarray) -> float:
+    running, = _walk(problem, q, v, "L")
     # cumsum adds in node order, as a loop does; np.sum would pair terms
     return problem.grid.h * float(np.cumsum(running)[-1])
 
@@ -343,7 +373,7 @@ def cost(problem: OcpProblem, u: TimeSeq,
          opts: FixedPointOpts | None = None) -> float:
     """Discrete cost h * sum_{k=1..N} L(Q_k, U_k, t_k) for the induced state."""
     q = state_solve(problem, u, opts)
-    return _running_cost(problem, q, u)
+    return _running_cost(problem, q.values, u.values)
 
 
 def gateaux_derivative(problem: OcpProblem, u: TimeSeq, ubar: TimeSeq,
@@ -355,28 +385,28 @@ def gateaux_derivative(problem: OcpProblem, u: TimeSeq, ubar: TimeSeq,
     h * sum_k (dL/dx . Qbar_k + dL/dv . ubar_k).
     """
     _require_window(ubar, problem.grid.n, "ubar", 1, dim=problem.m)
-    q = state_solve(problem, u, opts)
-    fx, fv, lx, lv = _at_nodes(problem, q, u, "df_dx", "df_dv", "dL_dx", "dL_dv")
+    q = state_solve(problem, u, opts).values
+    fx, fv, lx, lv = _walk(problem, q, u.values, "df_dx", "df_dv", "dL_dx", "dL_dv")
     ub = ubar.values[1:]
-    fv_ub = np.zeros((problem.grid.n + 1, problem.d))
-    fv_ub[1:] = np.einsum("kdm,km->kd", fv[1:], ub)
-    qbar = _linear_march(problem.alpha, problem.grid, fx, fv_ub, np.zeros(problem.d))
-    return problem.grid.h * float(np.sum(lx[1:] * qbar.values[1:])
-                                  + np.sum(lv[1:] * ub))
+    fv_ub = _by_node(np.einsum("...dm,...m->...d", fv, ub))
+    qbar = _linear_march(problem.alpha, problem.grid, fx if fx.ndim == 2 else _by_node(fx),
+                         fv_ub, np.zeros(problem.d))
+    return problem.grid.h * float(np.sum(lx * qbar.values[1:]) + np.sum(lv * ub))
 
 
-def _dh_dv(problem: OcpProblem, q: TimeSeq, u: TimeSeq, p: TimeSeq) -> np.ndarray:
-    """dH/dv(Q_k, U_k, P_{k-1}, t_k) over nodes k = 1..N, row 0 zero."""
-    _require_window(p, problem.grid.n, "adjoint", 0, problem.grid.n - 1, dim=problem.d)
-    lv, fv = _at_nodes(problem, q, u, "dL_dv", "df_dv")
-    lv[1:] += np.einsum("kdm,kd->km", fv[1:], p.values[:-1])
-    return lv
+def _dh_dv(problem: OcpProblem, q: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """dH/dv(Q_k, U_k, P_{k-1}, t_k) over nodes k = 1..N, from node arrays."""
+    lv, fv = _walk(problem, q, v, "dL_dv", "df_dv")
+    return lv + np.einsum("...dm,...d->...m", fv, p[:-1])
 
 
 def stationarity_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq,
                           p: TimeSeq) -> TimeSeq:
     """Nodewise norm of dH/dv(Q_k, U_k, P_{k-1}, t_k), valid on [1, N]."""
-    return TimeSeq(_node_norms(_dh_dv(problem, q, u, p)), 1, problem.grid.n)
+    _check_windows(problem, u, q, p)
+    norms = np.zeros(problem.grid.n + 1)
+    norms[1:] = _node_norms(_dh_dv(problem, q.values, u.values, p.values))
+    return TimeSeq(norms, 1, problem.grid.n)
 
 
 def _root_controls(problem: OcpProblem, x: np.ndarray, w: np.ndarray, t: np.ndarray,
@@ -450,7 +480,12 @@ def _anderson_mix(dfs: list, dgs: list, f: np.ndarray, g: np.ndarray) -> np.ndar
     takes the damped step U + beta f, beta = ``_ANDERSON_BETA``.
     """
     df = np.column_stack(dfs) if dfs else None
-    while dfs and np.linalg.cond(df[:, -len(dfs):]) > _ANDERSON_COND:
+    while dfs:
+        # s_max / s_min as np.linalg.cond forms it, with its 0 / 0 counted as
+        # infinite, so that an all-zero dF is dropped too
+        s = np.linalg.svd(df[:, -len(dfs):], compute_uv=False).tolist()
+        if s[-1] and s[0] / s[-1] <= _ANDERSON_COND:
+            break
         del dfs[0], dgs[0]
     if not dfs:
         return g - (1.0 - _ANDERSON_BETA) * f
@@ -485,10 +520,10 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
     opts = opts or SweepOpts()
     grid, n = problem.grid, problem.grid.n
     if u_init is None:
-        u = TimeSeq.zeros(n, problem.m)
+        u = np.zeros((n + 1, problem.m))
     else:
-        _require_window(u_init, n, "control", 1, dim=problem.m)
-        u = TimeSeq(u_init.values.copy(), 0, n)
+        _check_windows(problem, u_init)
+        u = u_init.values.copy()
 
     root_tol = opts.tol_stationarity / np.sqrt(problem.m)
     f_prev = g_prev = None
@@ -496,23 +531,21 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
     dgs: list[np.ndarray] = []  # differences of g = U*, in step with dfs
     increment_prev, grew = np.inf, 0
     for outer in range(1, opts.max_outer_iters + 1):
-        q = state_solve(problem, u, opts.inner)
-        p = adjoint_solve(problem, u, q)
+        q = _state(problem, u, opts.inner)
+        p = _adjoint(problem, u, q)
+        dh = _dh_dv(problem, q, u, p)
+        residual = float(np.max(_node_norms(dh)))
         # U* - U over rows 1..N, U* from (Q_k, P_{k-1}, t_k)
-        args = (q.values[1:], p.values[:-1], grid.times[1:])
+        args = (q[1:], p[:-1], grid.times[1:])
         if problem.control_update is not None:
-            residual = stationarity_residual(problem, q, u, p).sup_norm()
-            step = problem._rows("control_update", *args) - u.values[1:]
+            step = problem._rows("control_update", *args) - u[1:]
         else:  # the root solve starts from the residual's own dH/dv rows
-            g = _dh_dv(problem, q, u, p)
-            residual = TimeSeq(_node_norms(g), 1, n).sup_norm()
-            step = _root_controls(problem, *args, u.values[1:], g[1:],
-                                  root_tol) - u.values[1:]
+            step = _root_controls(problem, *args, u[1:], dh, root_tol) - u[1:]
         increment = float(np.max(np.abs(step)))
 
         if residual <= opts.tol_stationarity and increment <= opts.tol_control:
-            u.values[0] = u.values[1]
-            return PontryaginSolution(Q=q, P=p, U=u,
+            u[0] = u[1]
+            return PontryaginSolution(Q=TimeSeq(q), P=TimeSeq(p), U=TimeSeq(u),
                                       stationarity_residual=residual,
                                       outer_iters=outer,
                                       cost=_running_cost(problem, q, u))
@@ -527,15 +560,13 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
         increment_prev = increment
 
         f = step.reshape(-1)  # rows 1..N, flattened
-        g = u.values[1:].reshape(-1) + f
+        g = u[1:].reshape(-1) + f
         if f_prev is not None:
             dfs.append(f - f_prev)
             dgs.append(g - g_prev)
             del dfs[:-_ANDERSON_DEPTH], dgs[:-_ANDERSON_DEPTH]
         f_prev, g_prev = f, g
-        values = u.values.copy()
-        values[1:] = _anderson_mix(dfs, dgs, f, g).reshape(n, problem.m)
-        u = TimeSeq(values, 0, n)
+        u[1:] = _anderson_mix(dfs, dgs, f, g).reshape(n, problem.m)
     raise SweepDivergenceError(opts.max_outer_iters, residual, increment,
                                "the pass budget ran out")
 
@@ -570,8 +601,9 @@ def euler_lagrange_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq) -> Time
         raise ValueError(
             f"control differs from the regularized state difference by {mismatch:.3e}")
 
-    lv, lx = _at_nodes(problem, q, dq, "dL_dv", "dL_dx")
-    # row k takes node k + 1; row N takes the zero row 0
-    lv[:-1], lx[:-1], lv[-1], lx[-1] = lv[1:], lx[1:], 0.0, 0.0
+    _require_window(q, n, "state", 1, dim=problem.d)
+    lv, lx = _walk(problem, q.values, dq.values, "dL_dv", "dL_dx")
+    # row k takes node k + 1; row N is zero
+    lv, lx = (np.concatenate((rows, np.zeros((1, problem.d)))) for rows in (lv, lx))
     dm = delta_plus(problem.alpha, grid, TimeSeq(-lv))
     return TimeSeq(_node_norms(dm.values - lx), 0, n - 1)

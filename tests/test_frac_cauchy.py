@@ -843,6 +843,48 @@ def test_toeplitz_path_inverts_no_node_stack(monkeypatch, d, reverse):
     npt.assert_allclose(fast, loop, rtol=0.0, atol=1e-12 * np.abs(loop).max())
 
 
+@pytest.mark.parametrize("reverse", (False, True))
+@pytest.mark.parametrize("d", (1, 2))
+def test_one_matrix_refusals_name_the_first_node_in_march_order(d, reverse):
+    # one (d, d) A for every node is refused at the march's first node, as a
+    # stack of N + 1 copies of it is, and a bad b_k at its own node
+    n = 16  # h^alpha = 1/4 at alpha 0.5
+    grid = Grid(0.0, 1.0, n)
+    first = n - 1 if reverse else 1
+    a_mat, b, start = constant_march_data(d, n)[0][0], np.ones((n + 1, d)), np.ones(d)
+    for bad_a, error in ((np.full((d, d), np.nan), frac_cauchy.SingularNodeError),
+                         (np.full((d, d), np.inf), frac_cauchy.SingularNodeError),
+                         (4.0 * np.eye(d), frac_cauchy.SingularNodeError)):  # h^alpha A = I
+        for a_mats in (bad_a, np.broadcast_to(bad_a, (n + 1, d, d))):
+            with pytest.raises(error) as exc:
+                frac_cauchy._linear_march(0.5, grid, a_mats, b, start, reverse)
+            assert exc.value.node == first
+    late = b.copy()
+    late[5, -1], late[11, 0] = np.inf, np.nan  # node 11 comes first in reverse
+    with pytest.raises(NonFiniteError) as exc:
+        frac_cauchy._linear_march(0.5, grid, a_mat, late, start, reverse)
+    assert exc.value.node == (11 if reverse else 5)
+    with pytest.raises(frac_cauchy.SingularNodeError) as exc:  # A before b
+        frac_cauchy._linear_march(0.5, grid, np.full((d, d), np.nan), late, start, reverse)
+    assert exc.value.node == first
+
+
+@pytest.mark.parametrize("reverse", (False, True))
+@pytest.mark.parametrize("d", (1, 2))
+def test_one_matrix_march_equals_its_stacked_copies(monkeypatch, d, reverse):
+    # on the convolution and on the node loop alike, and the start row is
+    # written where the march begins
+    n = 300
+    grid = Grid(0.0, 1.0, n)
+    a_mats, b, start = constant_march_data(d, n)
+    one = frac_cauchy._linear_march(0.5, grid, a_mats[0], b, start, reverse).values
+    npt.assert_array_equal(one, frac_cauchy._linear_march(0.5, grid, a_mats, b, start,
+                                                           reverse).values)
+    npt.assert_array_equal(one[n if reverse else 0], start)
+    npt.assert_array_equal(node_loop_march(monkeypatch, 0.5, grid, a_mats[0], b, start, reverse),
+                           node_loop_march(monkeypatch, 0.5, grid, a_mats, b, start, reverse))
+
+
 # -- input validation --------------------------------------------------------------
 
 def test_rhs_shape_mismatch_is_reported():

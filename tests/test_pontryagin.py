@@ -606,6 +606,78 @@ def test_builtin_sweep_marches_by_convolution(monkeypatch):
                             atol=1e-12 * np.abs(ref).max(), err_msg=name)
 
 
+def march_jacobians(monkeypatch):
+    """Record the ndim of every A handed to the sweep's linear marches."""
+    seen = []
+    march = pontryagin._linear_march
+
+    def recorded(alpha, grid, a_mats, *args, **kwargs):
+        seen.append(np.ndim(a_mats))
+        return march(alpha, grid, a_mats, *args, **kwargs)
+
+    monkeypatch.setattr(pontryagin, "_linear_march", recorded)
+    return seen
+
+
+def stacked_jacobians(problem):
+    """``problem`` with df_dx and df_dv returning a (K, ...) stack of copies."""
+    def stacked(fn):
+        return lambda x, v, t: np.array([fn(x, v, t)] * len(t)).reshape(len(t), problem.d, -1)
+
+    return dataclasses.replace(problem, df_dx=stacked(problem.df_dx),
+                               df_dv=stacked(problem.df_dv))
+
+
+@pytest.mark.parametrize("example", ("lq", "solved", "rotation", "zero"))
+def test_builtin_examples_hand_the_march_one_matrix(monkeypatch, example):
+    # every built-in Jacobian is one value for all nodes, and it reaches the
+    # linear march as that one matrix, never as a stack of N + 1 copies
+    problem = build_example(example, 0.5, 60)
+    seen = march_jacobians(monkeypatch)
+    sol = solve_pontryagin(problem)
+    gateaux_derivative(problem, sol.U, sol.U)
+    adjoint_solve(problem, sol.U, sol.Q)
+    assert seen and set(seen) == {2}
+
+
+@pytest.mark.parametrize("alpha", (1.0, 0.5, 0.05))
+@pytest.mark.parametrize("example", ("lq", "solved", "rotation", "zero"))
+def test_stacked_jacobians_give_the_same_sweep_bit_for_bit(monkeypatch, example, alpha):
+    problem = build_example(example, alpha, 80)
+    stacked = stacked_jacobians(problem)
+    seen = march_jacobians(monkeypatch)
+    a, b = solve_pontryagin(problem), solve_pontryagin(stacked)
+    assert 2 in seen and 3 in seen  # each form took its own path
+    for seq in ("Q", "P", "U"):
+        assert np.array_equal(getattr(a, seq).values, getattr(b, seq).values), seq
+    assert (a.outer_iters, a.stationarity_residual, a.cost) == \
+        (b.outer_iters, b.stationarity_residual, b.cost)
+    direction = TimeSeq(np.random.default_rng(5).normal(size=(81, problem.m)))
+    assert gateaux_derivative(problem, a.U, direction) == \
+        gateaux_derivative(stacked, a.U, direction)
+
+
+def test_anderson_mix_drops_an_all_zero_difference():
+    # np.linalg.cond reads 0 / 0 as infinite, so a zero column is dropped with
+    # every column older than it, and a lone zero column leaves the damped step
+    rng = np.random.default_rng(2)
+    f, g, older = rng.normal(size=6), rng.normal(size=6), rng.normal(size=6)
+    damped = g - (1.0 - pontryagin._ANDERSON_BETA) * f
+    dfs, dgs = [np.zeros(6)], [rng.normal(size=6)]
+    npt.assert_array_equal(pontryagin._anderson_mix(dfs, dgs, f, g), damped)
+    assert dfs == dgs == []
+    dfs, dgs = [older, np.zeros(6)], [rng.normal(size=6), rng.normal(size=6)]
+    npt.assert_array_equal(pontryagin._anderson_mix(dfs, dgs, f, g), damped)
+    assert dfs == dgs == []
+    newest, dg = rng.normal(size=6), rng.normal(size=6)
+    dfs, dgs = [np.zeros(6), newest], [rng.normal(size=6), dg]
+    mixed = pontryagin._anderson_mix(dfs, dgs, f, g)
+    assert len(dfs) == len(dgs) == 1 and dfs[0] is newest
+    gamma = np.linalg.lstsq(newest[:, None], f, rcond=None)[0]
+    npt.assert_allclose(mixed, g - dg * gamma - (1.0 - pontryagin._ANDERSON_BETA)
+                        * (f - newest * gamma), rtol=1e-14)
+
+
 def test_sweep_says_when_its_pass_budget_runs_out():
     opts = SweepOpts(max_outer_iters=3)
     with pytest.raises(SweepDivergenceError, match=r"\): the pass budget ran out$") as exc:
