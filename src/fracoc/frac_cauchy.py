@@ -25,8 +25,7 @@ the block from one scratch block per march (:func:`_near_sums`):
   Only h^alpha F(x) in the node equation is unknown, so each node starts
   from const plus the cubic extrapolation of h^alpha F over the last four
   accepted nodes, the first four from y_{j-1}; most nodes then take one
-  evaluation.  :func:`solve_left_cauchy`, :func:`solve_right_cauchy` and
-  the fallback of the sweep's state solve use it;
+  evaluation.  The two public marches use it;
 - :func:`_linear_march` handles F(x, k) = A_k x + b_k with one loop per
   block, solving each node through an inverse built, with every other,
   before the loop starts; it needs only I - h^alpha A_k to be invertible.
@@ -73,12 +72,12 @@ class ContractionError(ValueError):
 class FixedPointDivergenceError(RuntimeError):
     """A per-node iteration failed to converge; carries the node index."""
 
-    def __init__(self, node: int, last_step: float, tol: float):
+    def __init__(self, node: int, last_step: float, tol: float,
+                 why: str = "after the iteration budget"):
         self.node = node
         self.last_step = last_step
         super().__init__(
-            f"iteration at node {node} still off by {last_step:.3e} "
-            f"after the iteration budget (tol {tol:.1e})")
+            f"iteration at node {node} still off by {last_step:.3e} {why} (tol {tol:.1e})")
 
 
 class NonFiniteError(ValueError):
@@ -96,7 +95,7 @@ class SingularNodeError(ValueError):
         self.node = node
         super().__init__(
             f"node matrix I - h^alpha dF/dx is singular or non-finite at node {node}; "
-            f"is df_dx consistent with f and lipschitz_M?")
+            f"is df_dx consistent with f?")
 
 
 def _check_bound(lipschitz: float) -> None:
@@ -288,13 +287,6 @@ def solve_right_cauchy(alpha, grid: Grid,
                               lipschitz_K, opts, reverse=True)
 
 
-def _check_step(ha: float, lipschitz: float) -> None:
-    """Refuse h^alpha K >= 1, where the fixed-point step need not contract."""
-    if not ha * lipschitz < 1.0:
-        raise ContractionError(
-            f"h^alpha * K = {ha * lipschitz:.6g} >= 1; refine the grid or rescale")
-
-
 def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
                        lipschitz: float, opts: FixedPointOpts | None,
                        reverse: bool = False, at=None) -> TimeSeq:
@@ -347,7 +339,9 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
     a list of its floats.
     """
     ha = grid.h ** alpha
-    _check_step(ha, lipschitz)
+    if not ha * lipschitz < 1.0:  # NaN too
+        raise ContractionError(
+            f"h^alpha * K = {ha * lipschitz:.6g} >= 1; refine the grid or rescale")
     opts = opts or FixedPointOpts()
     tol, max_iters = opts.tol, opts.max_iters
     n, d = grid.n, start.size

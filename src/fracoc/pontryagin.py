@@ -14,15 +14,11 @@ stationary condition and repeats until both the stationarity defect and the
 control increment fall below tolerance.
 
 Every march of the sweep is linear: the adjoint, the linearized state of
-:func:`gateaux_derivative`, and each Newton iterate of the state on the
-whole trajectory.  Each solves its nodes one at a time through inverses
-of I - h^alpha A_k built before it starts, or, when A_k is the same at
-every node, as one Toeplitz convolution.  Only a stalled state
-falls back to the one nonlinear march, fixed-point steps node by node, and
-only the state checks h^alpha M < 1, under which they contract.
-A march stops with ``SingularNodeError`` when I - h^alpha df/dx cannot be
-inverted at a node, and with ``NonFiniteError`` when a callback returns
-NaN or infinity.
+:func:`gateaux_derivative`, and each Newton iterate of the state (its step
+halved until the residual falls), solved through inverses of I - h^alpha A_k
+built up front, or as one Toeplitz convolution when A_k is the same at every
+node.  A march stops with ``SingularNodeError`` at a node where that inverse
+fails, and with ``NonFiniteError`` when a callback returns NaN or infinity.
 
 Every callback value the layer reads at (Q_k, U_k, t_k) comes from one walk
 over the nodes, ``_walk``, which makes one call per callback on a
@@ -45,8 +41,8 @@ from typing import Callable
 
 import numpy as np
 
-from .frac_cauchy import (FixedPointOpts, _as_start, _check_bound, _check_step,
-                          _fixed_point_march, _linear_march, _real)
+from .frac_cauchy import (FixedPointDivergenceError, FixedPointOpts, NonFiniteError,
+                          _as_start, _check_bound, _linear_march, _real)
 from .gl_ops import (Grid, TimeSeq, _integer, _order_value, _require_window,
                      delta_minus, delta_plus)
 
@@ -124,10 +120,9 @@ class OcpProblem:
     or with another leading axis than K, raises ``ValueError`` naming the
     callback.  ``control_update(x, w, t)`` follows the same convention,
     with w stacked as x is.  A callback written with ``x[..., 0]`` and
-    ``(x * x).sum(-1)`` serves both conventions.  ``lipschitz_M`` is read
-    only as a Lipschitz bound of f in x, which gates the state's
-    fixed-point fallback; it need not bound df/dv.  ``alpha`` is stored as
-    the validated float order.
+    ``(x * x).sum(-1)`` serves both conventions.  ``lipschitz_M``, a
+    Lipschitz bound of f in x, is checked to be >= 0 and not read by the
+    sweep.  ``alpha`` is stored as the validated float order.
     """
 
     d: int
@@ -228,13 +223,12 @@ class SweepOpts:
     Each pass mixes the new control by Anderson mixing over the last 20
     passes, damped by beta = 0.5 (see :func:`solve_pontryagin`).
     ``inner`` sets the state solve's nodewise residual tolerance and the
-    budget of its trajectory Newton iterates and of its fixed-point
-    fallback's steps per node, and nothing else: without a closed-form
-    ``control_update``, the root solve of the stationary condition stops at
-    ``tol_stationarity / sqrt(m)`` per component.  At m = 1 a root it
-    returns already passes the stationarity test; at m > 1 its few coupling
-    passes may stop short of it, and what guarantees the result is the
-    sweep's own stationarity test.
+    budget of its trajectory Newton iterates, and nothing else: without a
+    closed-form ``control_update``, the root solve of the stationary
+    condition stops at ``tol_stationarity / sqrt(m)`` per component.  At
+    m = 1 a root it returns already passes the stationarity test; at m > 1
+    its few coupling passes may stop short of it, and what guarantees the
+    result is the sweep's own stationarity test.
     """
 
     tol_stationarity: float = 1e-9
@@ -292,7 +286,8 @@ def _check_windows(problem: OcpProblem, u: TimeSeq, q: TimeSeq | None = None,
 
 def _node_norms(g: np.ndarray) -> np.ndarray:
     """Row norms, each summed through matmul as np.linalg.norm(g[k]) sums it."""
-    return np.sqrt(g[:, None] @ g[..., None]).reshape(-1)
+    with np.errstate(over="ignore"):  # an inf norm is the caller's to stop on
+        return np.sqrt(g[:, None] @ g[..., None]).reshape(-1)
 
 
 def state_solve(problem: OcpProblem, u: TimeSeq,
@@ -303,11 +298,12 @@ def state_solve(problem: OcpProblem, u: TimeSeq,
     one is one linear march of f linearized at the last, so an affine f
     takes one.  An iterate is accepted once every node residual
     |Q_k - h^alpha f(Q_k) - const_k| is at most tol * max(1, |Q_k|), with
-    tol and the iterate budget from ``opts``.  An iterate after the start
-    that does not halve the largest residual, or a spent budget, restarts
-    the solve as fixed-point steps node by node, which contract under
-    h^alpha M < 1 (``ContractionError`` otherwise): a wrong ``df_dx`` costs
-    work, never the answer.  u_0 is never read.
+    tol and the iterate budget from ``opts``.  An iterate whose largest
+    residual is not below the last one's is pulled back, its step halved up
+    to 10 times.  A spent budget or line search raises
+    ``FixedPointDivergenceError`` at the first node off tolerance (naming
+    ``df_dx`` for the second), or ``NonFiniteError`` at the first node
+    whose residual is not finite.  u_0 is never read.
     """
     _check_windows(problem, u)
     return TimeSeq(_state(problem, u.values, opts or FixedPointOpts()))
@@ -317,27 +313,37 @@ def _state(problem: OcpProblem, v: np.ndarray, opts: FixedPointOpts) -> np.ndarr
     """:func:`state_solve` on the node array ``v`` of the control."""
     alpha, grid = problem.alpha, problem.grid
     ha = grid.h ** alpha
-    _check_step(ha, problem.lipschitz_M)
-    q = TimeSeq.constant(problem.initial, grid.n)
-    for it in range(opts.max_iters + 1):
-        f, = _walk(problem, q.values, v, "f")
+    q, iters = TimeSeq.constant(problem.initial, grid.n).values, 0
+    while True:
+        f, = _walk(problem, q, v, "f")
         # Q_k - const_k = h^alpha (left_reg Q)_k, zero at the constant start
-        dq = delta_minus(alpha, grid, q, caputo=True).values[1:] if it else 0.0
+        dq = delta_minus(alpha, grid, TimeSeq(q), caputo=True).values[1:] if iters else 0.0
         # row maxima a column at a time, where numpy's max(axis=1) walks the
         # short rows one by one (50 times slower at d = 2, N 102400)
         r = ha * functools.reduce(np.maximum, np.abs(dq - f).T)
-        if (r <= opts.tol * functools.reduce(np.maximum, np.abs(q.values[1:]).T, 1.0)).all():
-            return q.values
-        if it and not r.max() <= 0.5 * worst or it == opts.max_iters:  # NaN too
+        off = ~(r <= opts.tol * functools.reduce(np.maximum, np.abs(q[1:]).T, 1.0))
+        if not off.any():
+            return q
+        if iters and not r.max() < worst:  # not below the last kept, or NaN
+            lam *= 0.5
+            if lam < 2.0 ** -10:
+                why = "after halving the Newton step 10 times; is df_dx consistent with f?"
+                break
+            q = base + lam * (newton - base)
+        elif iters == opts.max_iters:
+            why = "after the iteration budget"
             break
-        worst = r.max()
-        fx, = _walk(problem, q.values, v, "df_dx")
-        b = _by_node(f - np.einsum("...ij,...j->...i", fx, q.values[1:]))
-        q = _linear_march(alpha, grid, fx if fx.ndim == 2 else _by_node(fx), b,
-                          problem.initial)
-    times = grid.times
-    return _fixed_point_march(alpha, grid, lambda x, k: problem.f_at(x, v[k], times[k]),
-                              problem.initial, problem.lipschitz_M, opts).values
+        else:  # keep q and take the Newton iterate from it
+            base, worst, lam = q, r.max(), 1.0
+            fx, = _walk(problem, q, v, "df_dx")
+            b = _by_node(f - np.einsum("...ij,...j->...i", fx, q[1:]))
+            q = newton = _linear_march(alpha, grid, fx if fx.ndim == 2 else _by_node(fx),
+                                       b, problem.initial).values
+            iters += 1
+    if not np.isfinite(r).all():
+        raise NonFiniteError(int(np.isfinite(r).argmin()) + 1)
+    k = int(off.argmax())
+    raise FixedPointDivergenceError(k + 1, float(r[k]), opts.tol, why)
 
 
 def adjoint_solve(problem: OcpProblem, u: TimeSeq, q: TimeSeq) -> TimeSeq:

@@ -9,14 +9,13 @@ import numpy.testing as npt
 import pytest
 
 from fracoc import frac_cauchy, pontryagin
-from fracoc import (CauchyRhs, ContractionError, FixedPointDivergenceError,
-                    FixedPointOpts, Grid, NonFiniteError, OcpProblem,
-                    OneParamGroup, SingularNodeError, SweepDivergenceError,
-                    SweepOpts, TimeSeq, adjoint_solve, build_example, cost,
-                    delta_minus, euler_lagrange_residual, gateaux_derivative,
-                    gl_coefficients, invariance_residual, rotation_groups,
-                    solve_left_cauchy, solve_pontryagin, state_solve,
-                    stationarity_residual)
+from fracoc import (CauchyRhs, FixedPointDivergenceError, FixedPointOpts, Grid,
+                    NonFiniteError, OcpProblem, OneParamGroup, SingularNodeError,
+                    SweepDivergenceError, SweepOpts, TimeSeq, adjoint_solve,
+                    build_example, cost, delta_minus, euler_lagrange_residual,
+                    gateaux_derivative, gl_coefficients, invariance_residual,
+                    rotation_groups, solve_left_cauchy, solve_pontryagin,
+                    state_solve, stationarity_residual)
 from fracoc.pontryagin import ControlUpdateError, _root_controls
 
 TIGHT_INNER = FixedPointOpts(tol=1e-14, max_iters=200)
@@ -37,17 +36,19 @@ def reduced_problem(alpha, n, dl_dv=None, l_fun=None):
     )
 
 
-def nonlinear_problem(alpha, n):
+def nonlinear_problem(alpha, n, vectorized=False):
+    """The acceptance tests' f = sin x + v, per node or on stacked nodes."""
     return OcpProblem(
         d=1, m=1, alpha=alpha, grid=Grid(0.0, 1.0, n), initial=np.array([1.0]),
-        L=lambda x, v, t: 0.5 * (x[0] ** 2 + v[0] ** 2),
+        L=lambda x, v, t: 0.5 * (x[..., 0] ** 2 + v[..., 0] ** 2),
         dL_dx=lambda x, v, t: x,
         dL_dv=lambda x, v, t: v,
         f=lambda x, v, t: np.sin(x) + v,
-        df_dx=lambda x, v, t: np.cos(x[0]),
+        df_dx=lambda x, v, t: np.cos(x[..., 0]),
         df_dv=lambda x, v, t: 1.0,
         lipschitz_M=1.0,
         control_update=lambda x, w, t: -w,
+        vectorized=vectorized,
     )
 
 
@@ -75,15 +76,15 @@ def test_adjoint_solve_integer_order_recurrence():
 
 
 def test_solver_layers_reject_unstable_steps():
-    # the state's fixed-point fallback contracts only while h^alpha M < 1
-    marginal = build_example("lq", 1.0, 1)  # h M = 1 exactly
-    with pytest.raises(ContractionError):
-        state_solve(marginal, TimeSeq.zeros(1))
-    with pytest.raises(ContractionError):
-        solve_pontryagin(marginal)
-    with pytest.raises(ContractionError):
-        gateaux_derivative(marginal, TimeSeq.zeros(1), TimeSeq.zeros(1))
-    # h M = 1/2 needs no stricter gate: the fallback contracts, need not halve
+    # h M = 1 exactly: I - h df_dx = 0, so no Newton iterate can be formed
+    marginal = build_example("lq", 1.0, 1)
+    for solve in (lambda: state_solve(marginal, TimeSeq.zeros(1)),
+                  lambda: solve_pontryagin(marginal),
+                  lambda: gateaux_derivative(marginal, TimeSeq.zeros(1), TimeSeq.zeros(1))):
+        with pytest.raises(SingularNodeError) as exc:
+            solve()
+        assert exc.value.node == 1
+    # h M = 1/2 needs no stricter gate
     sol = solve_pontryagin(build_example("lq", 1.0, 2))
     assert sol.stationarity_residual <= SweepOpts().tol_stationarity
 
@@ -149,18 +150,6 @@ def test_wrong_jacobian_gives_the_same_state(d):
                         rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("example", ("lq", "rotation"))
-def test_diverging_newton_falls_back_to_the_fixed_point_step(example):
-    # h^alpha = 0.1 and df_dx = 40 I give I - h^alpha df_dx = -3 I against a
-    # true 0.9 I: every Newton step overshoots by 1.3 times the error
-    problem = build_example(example, 1.0, 10)
-    wrong = dataclasses.replace(problem, df_dx=lambda x, v, t: 40.0 * np.eye(problem.d))
-    u = TimeSeq(np.sin(3.0 * np.outer(problem.grid.times, np.arange(1, problem.m + 1))))
-    npt.assert_allclose(state_solve(wrong, u, TIGHT_INNER).values,
-                        state_solve(problem, u, TIGHT_INNER).values,
-                        rtol=0.0, atol=1e-12)
-
-
 def counting_problem(problem):
     """A copy of ``problem`` whose f and df_dx count the nodes they are called at.
 
@@ -195,18 +184,31 @@ def test_state_budget_exhaustion_names_the_node(d):
     assert calls["f"] <= 2 * n + 2
 
 
-@pytest.mark.parametrize("example", ("lq", "rotation"))
-def test_stalled_newton_iterate_falls_back_at_once(example):
-    # df_dx = 40 I overshoots (see above): the first trajectory iterate does
-    # not halve the start's residual, so df_dx is walked once, not per iterate
+def wrong_sign_jacobian(example):
+    # h^alpha = 0.1 and df_dx = 40 I give I - h^alpha df_dx = -3 I against a
+    # true 0.9 I: each node's Newton step points away from its solution, so
+    # the line search soon runs out of step lengths that lower the residual
     problem = build_example(example, 1.0, 10)
-    wrong = dataclasses.replace(problem, df_dx=lambda x, v, t: 40.0 * np.eye(problem.d))
-    counting, calls = counting_problem(wrong)
-    u = TimeSeq.constant(np.ones(problem.m), 10)
-    npt.assert_allclose(state_solve(counting, u, TIGHT_INNER).values,
-                        state_solve(problem, u, TIGHT_INNER).values,
-                        rtol=0.0, atol=1e-12)
+    return dataclasses.replace(problem, df_dx=lambda x, v, t: 40.0 * np.eye(problem.d))
+
+
+@pytest.mark.parametrize("example", ("lq", "rotation"))
+def test_a_wrong_sign_jacobian_stops_the_line_search_naming_df_dx(example):
+    wrong = wrong_sign_jacobian(example)
+    u = TimeSeq(np.sin(3.0 * np.outer(wrong.grid.times, np.arange(1, wrong.m + 1))))
+    with pytest.raises(FixedPointDivergenceError, match="halving the Newton step.*df_dx"):
+        state_solve(wrong, u, TIGHT_INNER)
+
+
+@pytest.mark.parametrize("example", ("lq", "rotation"))
+def test_a_wrong_sign_jacobian_is_named_after_one_df_dx_walk(example):
+    # one Newton iterate, rejected at each of its 11 step lengths: df_dx is
+    # walked once, f at the start and at each trial
+    counting, calls = counting_problem(wrong_sign_jacobian(example))
+    with pytest.raises(FixedPointDivergenceError, match="df_dx"):
+        state_solve(counting, TimeSeq.constant(np.ones(counting.m), 10), TIGHT_INNER)
     assert calls["df_dx"] == 10
+    assert calls["f"] <= 12 * 10
 
 
 @pytest.mark.parametrize("example", ("lq", "rotation"))
@@ -694,6 +696,92 @@ def test_sweep_stops_at_once_on_a_non_finite_residual():
         solve_pontryagin(broken)
     assert exc.value.iters == 1
     assert np.isnan(exc.value.residual)
+
+
+def test_a_sweep_whose_residual_overflows_stops_as_not_finite():
+    # f = 3x + v at alpha 0.3, N 60: the sweep diverges until a square in
+    # the stationarity norm passes the float range
+    problem = build_example("lq", 0.3, 60)
+    steep = dataclasses.replace(problem, f=lambda x, v, t: 3.0 * x + v,
+                                df_dx=lambda x, v, t: 3.0, lipschitz_M=3.0)
+    with pytest.raises(SweepDivergenceError, match="not finite") as exc:
+        solve_pontryagin(steep)
+    assert exc.value.residual == np.inf
+
+
+def test_nonlinear_sweep_at_small_alpha_stops_in_the_sweep():
+    # the state of every pass is solved; it is the outer sweep that diverges
+    with pytest.raises(SweepDivergenceError):
+        solve_pontryagin(nonlinear_problem(0.05, 100, vectorized=True))
+
+
+def random_affine_problem(rng, alpha, d, m, n):
+    """f = A x + B v + e and L = (x'W_x x + v'W_v v) / 2, W_x and W_v SPD.
+
+    Returns the problem and its controls on nodes 1..N from one dense solve
+    of the whole discrete system, N (2d + m) unknowns in the order Q_1..Q_N,
+    P_0..P_{N-1}, U_1..U_N:
+
+        sum_{r<k} c_r (Q_{k-r} - Q_0) - h^a (A Q_k + B U_k + e) = 0,  k = 1..N
+        sum_{r<N-k} c_r P_{k+r} - h^a (A' P_k + W_x Q_{k+1}) = 0,     k = 0..N-1
+        W_v U_k + B' P_{k-1} = 0,                                     k = 1..N
+    """
+    def spd(k):
+        g = rng.normal(size=(k, k))
+        return g @ g.T + k * np.eye(k)
+
+    a = rng.choice((0.3, 1.0, 2.0)) * rng.normal(size=(d, d))
+    b, e, initial = rng.normal(size=(d, m)), rng.normal(size=d), rng.normal(size=d)
+    wx, wv = spd(d), spd(m)
+    gain = np.linalg.solve(wv, b.T)  # U* = -W_v^-1 B' w
+    problem = OcpProblem(
+        d=d, m=m, alpha=alpha, grid=Grid(0.0, 1.0, n), initial=initial,
+        L=lambda x, v, t: 0.5 * (np.einsum("...i,ij,...j->...", x, wx, x)
+                                 + np.einsum("...i,ij,...j->...", v, wv, v)),
+        dL_dx=lambda x, v, t: x @ wx,
+        dL_dv=lambda x, v, t: v @ wv,
+        f=lambda x, v, t: x @ a.T + v @ b.T + e,
+        df_dx=lambda x, v, t: a,
+        df_dv=lambda x, v, t: b,
+        lipschitz_M=float(np.linalg.norm(a, 2)),
+        control_update=lambda x, w, t: -w @ gain.T,
+        vectorized=True)
+
+    ha = problem.grid.h ** alpha
+    c = gl_coefficients(alpha, n).coeffs[:n]
+    k = np.arange(n)
+    lower = np.where(k[:, None] >= k, c[np.abs(k[:, None] - k)], 0.0)
+    eye_n, eye_d = np.eye(n), np.eye(d)
+    system = np.block([
+        [np.kron(lower, eye_d) - ha * np.kron(eye_n, a), np.zeros((n * d, n * d)),
+         -ha * np.kron(eye_n, b)],
+        [-ha * np.kron(eye_n, wx), np.kron(lower.T, eye_d) - ha * np.kron(eye_n, a.T),
+         np.zeros((n * d, n * m))],
+        [np.zeros((n * m, n * d)), np.kron(eye_n, b.T), np.kron(eye_n, wv)]])
+    rhs = np.concatenate((np.kron(np.cumsum(c), initial) + ha * np.tile(e, n),
+                          np.zeros(n * (d + m))))
+    return problem, np.linalg.solve(system, rhs)[2 * n * d:].reshape(n, m)
+
+
+def test_random_affine_sweeps_match_one_dense_solve():
+    # no step-size gate refuses a problem whose linear system is well posed,
+    # and no state solve stops: each sweep converges to the dense solution
+    # or stops in the outer iteration
+    rng = np.random.default_rng(2012)
+    converged = 0
+    for _ in range(40):
+        alpha = float(rng.choice((0.05, 0.1, 0.3, 0.5, 0.75, 1.0)))
+        d, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        problem, exact = random_affine_problem(rng, alpha, d, m, 60)
+        try:
+            sol = solve_pontryagin(problem)
+        except SweepDivergenceError:
+            continue
+        # relative to max(1, |U|), as the sweep's own tolerances are absolute
+        gap = np.abs(sol.U.values[1:] - exact).max()
+        assert gap <= 1e-8 * max(1.0, np.abs(exact).max()), (alpha, d, m, gap)
+        converged += 1
+    assert converged >= 30
 
 
 def test_warm_start_accepts_and_checks_u_init():
