@@ -96,8 +96,7 @@ def run_converge(cfg: argparse.Namespace) -> int:
         solution, problem = _solve(cfg, n)
         if cfg.self_test:
             u = solution.U
-            err = max_control_error(u, lambda t, u=u, g=problem.grid:
-                                    u.values[g.index_of(t)], problem.grid)
+            err = max_control_error(u, lambda t: u.values[1:], problem.grid, vectorized=True)
         else:
             err = max_control_error(solution.U, exact, problem.grid, vectorized=True)
         pairs.append((n, problem.grid.h, err))

@@ -216,14 +216,10 @@ def _near_sums(alpha: float, n: int, d: int) -> tuple:
     return blk, [blk[:i] for i in rows], [rc[rc.size - i:].dot for i in rows]
 
 
-def _as_start(value, name: str) -> np.ndarray:
-    return np.atleast_1d(_real(value, name, "is")).reshape(-1)
-
-
 def _checked_start(value, name: str, node: int) -> np.ndarray:
-    """The start of a public march, refused before any evaluation when it
-    is empty or not finite (``NonFiniteError`` at the start node)."""
-    start = _as_start(value, name)
+    """The start of a march, flattened, refused before any evaluation when
+    it is empty or not finite (``NonFiniteError`` at the start node)."""
+    start = np.atleast_1d(_real(value, name, "is")).reshape(-1)
     if start.size == 0:
         raise ValueError(f"{name} is empty")
     if not np.isfinite(start).all():
@@ -267,7 +263,7 @@ def solve_left_cauchy(alpha, grid: Grid, rhs: CauchyRhs, initial,
     """
     return _fixed_point_march(_order_value(alpha), grid, rhs.eval,
                               _checked_start(initial, "initial", 0),
-                              rhs.lipschitz_K, opts, at=grid.times)
+                              rhs.lipschitz_K, opts, memoryview(grid.times))
 
 
 def solve_right_cauchy(alpha, grid: Grid,
@@ -284,17 +280,18 @@ def solve_right_cauchy(alpha, grid: Grid,
     _check_bound(lipschitz_K)
     return _fixed_point_march(_order_value(alpha), grid, rhs_shifted,
                               _checked_start(terminal, "terminal", grid.n),
-                              lipschitz_K, opts, reverse=True)
+                              lipschitz_K, opts, range(grid.n, -1, -1), reverse=True)
 
 
 def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
-                       lipschitz: float, opts: FixedPointOpts | None,
-                       reverse: bool = False, at=None) -> TimeSeq:
+                       lipschitz: float, opts: FixedPointOpts | None, at,
+                       reverse: bool = False) -> TimeSeq:
     """March with node equations solved by fixed-point steps.
 
-    ``field(x, k)`` returns F at node k, or ``field(x, at[j])`` given an
-    array ``at`` indexed by march row j, which reaches ``field`` as Python
-    floats (the left march passes its times), a block's slice at a time.
+    ``field(x, at[j])`` returns F at march row j, ``at`` sliced a block at a
+    time: the left march passes a memoryview of its times, whose items
+    reach ``field`` as Python floats, and the right one its node indices
+    in march order, ``range(N, -1, -1)``.
     x is a fresh float array of shape (d,) on every call.  A float64 array
     of d elements is taken as it is; any other value goes through
     ``_sized``, so a complex value, or one of any size but d, raises
@@ -357,7 +354,7 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
 
         def solve_block(lo, hi, base, y):
             g1, g2, g3, g4 = hist
-            args = nodes[lo:hi] if at is None else memoryview(at[lo:hi])
+            args = at[lo:hi]
             rows, first, x = memoryview(y[lo:hi]), 4 - lo, y0  # rows past 4: i > first
             for i, b, arg, dot, view in zip(count(), memoryview(base), args, dots, views):
                 const = b - float(dot(view))
@@ -387,7 +384,7 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
 
         def solve_block(lo, hi, base, y):
             g1, g2, g3, g4, e1, e2, e3, e4 = hist  # first components g, second e
-            args = nodes[lo:hi] if at is None else memoryview(at[lo:hi])
+            args = at[lo:hi]
             rows, first, x0, x1 = memoryview(y[lo:hi]), 4 - lo, y00, y01
             b0s, b1s = memoryview(base[:, 0]), memoryview(base[:, 1])
             for i, b0, b1, arg, dot, view in zip(count(), b0s, b1s, args, dots, views):
@@ -423,7 +420,7 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
 
         def solve_block(lo, hi, base, y):
             g1, g2, g3, g4 = hist
-            args = nodes[lo:hi] if at is None else memoryview(at[lo:hi])
+            args = at[lo:hi]
             rows, first, x = memoryview(y[lo:hi]), 4 - lo, y0
             bases = zip(*map(memoryview, base.T))  # row i of base as a tuple of floats
             for i, b, arg, dot, view in zip(count(), bases, args, dots, views):
@@ -506,12 +503,14 @@ def _toeplitz_inverse(alpha: float, n: int, d: int, ha_a: bytes):
 
 
 def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarray,
-                  start: np.ndarray, reverse: bool = False) -> TimeSeq:
-    """March F(x, k) = A_k x + b_k with one direct solve per node.
+                  start: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Node array y_0..y_N of the march F(x, k) = A_k x + b_k from ``start``.
 
-    ``a_mats`` is one (d, d) matrix A for every node, or an (N+1, d, d)
-    stack of A_k; it and ``b_vecs`` (N+1, d) are indexed by node and read
-    as views in march order, the start node's row never.  Node k solves
+    ``a_mats`` is one (d, d) matrix A for every node, or an (N, d, d) stack
+    of A_k, and ``b_vecs`` is (N, d).  Row i of each is the i-th node the
+    march solves, in node order: nodes 1..N, or nodes 0..N-1 with
+    ``reverse``, where ``start`` is y_N.  Both are read as views in march
+    order.  Node k solves
     (I - h^alpha A_k) y_k = const_k + h^alpha b_k through an inverse built,
     with every other, before a block loop that adds each node's near sum
     first.  A non-finite A_k or b_k (``SingularNodeError`` or
@@ -539,8 +538,9 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
     """
     n, d = grid.n, start.size
     ha = grid.h ** alpha
-    order = slice(n - 1, None, -1) if reverse else slice(1, n + 1)  # march rows 1..N
-    nodes, a, b_k = range(n + 1)[order], a_mats, b_vecs[order]  # views
+    order = slice(None, None, -1 if reverse else 1)  # operand rows in march order
+    nodes = range(n - 1, -1, -1) if reverse else range(1, n + 1)  # node of march row 1..N
+    a, b_k = a_mats, b_vecs[order]  # views
     if a.ndim == 3:  # a stack is one matrix when every A_k equals the first
         a = a[order]
         a = a[0] if (a == a[0]).all() else a
@@ -557,9 +557,10 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
             s_hat = np.fft.rfft(ha * (b_k + a @ start), size, axis=0)
             dev = np.fft.irfft(w_hat @ s_hat[..., None], size, axis=0)[:n, :, 0]
             y = np.empty((n + 1, d))
-            y[n if reverse else 0] = start
-            np.add(start, dev, out=y[order])
-            return TimeSeq(y)
+            rows = y[::-1] if reverse else y  # y in march order
+            rows[0] = start
+            np.add(start, dev, out=rows[1:])
+            return y
         g = np.broadcast_to(g, (n, d, d))
     try:
         inv = np.linalg.inv(g)
@@ -584,4 +585,4 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
                 y[j] = x = np.dot(inv[j - 1], base[i] - dots[i](views[i]) + hb[j - 1])
                 blk[i] = x - start
 
-    return TimeSeq(_march(alpha, grid, start, solve_block, reverse))
+    return _march(alpha, grid, start, solve_block, reverse)

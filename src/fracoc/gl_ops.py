@@ -139,6 +139,12 @@ def gl_coefficients(alpha, n: int) -> FracCoeffs:
     return _gl_cached(_order_value(alpha), _integer(n, "n", 1))
 
 
+def _node_norms(g: np.ndarray) -> np.ndarray:
+    """Row norms, each summed through matmul as np.linalg.norm(g[k]) sums it."""
+    with np.errstate(over="ignore"):  # an inf norm is the caller's to stop on
+        return np.sqrt(g[:, None] @ g[..., None]).reshape(-1)
+
+
 class TimeSeq:
     """A node-indexed sequence of vectors with an explicit valid index range.
 
@@ -191,7 +197,7 @@ class TimeSeq:
 
     def sup_norm(self) -> float:
         """Largest Euclidean node norm over the valid range."""
-        return float(np.max(np.linalg.norm(self.valid_values(), axis=1)))
+        return float(np.max(_node_norms(self.valid_values())))
 
     def copy(self) -> "TimeSeq":
         return TimeSeq(self.values.copy(), self.lo, self.hi)

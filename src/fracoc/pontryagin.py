@@ -22,9 +22,12 @@ fails, and with ``NonFiniteError`` when a callback returns NaN or infinity.
 
 Every callback value the layer reads at (Q_k, U_k, t_k) comes from one walk
 over the nodes, ``_walk``, which makes one call per callback on a
-vectorized problem and one per node otherwise; the adjoint reads node
-k + 1 from the same rows.  A vectorized ``df_dx`` or ``df_dv`` that returns
-one value stays one matrix, which each march takes as one Toeplitz solve.
+vectorized problem and one per node otherwise.  Its N rows, nodes 1..N,
+are what each linear march takes as they stand: the state's operands for
+nodes 1..N, and the adjoint's for nodes 0..N-1, since node k of the
+adjoint reads node k + 1.  A vectorized ``df_dx`` or ``df_dv`` that
+returns one value stays one matrix, which each march takes as one
+Toeplitz solve.
 A closed-form control update is one such call too; without one, it is a
 bracketed root solve at every node at once, from the stationarity walk's
 rows and one walk per further evaluation.  The public solvers check their
@@ -42,9 +45,9 @@ from typing import Callable
 import numpy as np
 
 from .frac_cauchy import (FixedPointDivergenceError, FixedPointOpts, NonFiniteError,
-                          _as_start, _check_bound, _linear_march, _real)
-from .gl_ops import (Grid, TimeSeq, _integer, _order_value, _require_window,
-                     delta_minus, delta_plus)
+                          _check_bound, _checked_start, _linear_march, _real)
+from .gl_ops import (Grid, TimeSeq, _integer, _node_norms, _order_value,
+                     _require_window, delta_minus, delta_plus)
 
 __all__ = [
     "OcpProblem",
@@ -122,7 +125,9 @@ class OcpProblem:
     with w stacked as x is.  A callback written with ``x[..., 0]`` and
     ``(x * x).sum(-1)`` serves both conventions.  ``lipschitz_M``, a
     Lipschitz bound of f in x, is checked to be >= 0 and not read by the
-    sweep.  ``alpha`` is stored as the validated float order.
+    sweep.  ``alpha`` is stored as the validated float order.  ``initial``
+    is refused as the public marches refuse a start, a non-finite one with
+    ``NonFiniteError`` at node 0, before any callback runs.
     """
 
     d: int
@@ -145,7 +150,7 @@ class OcpProblem:
         object.__setattr__(self, "d", _integer(self.d, "d", 1))
         object.__setattr__(self, "m", _integer(self.m, "m", 1))
         _check_bound(self.lipschitz_M)
-        a = _as_start(self.initial, "initial")
+        a = _checked_start(self.initial, "initial", 0)
         if a.size != self.d:
             raise ValueError(f"initial value has size {a.size}, expected {self.d}")
         object.__setattr__(self, "initial", a)
@@ -267,12 +272,6 @@ def _walk(problem: OcpProblem, x: np.ndarray, v: np.ndarray, *names: str) -> lis
             for name in names]
 
 
-def _by_node(rows: np.ndarray, ahead: bool = False) -> np.ndarray:
-    """Rows of nodes 1..N as N + 1 rows indexed by node k, or by k - 1 when
-    ``ahead``; the one row no march reads repeats its neighbour."""
-    return np.concatenate((rows, rows[-1:]) if ahead else (rows[:1], rows))
-
-
 def _check_windows(problem: OcpProblem, u: TimeSeq, q: TimeSeq | None = None,
                    p: TimeSeq | None = None) -> None:
     """Refuse an adjoint, state or control off the rows the layer reads."""
@@ -282,12 +281,6 @@ def _check_windows(problem: OcpProblem, u: TimeSeq, q: TimeSeq | None = None,
     if q is not None:
         _require_window(q, n, "state", 1, dim=problem.d)
     _require_window(u, n, "control", 1, dim=problem.m)
-
-
-def _node_norms(g: np.ndarray) -> np.ndarray:
-    """Row norms, each summed through matmul as np.linalg.norm(g[k]) sums it."""
-    with np.errstate(over="ignore"):  # an inf norm is the caller's to stop on
-        return np.sqrt(g[:, None] @ g[..., None]).reshape(-1)
 
 
 def state_solve(problem: OcpProblem, u: TimeSeq,
@@ -336,9 +329,8 @@ def _state(problem: OcpProblem, v: np.ndarray, opts: FixedPointOpts) -> np.ndarr
         else:  # keep q and take the Newton iterate from it
             base, worst, lam = q, r.max(), 1.0
             fx, = _walk(problem, q, v, "df_dx")
-            b = _by_node(f - np.einsum("...ij,...j->...i", fx, q[1:]))
-            q = newton = _linear_march(alpha, grid, fx if fx.ndim == 2 else _by_node(fx),
-                                       b, problem.initial).values
+            b = f - np.einsum("...ij,...j->...i", fx, q[1:])
+            q = newton = _linear_march(alpha, grid, fx, b, problem.initial)
             iters += 1
     if not np.isfinite(r).all():
         raise NonFiniteError(int(np.isfinite(r).argmin()) + 1)
@@ -363,10 +355,9 @@ def adjoint_solve(problem: OcpProblem, u: TimeSeq, q: TimeSeq) -> TimeSeq:
 
 def _adjoint(problem: OcpProblem, v: np.ndarray, q: np.ndarray) -> np.ndarray:
     """:func:`adjoint_solve` on node arrays."""
-    lx, fx = _walk(problem, q, v, "dL_dx", "df_dx")
-    fx = fx.T if fx.ndim == 2 else _by_node(fx.transpose(0, 2, 1), ahead=True)
-    return _linear_march(problem.alpha, problem.grid, fx, _by_node(lx, ahead=True),
-                         np.zeros(problem.d), reverse=True).values
+    lx, fx = _walk(problem, q, v, "dL_dx", "df_dx")  # rows of nodes k + 1 = 1..N
+    return _linear_march(problem.alpha, problem.grid, np.swapaxes(fx, -1, -2), lx,
+                         np.zeros(problem.d), reverse=True)
 
 
 def _running_cost(problem: OcpProblem, q: np.ndarray, v: np.ndarray) -> float:
@@ -394,10 +385,9 @@ def gateaux_derivative(problem: OcpProblem, u: TimeSeq, ubar: TimeSeq,
     q = state_solve(problem, u, opts).values
     fx, fv, lx, lv = _walk(problem, q, u.values, "df_dx", "df_dv", "dL_dx", "dL_dv")
     ub = ubar.values[1:]
-    fv_ub = _by_node(np.einsum("...dm,...m->...d", fv, ub))
-    qbar = _linear_march(problem.alpha, problem.grid, fx if fx.ndim == 2 else _by_node(fx),
-                         fv_ub, np.zeros(problem.d))
-    return problem.grid.h * float(np.sum(lx * qbar.values[1:]) + np.sum(lv * ub))
+    qbar = _linear_march(problem.alpha, problem.grid, fx,
+                         np.einsum("...dm,...m->...d", fv, ub), np.zeros(problem.d))
+    return problem.grid.h * float(np.sum(lx * qbar[1:]) + np.sum(lv * ub))
 
 
 def _dh_dv(problem: OcpProblem, q: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -433,8 +423,8 @@ def _root_controls(problem: OcpProblem, x: np.ndarray, w: np.ndarray, t: np.ndar
             xs, ts = x[rows], t[rows]
             g = problem._rows("dL_dv", xs, vals, ts) + np.einsum(
                 "kdm,kd->km", problem._rows("df_dv", xs, vals, ts), w[rows])
-        i = np.isfinite(g).all(axis=1).argmin()  # the first bad row is the lowest
-        if not np.isfinite(g[i]).all():  # no bracket can mend it
+        if not np.isfinite(g).all():  # no bracket can mend it; name the first bad row
+            i = np.isfinite(g).all(axis=1).argmin()
             raise ControlUpdateError(rows[i] + 1, f"dH/dv not finite at v = {vals[i]}")
         return g
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frac_cauchy import _real
-from .gl_ops import Grid, TimeSeq, _order_value, _require_window
-from .pontryagin import _node_norms
+from .gl_ops import Grid, TimeSeq, _node_norms, _order_value, _require_window
 
 __all__ = [
     "DegenerateDataError",

@@ -15,7 +15,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from fracoc import build_example, solve_pontryagin
+from fracoc import Grid, build_example, solve_pontryagin
 from fracoc import cli
 from fracoc.cli import build_parser, main
 
@@ -131,6 +131,19 @@ def test_converge_self_test_reports_degenerate(tmp_path, capsys):
     assert all(float(r[2]) == 0.0 for r in rows)
     assert comments[-1] == "# fitted_order=degenerate"
     assert "fitted_order=degenerate" in capsys.readouterr().out
+
+
+def test_converge_self_test_reads_the_control_as_an_array(tmp_path, monkeypatch):
+    # the control is compared with itself row for row, with no time turned
+    # back into a node index
+    def refused(grid, t):
+        raise AssertionError("Grid.index_of called")
+
+    monkeypatch.setattr(Grid, "index_of", refused)
+    code, out = run(tmp_path, "s.csv", "converge", "--example", "solved",
+                    "--alpha", "0.5", "--n-list", "8,16", "--self-test")
+    assert code == 0
+    assert all(float(r[2]) == 0.0 for r in read_rows(out)[1])
 
 
 # -- noether ----------------------------------------------------------------------

@@ -631,6 +631,14 @@ def varying_march_data(d, n, seed=0):
     return a_mats, rng.standard_normal((n + 1, d)), rng.standard_normal(d)
 
 
+def linear_march(alpha, grid, a_mats, b, start, reverse=False):
+    """The linear march on node-indexed data, handed the rows it solves:
+    [1:], or [:-1] with ``reverse``; one (d, d) A goes as it is."""
+    rows = slice(None, -1) if reverse else slice(1, None)
+    a_rows = a_mats if np.ndim(a_mats) == 2 else a_mats[rows]
+    return frac_cauchy._linear_march(alpha, grid, a_rows, b[rows], start, reverse)
+
+
 def node_loop_linear_march(alpha, grid, a_mats, b, start, reverse):
     """(I - h^alpha A_k) y_k = const_k + h^alpha b_k, one node a call."""
     ha = grid.h ** alpha
@@ -650,7 +658,7 @@ def test_time_varying_linear_block_matches_the_node_loop(d, n, reverse):
     # the block solver's inverses built up front against a solve per node
     grid = Grid(0.0, 1.0, n)
     a_mats, b, start = varying_march_data(d, n, seed=n)
-    got = frac_cauchy._linear_march(0.6, grid, a_mats, b, start, reverse).values
+    got = linear_march(0.6, grid, a_mats, b, start, reverse)
     want = node_loop_linear_march(0.6, grid, a_mats, b, start, reverse)
     npt.assert_array_equal(got[n if reverse else 0], start)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -668,7 +676,7 @@ def test_a_singular_node_in_the_second_block_is_named(d, reverse):
     for row in (B + 100, B + 150):
         a_mats[n - row if reverse else row, 0] = [32.0] + [0.0] * (d - 1)
     with pytest.raises(frac_cauchy.SingularNodeError) as exc:
-        frac_cauchy._linear_march(0.5, grid, a_mats, b, start, reverse)
+        linear_march(0.5, grid, a_mats, b, start, reverse)
     assert exc.value.node == (n - B - 100 if reverse else B + 100)
 
 
@@ -691,7 +699,7 @@ def node_loop_march(monkeypatch, *args, **kwargs):
     """The linear march with its convolution branch turned off."""
     with monkeypatch.context() as m:
         m.setattr(frac_cauchy, "_toeplitz_inverse", lambda *key: None)
-        return frac_cauchy._linear_march(*args, **kwargs).values
+        return linear_march(*args, **kwargs)
 
 
 def constant_march_data(d, n, seed=0):
@@ -709,7 +717,7 @@ def test_constant_jacobian_march_is_one_convolution(monkeypatch, d, reverse):
     a_mats, b, start = constant_march_data(d, 4096)
     loop = node_loop_march(monkeypatch, 0.5, grid, a_mats, b, start, reverse)
     calls = march_calls(monkeypatch)
-    fast = frac_cauchy._linear_march(0.5, grid, a_mats, b, start, reverse).values
+    fast = linear_march(0.5, grid, a_mats, b, start, reverse)
     assert calls == []
     npt.assert_array_equal(fast[4096 if reverse else 0], start)
     npt.assert_allclose(fast, loop, rtol=0.0, atol=1e-12 * np.abs(loop).max())
@@ -721,13 +729,13 @@ def test_constant_jacobian_march_is_one_convolution(monkeypatch, d, reverse):
 def test_constant_jacobian_march_matches_dense_oracle(alpha, n, d):
     grid = Grid(0.0, 1.0, n)
     a_mats, b, start = constant_march_data(d, n, seed=n)
-    q = frac_cauchy._linear_march(alpha, grid, a_mats, b, start)
-    npt.assert_allclose(q.values, dense_left_solve(alpha, grid, a_mats[0],
-                                                   lambda t: b[round(t * n)], start),
+    q = linear_march(alpha, grid, a_mats, b, start)
+    npt.assert_allclose(q, dense_left_solve(alpha, grid, a_mats[0],
+                                            lambda t: b[round(t * n)], start),
                         atol=1e-12)
-    p = frac_cauchy._linear_march(alpha, grid, a_mats, b, start, reverse=True)
-    npt.assert_allclose(p.values, dense_right_solve(alpha, grid, a_mats[0],
-                                                    lambda k: b[k], start),
+    p = linear_march(alpha, grid, a_mats, b, start, reverse=True)
+    npt.assert_allclose(p, dense_right_solve(alpha, grid, a_mats[0],
+                                             lambda k: b[k], start),
                         atol=1e-12)
 
 
@@ -737,12 +745,13 @@ def test_time_varying_jacobian_marches_node_by_node(monkeypatch, reverse):
     a_mats, b, start = constant_march_data(2, 16)
     a_mats[7, 0, 1] += 0.25  # one node differs
     calls = march_calls(monkeypatch)
-    frac_cauchy._linear_march(0.5, grid, a_mats, b, start, reverse)
+    linear_march(0.5, grid, a_mats, b, start, reverse)
     assert calls == [1]
-    # the row of the start node is never read, so it cannot break the gate
+    # the start node has no row among the march's operands, so its data
+    # cannot break the gate
     a_mats[7, 0, 1] -= 0.25
     a_mats[16 if reverse else 0] = np.nan
-    frac_cauchy._linear_march(0.5, grid, a_mats, b, start, reverse)
+    linear_march(0.5, grid, a_mats, b, start, reverse)
     assert calls == [1]
 
 
@@ -758,7 +767,7 @@ def test_growing_dynamics_keep_the_node_loop(monkeypatch, lam, alpha, n):
     loop = node_loop_march(monkeypatch, alpha, grid, a_mats, b, start)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = frac_cauchy._linear_march(alpha, grid, a_mats, b, start).values
+        got = linear_march(alpha, grid, a_mats, b, start)
     npt.assert_allclose(got, loop, rtol=1e-12, atol=0.0)
 
 
@@ -772,7 +781,7 @@ def test_convolution_round_off_is_bounded_norm_wise(monkeypatch):
     b, start = np.ones((801, 1)), np.zeros(1)
     b[800] = 1e8
     loop = node_loop_march(monkeypatch, 0.5, grid, a_mats, b, start)
-    fast = frac_cauchy._linear_march(0.5, grid, a_mats, b, start).values
+    fast = linear_march(0.5, grid, a_mats, b, start)
     assert np.abs(fast - loop).max() <= 1e-13 * np.abs(loop).max()
 
 @pytest.mark.parametrize("reverse", (False, True))
@@ -782,7 +791,7 @@ def test_constant_jacobian_march_names_a_non_finite_node(reverse):
     b[5, 1] = np.nan
     b[2 if reverse else 9, 0] = np.nan  # reached later in march order
     with pytest.raises(NonFiniteError) as exc:
-        frac_cauchy._linear_march(0.5, grid, a_mats, b, start, reverse)
+        linear_march(0.5, grid, a_mats, b, start, reverse)
     assert exc.value.node == 5
 
 
@@ -794,7 +803,7 @@ def test_linear_march_refusals_name_their_node(d, reverse):
     n = 40
     grid = Grid(0.0, 1.0, n)
     first = n - 1 if reverse else 1
-    march = lambda *data: frac_cauchy._linear_march(0.5, grid, *data, reverse)
+    march = lambda *data: linear_march(0.5, grid, *data, reverse)
     for value in (np.inf, -np.inf):  # a constant non-finite A
         a_mats, b, start = constant_march_data(d, n)
         with pytest.raises(frac_cauchy.SingularNodeError) as exc:
@@ -815,8 +824,8 @@ def test_linear_march_refusals_name_their_node(d, reverse):
     # h = 1/16 and alpha 0.5 give h^alpha = 1/4, so A = 4 I makes h^alpha A = I
     grid = Grid(0.0, 1.0, 16)
     with pytest.raises(frac_cauchy.SingularNodeError) as exc:
-        frac_cauchy._linear_march(0.5, grid, np.broadcast_to(4.0 * np.eye(d), (17, d, d)),
-                                  np.ones((17, d)), np.ones(d), reverse)
+        linear_march(0.5, grid, np.broadcast_to(4.0 * np.eye(d), (17, d, d)),
+                     np.ones((17, d)), np.ones(d), reverse)
     assert exc.value.node == (15 if reverse else 1)
 
 
@@ -836,7 +845,7 @@ def test_toeplitz_path_inverts_no_node_stack(monkeypatch, d, reverse):
 
     monkeypatch.setattr(np.linalg, "inv", counted)
     frac_cauchy._toeplitz_inverse.cache_clear()
-    fast = frac_cauchy._linear_march(0.5, grid, a_mats, b, start, reverse).values
+    fast = linear_march(0.5, grid, a_mats, b, start, reverse)
     assert shapes == [(d, d)]
     loop = node_loop_march(monkeypatch, 0.5, grid, a_mats, b, start, reverse)
     assert shapes[1:] == [(n, d, d)]  # the node loop does invert the stack
@@ -857,15 +866,15 @@ def test_one_matrix_refusals_name_the_first_node_in_march_order(d, reverse):
                          (4.0 * np.eye(d), frac_cauchy.SingularNodeError)):  # h^alpha A = I
         for a_mats in (bad_a, np.broadcast_to(bad_a, (n + 1, d, d))):
             with pytest.raises(error) as exc:
-                frac_cauchy._linear_march(0.5, grid, a_mats, b, start, reverse)
+                linear_march(0.5, grid, a_mats, b, start, reverse)
             assert exc.value.node == first
     late = b.copy()
     late[5, -1], late[11, 0] = np.inf, np.nan  # node 11 comes first in reverse
     with pytest.raises(NonFiniteError) as exc:
-        frac_cauchy._linear_march(0.5, grid, a_mat, late, start, reverse)
+        linear_march(0.5, grid, a_mat, late, start, reverse)
     assert exc.value.node == (11 if reverse else 5)
     with pytest.raises(frac_cauchy.SingularNodeError) as exc:  # A before b
-        frac_cauchy._linear_march(0.5, grid, np.full((d, d), np.nan), late, start, reverse)
+        linear_march(0.5, grid, np.full((d, d), np.nan), late, start, reverse)
     assert exc.value.node == first
 
 
@@ -877,9 +886,8 @@ def test_one_matrix_march_equals_its_stacked_copies(monkeypatch, d, reverse):
     n = 300
     grid = Grid(0.0, 1.0, n)
     a_mats, b, start = constant_march_data(d, n)
-    one = frac_cauchy._linear_march(0.5, grid, a_mats[0], b, start, reverse).values
-    npt.assert_array_equal(one, frac_cauchy._linear_march(0.5, grid, a_mats, b, start,
-                                                           reverse).values)
+    one = linear_march(0.5, grid, a_mats[0], b, start, reverse)
+    npt.assert_array_equal(one, linear_march(0.5, grid, a_mats, b, start, reverse))
     npt.assert_array_equal(one[n if reverse else 0], start)
     npt.assert_array_equal(node_loop_march(monkeypatch, 0.5, grid, a_mats[0], b, start, reverse),
                            node_loop_march(monkeypatch, 0.5, grid, a_mats, b, start, reverse))

@@ -176,12 +176,11 @@ def test_state_budget_exhaustion_names_the_node(d):
     with pytest.raises(FixedPointDivergenceError) as exc:
         state_solve(counting, tanh_controls(problem), opts)
     assert exc.value.node == 1
-    # each trajectory iterate walks df_dx at most once, the fallback never;
-    # f: the start, the one iterate, then node 1's start residual and one
-    # fixed-point step, with no unchecked step after it
+    # the one Newton iterate walks df_dx once, at the start; f is walked at
+    # the start and at that iterate, and the spent budget stops the solve
+    # with no further walk
     n = problem.grid.n
-    assert calls["df_dx"] <= opts.max_iters * n
-    assert calls["f"] <= 2 * n + 2
+    assert calls == {"f": 2 * n, "df_dx": opts.max_iters * n}
 
 
 def wrong_sign_jacobian(example):
@@ -657,6 +656,49 @@ def test_stacked_jacobians_give_the_same_sweep_bit_for_bit(monkeypatch, example,
     direction = TimeSeq(np.random.default_rng(5).normal(size=(81, problem.m)))
     assert gateaux_derivative(problem, a.U, direction) == \
         gateaux_derivative(stacked, a.U, direction)
+
+
+@pytest.mark.parametrize("stacked", (False, True))
+def test_the_adjoint_march_takes_the_walks_rows_themselves(monkeypatch, stacked):
+    # the adjoint at node k reads node k + 1, which is row k of the walk over
+    # nodes 1..N: dL_dx reaches the march as the walk returned it, and df_dx
+    # as a transposed view of the walk's value, with no padded copy
+    problem = build_example("rotation", 0.5, 40)
+    problem = stacked_jacobians(problem) if stacked else problem
+    u = TimeSeq(np.sin(np.outer(problem.grid.times, [1.0, 2.0])))
+    q = state_solve(problem, u)
+    walks, marches = [], []
+    walk, march = pontryagin._walk, pontryagin._linear_march
+
+    def recorded_walk(*args):
+        walks.append(walk(*args))
+        return walks[-1]
+
+    def recorded_march(alpha, grid, a_mats, b_vecs, start, reverse=False):
+        marches.append((a_mats, b_vecs, reverse))
+        return march(alpha, grid, a_mats, b_vecs, start, reverse)
+
+    monkeypatch.setattr(pontryagin, "_walk", recorded_walk)
+    monkeypatch.setattr(pontryagin, "_linear_march", recorded_march)
+    p = adjoint_solve(problem, u, q)
+    (lx, fx), = walks
+    (a_mats, b_vecs, reverse), = marches
+    assert reverse and b_vecs is lx
+    assert fx.ndim == (3 if stacked else 2) and np.shares_memory(a_mats, fx)
+    assert np.array_equal(a_mats, np.swapaxes(fx, -1, -2))
+    monkeypatch.undo()
+    assert np.array_equal(p.values, adjoint_solve(problem, u, q).values)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_a_non_finite_initial_value_is_refused_at_node_0(bad):
+    # as the public marches refuse their start, before any callback runs
+    problem = build_example("lq", 0.5, 50)
+    with pytest.raises(NonFiniteError) as exc:
+        dataclasses.replace(problem, initial=np.array([bad]))
+    assert exc.value.node == 0
+    with pytest.raises(ValueError, match="initial value has size 2, expected 1"):
+        dataclasses.replace(problem, initial=np.array([1.0, 2.0]))
 
 
 def test_anderson_mix_drops_an_all_zero_difference():
