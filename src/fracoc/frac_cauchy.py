@@ -81,11 +81,11 @@ class FixedPointDivergenceError(RuntimeError):
 
 
 class NonFiniteError(ValueError):
-    """A right-hand side value or a node iterate is NaN or infinite."""
+    """A start, a right-hand side value or a node iterate is NaN or infinite."""
 
-    def __init__(self, node: int):
+    def __init__(self, node: int, what: str = "right-hand side value or iterate"):
         self.node = node
-        super().__init__(f"non-finite right-hand side value or iterate at node {node}")
+        super().__init__(f"non-finite {what} at node {node}")
 
 
 class SingularNodeError(ValueError):
@@ -223,7 +223,7 @@ def _checked_start(value, name: str, node: int) -> np.ndarray:
     if start.size == 0:
         raise ValueError(f"{name} is empty")
     if not np.isfinite(start).all():
-        raise NonFiniteError(node)
+        raise NonFiniteError(node, f"{name} value")
     return start
 
 

@@ -468,26 +468,24 @@ def _root_controls(problem: OcpProblem, x: np.ndarray, w: np.ndarray, t: np.ndar
     return v
 
 
-def _anderson_mix(dfs: list, dgs: list, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Type-II Anderson mixing of U* = g = U + f over the stored differences.
+def _anderson_mix(df: np.ndarray, dg: np.ndarray, f: np.ndarray, g: np.ndarray) -> tuple:
+    """Type-II Anderson mixing of U* = g = U + f over the columns of dF and dG.
 
-    Drops the oldest differences (from ``dfs`` and ``dgs`` in place) while
-    they are worse conditioned than ``_ANDERSON_COND``; with none left it
-    takes the damped step U + beta f, beta = ``_ANDERSON_BETA``.
+    The columns are the kept differences of f and of g, oldest first.  Returns
+    (mixed, dF, dG) with the columns kept, the oldest dropped while the
+    singular values of the least-squares solve put dF's condition above
+    ``_ANDERSON_COND``; with none left, mixed is the damped step U + beta f,
+    beta = ``_ANDERSON_BETA``.  Nothing it is handed is modified.
     """
-    df = np.column_stack(dfs) if dfs else None
-    while dfs:
-        # s_max / s_min as np.linalg.cond forms it, with its 0 / 0 counted as
-        # infinite, so that an all-zero dF is dropped too
-        s = np.linalg.svd(df[:, -len(dfs):], compute_uv=False).tolist()
+    while df.shape[1]:
+        gamma, _, _, s = np.linalg.lstsq(df, f, rcond=None)
+        # s_max / s_min on floats, whose overflow is a quiet inf, with 0 / 0
+        # counted as infinite, so that an all-zero dF is dropped too
+        s = s.tolist()
         if s[-1] and s[0] / s[-1] <= _ANDERSON_COND:
-            break
-        del dfs[0], dgs[0]
-    if not dfs:
-        return g - (1.0 - _ANDERSON_BETA) * f
-    df, dg = df[:, -len(dfs):], np.column_stack(dgs)
-    gamma = np.linalg.lstsq(df, f, rcond=None)[0]
-    return g - dg @ gamma - (1.0 - _ANDERSON_BETA) * (f - df @ gamma)
+            return g - dg @ gamma - (1.0 - _ANDERSON_BETA) * (f - df @ gamma), df, dg
+        df, dg = df[:, 1:], dg[:, 1:]
+    return g - (1.0 - _ANDERSON_BETA) * f, df, dg
 
 
 def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
@@ -504,7 +502,8 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
         U <- U* - dG gamma - (1 - beta) (f - dF gamma),
 
     beta = 0.5, after dropping the oldest columns while dF is worse
-    conditioned than 1e10.  The first pass has no differences and takes
+    conditioned than 1e10, a condition read from the singular values that
+    solve computes anyway.  The first pass has no differences and takes
     U + beta f.  Convergence requires both the stationarity residual of the
     current triple and the control increment |U* - U| to be small, so the
     returned triple is internally consistent.
@@ -523,8 +522,8 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
 
     root_tol = opts.tol_stationarity / np.sqrt(problem.m)
     f_prev = g_prev = None
-    dfs: list[np.ndarray] = []  # differences of f = U* - U, oldest first
-    dgs: list[np.ndarray] = []  # differences of g = U*, in step with dfs
+    # differences of f = U* - U and of g = U* as columns, oldest first
+    df = dg = np.empty((n * problem.m, 0))
     increment_prev, grew = np.inf, 0
     for outer in range(1, opts.max_outer_iters + 1):
         q = _state(problem, u, opts.inner)
@@ -558,11 +557,11 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
         f = step.reshape(-1)  # rows 1..N, flattened
         g = u[1:].reshape(-1) + f
         if f_prev is not None:
-            dfs.append(f - f_prev)
-            dgs.append(g - g_prev)
-            del dfs[:-_ANDERSON_DEPTH], dgs[:-_ANDERSON_DEPTH]
+            df = np.column_stack((df, f - f_prev))[:, -_ANDERSON_DEPTH:]
+            dg = np.column_stack((dg, g - g_prev))[:, -_ANDERSON_DEPTH:]
         f_prev, g_prev = f, g
-        u[1:] = _anderson_mix(dfs, dgs, f, g).reshape(n, problem.m)
+        mixed, df, dg = _anderson_mix(df, dg, f, g)
+        u[1:] = mixed.reshape(n, problem.m)
     raise SweepDivergenceError(opts.max_outer_iters, residual, increment,
                                "the pass budget ran out")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -11,8 +12,8 @@ import pytest
 
 from fracoc import frac_cauchy
 from fracoc import (CauchyRhs, ContractionError, FixedPointDivergenceError,
-                    FixedPointOpts, Grid, NonFiniteError, TimeSeq, delta_minus,
-                    gl_coefficients, solve_left_cauchy, solve_right_cauchy)
+                    FixedPointOpts, Grid, NonFiniteError, TimeSeq, build_example,
+                    delta_minus, gl_coefficients, solve_left_cauchy, solve_right_cauchy)
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0)
 TIGHT = FixedPointOpts(tol=1e-14, max_iters=200)
@@ -227,6 +228,16 @@ def test_iteration_budget_exhaustion_raises():
                           np.array([0.0]), opts)
 
 
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_a_spent_budget_is_named_at_its_node_at_every_width(d):
+    # the d = 1, d = 2 and d >= 3 loops each have their own budget stop
+    grid = Grid(0.0, 1.0, 50)
+    rhs = CauchyRhs(lambda x, t: np.sin(3.0 * x) + 1.0, 1.0)
+    with pytest.raises(FixedPointDivergenceError, match="after the iteration budget") as exc:
+        solve_left_cauchy(0.5, grid, rhs, np.zeros(d), FixedPointOpts(tol=1e-15, max_iters=1))
+    assert exc.value.node == 1
+
+
 @pytest.mark.parametrize("bad", (np.nan, np.inf))
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_non_finite_rhs_stops_at_its_node(d, bad):
@@ -414,6 +425,18 @@ def test_a_non_finite_start_is_refused_at_its_node(d, bad):
         solve_right_cauchy(0.5, grid, right, rhs.lipschitz_K, start)
     assert exc.value.node == 8
     assert calls == {"left": 0, "right": 0}
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_a_refused_start_is_named_as_a_start(bad):
+    # not as a right-hand side value or iterate, which it is not
+    grid, rhs, right, _ = tanh_field(1, 8)
+    with pytest.raises(NonFiniteError, match=r"^non-finite initial value at node 0$"):
+        solve_left_cauchy(0.5, grid, rhs, [bad])
+    with pytest.raises(NonFiniteError, match=r"^non-finite terminal value at node 8$"):
+        solve_right_cauchy(0.5, grid, right, rhs.lipschitz_K, [bad])
+    with pytest.raises(NonFiniteError, match=r"^non-finite initial value at node 0$"):
+        dataclasses.replace(build_example("lq", 0.5, 8), initial=np.array([bad]))
 
 
 def test_an_empty_start_is_refused_by_name():
@@ -747,10 +770,11 @@ def test_time_varying_jacobian_marches_node_by_node(monkeypatch, reverse):
     calls = march_calls(monkeypatch)
     linear_march(0.5, grid, a_mats, b, start, reverse)
     assert calls == [1]
-    # the start node has no row among the march's operands, so its data
-    # cannot break the gate
+    # the equality gate reads every row: a stack that differs from its first
+    # row only in the last row solved, node N or node 0 with reverse, too
     a_mats[7, 0, 1] -= 0.25
-    a_mats[16 if reverse else 0] = np.nan
+    a_mats[0 if reverse else 16, 0, 1] += 0.25
+    calls.clear()
     linear_march(0.5, grid, a_mats, b, start, reverse)
     assert calls == [1]
 
@@ -914,6 +938,13 @@ def test_complex_rhs_values_are_refused(d):
         solve_left_cauchy(0.5, grid, CauchyRhs(lambda x, t: -x + 1j, 0.5), start)
     with pytest.raises(ValueError, match="rhs returned a complex value"):
         solve_right_cauchy(0.5, grid, lambda x, k: (-x).astype(complex), 0.5, start)
+
+
+def test_an_integer_rhs_value_is_taken_as_a_float():
+    grid = Grid(0.0, 1.0, 8)
+    ints = solve_left_cauchy(0.5, grid, CauchyRhs(lambda x, t: np.array([1]), 0.0), [0.0])
+    floats = solve_left_cauchy(0.5, grid, CauchyRhs(lambda x, t: np.array([1.0]), 0.0), [0.0])
+    npt.assert_array_equal(ints.values, floats.values)
 
 
 @pytest.mark.parametrize("d", (1, 2, 3))

@@ -356,6 +356,23 @@ def test_non_finite_callbacks_stop_at_their_node(example):
     assert exc.value.node == 3
 
 
+def test_a_state_whose_newton_steps_all_go_non_finite_stops_at_its_node():
+    # f is finite only at the constant start Q_k = 1, so the Newton iterate
+    # and each of its ten halvings are NaN from node 1 on
+    calls = []
+
+    def f(x, v, t):
+        calls.append(1)
+        return np.where(x == 1.0, 0.5 + 0 * v, np.nan)
+
+    problem = dataclasses.replace(build_example("lq", 0.5, 8), f=f,
+                                  df_dx=lambda x, v, t: 1.0)
+    with pytest.raises(NonFiniteError, match="value or iterate at node 1$") as exc:
+        state_solve(problem, TimeSeq.zeros(8, 1))
+    assert exc.value.node == 1
+    assert len(calls) == 12  # the start, the Newton iterate and ten halvings
+
+
 @pytest.mark.parametrize("example", ("lq", "rotation"))
 def test_non_finite_jacobian_is_reported_as_singular(example):
     # the state's linearization b = f - df_dx Q goes non-finite with df_dx,
@@ -702,24 +719,46 @@ def test_a_non_finite_initial_value_is_refused_at_node_0(bad):
 
 
 def test_anderson_mix_drops_an_all_zero_difference():
-    # np.linalg.cond reads 0 / 0 as infinite, so a zero column is dropped with
+    # the cap counts 0 / 0 as infinite, so a zero column is dropped with
     # every column older than it, and a lone zero column leaves the damped step
     rng = np.random.default_rng(2)
     f, g, older = rng.normal(size=6), rng.normal(size=6), rng.normal(size=6)
     damped = g - (1.0 - pontryagin._ANDERSON_BETA) * f
-    dfs, dgs = [np.zeros(6)], [rng.normal(size=6)]
-    npt.assert_array_equal(pontryagin._anderson_mix(dfs, dgs, f, g), damped)
-    assert dfs == dgs == []
-    dfs, dgs = [older, np.zeros(6)], [rng.normal(size=6), rng.normal(size=6)]
-    npt.assert_array_equal(pontryagin._anderson_mix(dfs, dgs, f, g), damped)
-    assert dfs == dgs == []
+    for df in (np.zeros((6, 1)), np.column_stack((older, np.zeros(6)))):
+        mixed, kept_f, kept_g = pontryagin._anderson_mix(df, rng.normal(size=df.shape), f, g)
+        npt.assert_array_equal(mixed, damped)
+        assert kept_f.shape == kept_g.shape == (6, 0)
     newest, dg = rng.normal(size=6), rng.normal(size=6)
-    dfs, dgs = [np.zeros(6), newest], [rng.normal(size=6), dg]
-    mixed = pontryagin._anderson_mix(dfs, dgs, f, g)
-    assert len(dfs) == len(dgs) == 1 and dfs[0] is newest
+    mixed, kept_f, kept_g = pontryagin._anderson_mix(
+        np.column_stack((np.zeros(6), newest)), np.column_stack((rng.normal(size=6), dg)),
+        f, g)
+    npt.assert_array_equal(kept_f, newest[:, None])
+    npt.assert_array_equal(kept_g, dg[:, None])
     gamma = np.linalg.lstsq(newest[:, None], f, rcond=None)[0]
     npt.assert_allclose(mixed, g - dg * gamma - (1.0 - pontryagin._ANDERSON_BETA)
                         * (f - newest * gamma), rtol=1e-14)
+
+
+def test_anderson_mix_caps_from_its_own_solve_and_keeps_its_arguments(monkeypatch):
+    # the condition comes from the least-squares solve's singular values, so
+    # there is no SVD of its own; what it drops is a slice, not a mutation
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    rng = np.random.default_rng(3)
+    f, g, base = rng.normal(size=8), rng.normal(size=8), rng.normal(size=(8, 3))
+    # the oldest column repeats the newest, so only the first try is singular
+    df, dg = np.column_stack((base[:, 2], base)), rng.normal(size=(8, 4))
+    df_in, dg_in = df.copy(), dg.copy()
+    mixed, kept_f, kept_g = pontryagin._anderson_mix(df, dg, f, g)
+    npt.assert_array_equal(df, df_in)
+    npt.assert_array_equal(dg, dg_in)
+    npt.assert_array_equal(kept_f, base)
+    npt.assert_array_equal(kept_g, dg[:, 1:])
+    gamma = np.linalg.lstsq(base, f, rcond=None)[0]
+    npt.assert_allclose(mixed, g - dg[:, 1:] @ gamma - (1.0 - pontryagin._ANDERSON_BETA)
+                        * (f - base @ gamma), rtol=1e-14)
 
 
 def test_sweep_says_when_its_pass_budget_runs_out():
