@@ -94,11 +94,8 @@ def run_converge(cfg: argparse.Namespace) -> int:
     pairs = []
     for n in sorted(cfg.n_list):
         solution, problem = _solve(cfg, n)
-        if cfg.self_test:
-            u = solution.U
-            err = max_control_error(u, lambda t: u.values[1:], problem.grid, vectorized=True)
-        else:
-            err = max_control_error(solution.U, exact, problem.grid, vectorized=True)
+        u = solution.U
+        err = max_control_error(u, exact or (lambda t: u.values[1:]), problem.grid)
         pairs.append((n, problem.grid.h, err))
 
     lines = ["N,h,max_error,pairwise_order"]
@@ -106,18 +103,16 @@ def run_converge(cfg: argparse.Namespace) -> int:
         report = convergence_order([(h, e) for _, h, e in pairs])
         orders = ("",) + tuple(_fmt(o) for o in report.pairwise_orders)
         rows = report.rows
-        tail = f"# fitted_order={_fmt(report.fitted_order)}"
-        fitted_msg = f"fitted_order={_fmt(report.fitted_order)}"
+        fitted = f"fitted_order={_fmt(report.fitted_order)}"
     except DegenerateDataError:
-        rows = [(n, h, e) for n, h, e in pairs]
+        rows = pairs
         orders = ("",) * len(rows)
-        tail = "# fitted_order=degenerate"
-        fitted_msg = "fitted_order=degenerate"
+        fitted = "fitted_order=degenerate"
     for (n, h, e), order in zip(rows, orders):
         lines.append(",".join([str(n), _fmt(h), _fmt(e), order]))
-    lines.append(tail)
+    lines.append(f"# {fitted}")
     _write_csv(cfg.out, lines)
-    print(fitted_msg)
+    print(fitted)
     return 0
 
 

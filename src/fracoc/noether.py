@@ -43,27 +43,21 @@ class OneParamGroup:
     """Smooth family of maps s -> phi(s, .) with phi(0, .) = identity.
 
     ``generator`` must be the s-derivative of ``map`` at s = 0.  Both take
-    and return vectors of the same dimension d, or, with ``vectorized``,
-    rows of shape (K, d), each row mapped as it would be alone.  A
-    vectorized group moves a whole sequence in one call.
+    rows of shape (K, d) and return rows of that shape, each row mapped as
+    it would be alone, so a whole sequence moves in one call.
     """
 
     map: Callable[[float, np.ndarray], np.ndarray]
     generator: Callable[[np.ndarray], np.ndarray]
-    vectorized: bool = False
 
 
 def _moved(phi: OneParamGroup, rows: np.ndarray, s: float | None = None) -> np.ndarray:
-    """phi(s, .), or phi's generator if s is None, at every row: one call if
-    phi is vectorized, else one per row.  A value of another shape than the
-    rows', or a complex one, raises ``ValueError``."""
-    name = "group generator" if s is None else "group map"
-    fn = phi.generator if s is None else (lambda x: phi.map(s, x))
-    out = _real(fn(rows) if phi.vectorized else np.stack([fn(x) for x in rows]),
-                f"a {name}")
+    """phi(s, .), or its generator if s is None, at all rows in one call; a
+    value of another shape than the rows', or a complex one, raises ``ValueError``."""
+    what = "a group generator" if s is None else "a group map"
+    out = _real(phi.generator(rows) if s is None else phi.map(s, rows), what)
     if out.shape != rows.shape:
-        raise ValueError(f"a {'vectorized ' if phi.vectorized else ''}{name} returned "
-                         f"shape {out.shape} for rows of shape {rows.shape}")
+        raise ValueError(f"{what} returned shape {out.shape} for rows of shape {rows.shape}")
     return out
 
 
@@ -71,10 +65,10 @@ def group_axiom_defect(group: OneParamGroup, points: Sequence[np.ndarray]) -> fl
     """Largest sampled defect of the identity and generator axioms.
 
     The generator is compared with the central difference of ``map`` at
-    s = +-1e-5.  A vectorized group is handed each point as a one-row stack
-    (1, d), any other group the point as is; a map or generator value of
-    another shape than its argument, or a complex point or value, raises
-    ``ValueError``.
+    s = +-1e-5.  Each point goes in as a one-row stack (1, d), never stacked
+    with the others: a map written per row (``x[0]``, ``x[1]``) would take d
+    stacked points for its components.  A map or generator value of another
+    shape than its argument, or a complex point or value, raises ``ValueError``.
     """
     s, gaps = 1e-5, []
     for x in points:
@@ -220,9 +214,9 @@ def invariance_residual(problem: OcpProblem, groups: Sequence[OneParamGroup],
     The bracket H(Q_k, U_k, P_{k-1}, t_k) - P_{k-1} . (left_reg Q)_k,
     k = 1..N, is evaluated once as is and once per parameter s with Q, U
     and P moved by phi1(s, .), phi2(s, .) and phi3(s, .); L and f come from
-    one node walk over the moved Q and U.  A vectorized group moves each
-    sequence in one call per sample, any other group one row per call; a
-    map value of another shape, or a complex one, raises ``ValueError``.
+    one node walk over the moved Q and U.  Each group moves its sequence in
+    one call per sample; a map value of another shape, or a complex one,
+    raises ``ValueError``.
     Returns the largest absolute difference over all nodes and samples, NaN
     if any bracket is NaN.
     Sampling a handful of s values is evidence of invariance, not a proof.

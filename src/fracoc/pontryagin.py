@@ -390,19 +390,20 @@ def gateaux_derivative(problem: OcpProblem, u: TimeSeq, ubar: TimeSeq,
     return problem.grid.h * float(np.sum(lx * qbar[1:]) + np.sum(lv * ub))
 
 
-def _dh_dv(problem: OcpProblem, q: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """dH/dv(Q_k, U_k, P_{k-1}, t_k) over nodes k = 1..N, from node arrays."""
-    lv, fv = _walk(problem, q, v, "dL_dv", "df_dv")
-    return lv + np.einsum("...dm,...d->...m", fv, p[:-1])
+def _dh_dv(problem: OcpProblem, x: np.ndarray, v: np.ndarray, w: np.ndarray,
+           t: np.ndarray) -> np.ndarray:
+    """dH/dv(x_k, v_k, w_k, t_k) at every row k, one call per callback on a
+    vectorized problem; a ``df_dv`` that returns one value stays one matrix."""
+    lv, fv = (problem._rows(name, x, v, t, one=True) for name in ("dL_dv", "df_dv"))
+    return lv + np.einsum("...dm,...d->...m", fv, w)
 
 
 def stationarity_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq,
                           p: TimeSeq) -> TimeSeq:
     """Nodewise norm of dH/dv(Q_k, U_k, P_{k-1}, t_k), valid on [1, N]."""
     _check_windows(problem, u, q, p)
-    norms = np.zeros(problem.grid.n + 1)
-    norms[1:] = _node_norms(_dh_dv(problem, q.values, u.values, p.values))
-    return TimeSeq(norms, 1, problem.grid.n)
+    dh = _dh_dv(problem, q.values[1:], u.values[1:], p.values[:-1], problem.grid.times[1:])
+    return TimeSeq(np.concatenate(([0.0], _node_norms(dh))), 1, problem.grid.n)
 
 
 def _root_controls(problem: OcpProblem, x: np.ndarray, w: np.ndarray, t: np.ndarray,
@@ -420,9 +421,7 @@ def _root_controls(problem: OcpProblem, x: np.ndarray, w: np.ndarray, t: np.ndar
 
     def dh(rows: np.ndarray, vals: np.ndarray, g=None) -> np.ndarray:  # rows in order
         if g is None:  # else g holds dH/dv there already
-            xs, ts = x[rows], t[rows]
-            g = problem._rows("dL_dv", xs, vals, ts) + np.einsum(
-                "kdm,kd->km", problem._rows("df_dv", xs, vals, ts), w[rows])
+            g = _dh_dv(problem, x[rows], vals, w[rows], t[rows])
         if not np.isfinite(g).all():  # no bracket can mend it; name the first bad row
             i = np.isfinite(g).all(axis=1).argmin()
             raise ControlUpdateError(rows[i] + 1, f"dH/dv not finite at v = {vals[i]}")
@@ -528,14 +527,14 @@ def solve_pontryagin(problem: OcpProblem, u_init: TimeSeq | None = None,
     for outer in range(1, opts.max_outer_iters + 1):
         q = _state(problem, u, opts.inner)
         p = _adjoint(problem, u, q)
-        dh = _dh_dv(problem, q, u, p)
+        x, w, t = q[1:], p[:-1], grid.times[1:]  # node k's row: Q_k, P_{k-1}, t_k
+        dh = _dh_dv(problem, x, u[1:], w, t)
         residual = float(np.max(_node_norms(dh)))
-        # U* - U over rows 1..N, U* from (Q_k, P_{k-1}, t_k)
-        args = (q[1:], p[:-1], grid.times[1:])
+        # U* - U over rows 1..N
         if problem.control_update is not None:
-            step = problem._rows("control_update", *args) - u[1:]
+            step = problem._rows("control_update", x, w, t) - u[1:]
         else:  # the root solve starts from the residual's own dH/dv rows
-            step = _root_controls(problem, *args, u[1:], dh, root_tol) - u[1:]
+            step = _root_controls(problem, x, w, t, u[1:], dh, root_tol) - u[1:]
         increment = float(np.max(np.abs(step)))
 
         if residual <= opts.tol_stationarity and increment <= opts.tol_control:
@@ -581,13 +580,11 @@ def euler_lagrange_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq) -> Time
     grid, n = problem.grid, problem.grid.n
     if problem.d != problem.m:
         raise ValueError("reduced form needs matching state and control dimensions")
-    rng_check = np.random.default_rng(0)
-    for _ in range(3):  # spot-check the dynamics really are f(x, v, t) = v
-        x = rng_check.normal(size=problem.d)
-        v = rng_check.normal(size=problem.m)
-        t = float(rng_check.uniform(grid.a, grid.b))
-        if not np.allclose(problem.f_at(x, v, t), v, atol=1e-12):
-            raise ValueError("dynamics are not identity in v; no reduced form")
+    rng_check = np.random.default_rng(0)  # spot-check f(x, v, t) = v on three rows
+    x, v = rng_check.normal(size=(2, 3, problem.d))
+    t = rng_check.uniform(grid.a, grid.b, 3)
+    if not np.allclose(problem._rows("f", x, v, t), v, atol=1e-12):
+        raise ValueError("dynamics are not identity in v; no reduced form")
 
     _require_window(u, n, "control", 1, dim=problem.m)
     dq = delta_minus(problem.alpha, grid, q, caputo=True)

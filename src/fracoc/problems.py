@@ -97,7 +97,6 @@ def _rotation(theta: float) -> OneParamGroup:
     return OneParamGroup(
         map=apply,
         generator=lambda x: np.stack([-theta * x[..., 1], theta * x[..., 0]], axis=-1),
-        vectorized=True,
     )
 
 

@@ -148,19 +148,17 @@ def solved_example_exact_control(alpha, t):
     return u if w.ndim else float(u)
 
 
-def max_control_error(u: TimeSeq, exact, grid: Grid, vectorized: bool = False) -> float:
+def max_control_error(u: TimeSeq, exact, grid: Grid) -> float:
     """max_{k=1..N} of the Euclidean gap between u_k and exact(t_k).
 
-    ``exact`` takes one time and returns the control there, or, with
-    ``vectorized``, takes the N times t_1..t_N in one array and returns
-    their controls stacked node first, of shape (N,) or (N, m).  Node 0 is
+    ``exact`` is called once with the N times t_1..t_N in one array and
+    returns their controls stacked node first, of shape (N,) or (N, m); any
+    other shape, or a complex value, raises ``ValueError``.  Node 0 is
     skipped: the discrete cost never reads the control there, so solvers
     leave it unconstrained.
     """
     _require_window(u, grid.n, "control", 1)
-    times = grid.times[1:]
-    ref = _real(exact(times) if vectorized
-                else [np.reshape(exact(t), -1) for t in times], "exact")
+    ref = _real(exact(grid.times[1:]), "exact")
     if ref.shape != (grid.n, u.dim) and not (ref.shape == (grid.n,) and u.dim == 1):
         raise ValueError(f"reference returned shape {ref.shape}, expected "
                          f"(N, m) = ({grid.n}, {u.dim})")

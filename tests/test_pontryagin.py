@@ -844,25 +844,44 @@ def random_affine_problem(rng, alpha, d, m, n):
     return problem, np.linalg.solve(system, rhs)[2 * n * d:].reshape(n, m)
 
 
+def random_affine_draws(seed, count):
+    """The first ``count`` random affine problems at N 60 drawn from
+    ``default_rng(seed)``, each as (alpha, d, m, problem, dense controls)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        alpha = float(rng.choice((0.05, 0.1, 0.3, 0.5, 0.75, 1.0)))
+        d, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        yield (alpha, d, m, *random_affine_problem(rng, alpha, d, m, 60))
+
+
+def assert_near_dense(sol, exact, case):
+    # relative to max(1, |U|), as the sweep's own tolerances are absolute
+    gap = np.abs(sol.U.values[1:] - exact).max()
+    assert gap <= 1e-8 * max(1.0, np.abs(exact).max()), (*case, gap)
+
+
 def test_random_affine_sweeps_match_one_dense_solve():
     # no step-size gate refuses a problem whose linear system is well posed,
     # and no state solve stops: each sweep converges to the dense solution
     # or stops in the outer iteration
-    rng = np.random.default_rng(2012)
     converged = 0
-    for _ in range(40):
-        alpha = float(rng.choice((0.05, 0.1, 0.3, 0.5, 0.75, 1.0)))
-        d, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-        problem, exact = random_affine_problem(rng, alpha, d, m, 60)
+    for alpha, d, m, problem, exact in random_affine_draws(2012, 40):
         try:
             sol = solve_pontryagin(problem)
         except SweepDivergenceError:
             continue
-        # relative to max(1, |U|), as the sweep's own tolerances are absolute
-        gap = np.abs(sol.U.values[1:] - exact).max()
-        assert gap <= 1e-8 * max(1.0, np.abs(exact).max()), (alpha, d, m, gap)
+        assert_near_dense(sol, exact, (alpha, d, m))
         converged += 1
     assert converged >= 30
+
+
+def test_a_random_affine_sweep_that_wanders_still_converges():
+    # the 14th draw of default_rng(1) goes 84 passes without a new best
+    # stationarity residual and converges at pass 168, within 1.2e-15 of the
+    # dense solve; a stall stop after 84 passes or fewer would refuse it
+    *_, (alpha, d, m, problem, exact) = random_affine_draws(1, 14)
+    assert (alpha, d, m) == (0.3, 2, 1)
+    assert_near_dense(solve_pontryagin(problem), exact, (alpha, d, m))
 
 
 def test_warm_start_accepts_and_checks_u_init():

@@ -251,10 +251,10 @@ def test_max_control_error_skips_the_first_node():
     vals = np.tile([3.0, 4.0], (5, 1))
     vals[0] = 1e9  # never read
     u = TimeSeq(vals)
-    err = max_control_error(u, lambda t: np.zeros(2), grid)
+    err = max_control_error(u, lambda t: np.zeros((len(t), 2)), grid)
     assert err == 5.0
     # a reference that is NaN on half the nodes makes the error NaN
-    half_nan = lambda t: np.full(2, np.nan if t > 0.5 else 0.0)
+    half_nan = lambda t: np.where(t[:, None] > 0.5, np.nan, np.zeros((len(t), 2)))
     assert np.isnan(max_control_error(u, half_nan, grid))
 
 
@@ -269,6 +269,10 @@ def test_max_control_error_validation():
 def test_max_control_error_per_node_and_stacked_agree():
     grid = Grid(0.0, 1.0, 16)
     rng = np.random.default_rng(3)
+
+    def per_node(exact):  # exact called at one time per node, its values stacked
+        return lambda ts: np.stack([np.reshape(exact(t), -1) for t in ts])
+
     for m in (1, 2):
         u = TimeSeq(rng.normal(size=(grid.n + 1, m)))
         w = np.arange(1, m + 1)
@@ -276,11 +280,11 @@ def test_max_control_error_per_node_and_stacked_agree():
         def exact(t):  # arithmetic only, so one node and all nodes agree bit for bit
             return np.multiply.outer(1.0 - t, w) * 0.3
 
-        per_node = max_control_error(u, exact, grid)
-        assert per_node == max_control_error(u, exact, grid, vectorized=True)
+        stacked = max_control_error(u, exact, grid)
+        assert stacked == max_control_error(u, per_node(exact), grid)
     one = TimeSeq(rng.normal(size=(grid.n + 1, 1)))
-    flat = max_control_error(one, lambda t: 2.0 * t, grid, vectorized=True)  # shape (N,)
-    assert flat == max_control_error(one, lambda t: 2.0 * t, grid)
+    flat = max_control_error(one, lambda t: 2.0 * t, grid)  # shape (N,)
+    assert flat == max_control_error(one, per_node(lambda t: 2.0 * t), grid)
     assert flat == float(np.max(np.abs(one.values[1:, 0] - 2.0 * grid.times[1:])))
 
 
@@ -289,29 +293,29 @@ def test_max_control_error_stacked_shapes_and_nan():
     u2 = TimeSeq(np.ones((grid.n + 1, 2)))
     with pytest.raises(ValueError, match=r"shape \(9,\)"):  # (N+1,)
         max_control_error(TimeSeq(np.ones((grid.n + 1, 1))),
-                          lambda t: np.zeros(grid.n + 1), grid, vectorized=True)
+                          lambda t: np.zeros(grid.n + 1), grid)
     with pytest.raises(ValueError, match=r"shape \(8, 3\)"):  # (N, m+1)
-        max_control_error(u2, lambda t: np.zeros((len(t), 3)), grid, vectorized=True)
+        max_control_error(u2, lambda t: np.zeros((len(t), 3)), grid)
     with pytest.raises(ValueError, match=r"shape \(8,\)"):  # (N,) with m = 2
-        max_control_error(u2, lambda t: np.zeros(len(t)), grid, vectorized=True)
+        max_control_error(u2, lambda t: np.zeros(len(t)), grid)
     with pytest.raises(ValueError):
-        max_control_error(u2, lambda t: 0.0, grid, vectorized=True)
+        max_control_error(u2, lambda t: 0.0, grid)
 
     def nan_row(t):
         ref = np.zeros((len(t), 2))
         ref[3, 1] = np.nan
         return ref
 
-    assert np.isnan(max_control_error(u2, nan_row, grid, vectorized=True))
+    assert np.isnan(max_control_error(u2, nan_row, grid))
 
 
-@pytest.mark.parametrize("vectorized", (False, True))
-def test_max_control_error_refuses_a_complex_reference(vectorized):
+# one case, parametrized so that the test id stays "...[True]"
+@pytest.mark.parametrize("stacked", (True,))
+def test_max_control_error_refuses_a_complex_reference(stacked):
     # a float conversion would keep the real part, 1.0, and only warn
     grid = Grid(0.0, 1.0, 1)
     with pytest.raises(ValueError, match="^exact returned a complex value"):
-        max_control_error(TimeSeq.zeros(1), lambda t: np.array([1 + 5j]), grid,
-                          vectorized=vectorized)
+        max_control_error(TimeSeq.zeros(1), lambda t: np.array([1 + 5j]), grid)
 
 
 # -- order fitting ----------------------------------------------------------------------
