@@ -10,7 +10,7 @@ from .frac_cauchy import (CauchyRhs, ContractionError, FixedPointDivergenceError
                           FixedPointOpts, NonFiniteError, SingularNodeError,
                           solve_left_cauchy, solve_right_cauchy)
 from .gl_ops import (FracCoeffs, Grid, TimeSeq, delta_minus, delta_plus,
-                     dfibp_residual, gl_coefficients, shift)
+                     dfibp_residual, gl_coefficients)
 from .noether import (OneParamGroup, conserved_quantity, dense_matrix,
                       group_axiom_defect, invariance_residual, matrix_entry,
                       transfer_residual)
@@ -37,7 +37,7 @@ __all__ = [
     "dfibp_residual", "euler_lagrange_residual", "gateaux_derivative",
     "gl_coefficients", "group_axiom_defect", "invariance_residual",
     "lq_exact_control", "matrix_entry", "max_control_error", "mittag_leffler",
-    "rotation_groups", "shift", "solve_left_cauchy", "solve_pontryagin",
+    "rotation_groups", "solve_left_cauchy", "solve_pontryagin",
     "solve_right_cauchy", "solved_example_exact_control", "state_solve",
     "stationarity_residual", "transfer_residual",
 ]

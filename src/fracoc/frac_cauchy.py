@@ -328,12 +328,13 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
     row 0 that sum is an empty dot, 0.  Const, the iterate, its image, the
     residual and the four values g are Python floats, where a small array
     costs more than the arithmetic: one each at d = 1, an unpacked pair at
-    d = 2 (every planar example), a list from d = 3 on.  |r| and |x| are
-    then maxima over the components, with a NaN past the first component
-    checked apart, since a maximum keeps a NaN only first.  The loop reads
-    base and the times through memoryviews and writes each row of y and of
-    the scratch block through them, element by element, so no block builds
-    a list of its floats.
+    d = 2 (two-component public marches such as the benchmark's ``left-d2``
+    and ``right-d2`` ops, not the planar sweep, whose marches are linear), a
+    list from d = 3 on.  |r| and |x| are then maxima over the components,
+    with a NaN past the first component checked apart, since a maximum keeps
+    a NaN only first.  The loop reads base and the times through memoryviews
+    and writes each row of y and of the scratch block through them, element
+    by element, so no block builds a list of its floats.
     """
     ha = grid.h ** alpha
     if not ha * lipschitz < 1.0:  # NaN too

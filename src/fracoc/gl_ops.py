@@ -31,7 +31,6 @@ __all__ = [
     "gl_coefficients",
     "delta_minus",
     "delta_plus",
-    "shift",
     "dfibp_residual",
 ]
 
@@ -319,29 +318,6 @@ def delta_plus(alpha, grid: Grid, seq: TimeSeq, caputo: bool = False) -> TimeSeq
     out = _left_difference(alpha, grid, seq.values[::-1], origin)[::-1]  # on reversed nodes
     out[n] = 0.0
     return TimeSeq(out, 0, n - 1)
-
-
-def shift(seq: TimeSeq, k: int, pad_with_zero: bool = False) -> TimeSeq:
-    """Shift node indices by k: result_j = seq_{j+k}.
-
-    Positive k advances the sequence.  Without padding the valid range
-    shrinks to the indices that map inside the source range; with padding
-    every slot is valid and out-of-range reads are zero.
-    """
-    n = seq.n
-    k = _integer(k, "k")
-    if abs(k) > n:
-        raise ValueError(f"|shift| must not exceed n={n}, got {k}")
-    out = np.zeros_like(seq.values)
-    lo = max(0, seq.lo - k)
-    hi = min(n, seq.hi - k)
-    if lo <= hi:
-        out[lo : hi + 1] = seq.values[lo + k : hi + k + 1]
-    if pad_with_zero:
-        return TimeSeq(out, 0, n)
-    if lo > hi:
-        raise ValueError(f"shift by {k} leaves no valid indices")
-    return TimeSeq(out, lo, hi)
 
 
 def dfibp_residual(alpha, grid: Grid, g1: TimeSeq, g2: TimeSeq) -> float:

@@ -123,11 +123,12 @@ class OcpProblem:
     or with another leading axis than K, raises ``ValueError`` naming the
     callback.  ``control_update(x, w, t)`` follows the same convention,
     with w stacked as x is.  A callback written with ``x[..., 0]`` and
-    ``(x * x).sum(-1)`` serves both conventions.  ``lipschitz_M``, a
-    Lipschitz bound of f in x, is checked to be >= 0 and not read by the
-    sweep.  ``alpha`` is stored as the validated float order.  ``initial``
-    is refused as the public marches refuse a start, a non-finite one with
-    ``NonFiniteError`` at node 0, before any callback runs.
+    ``(x * x).sum(-1)`` serves both conventions; one written with ``x[0]``
+    reads node 1's row at every stacked node, and the sweep quietly solves
+    another problem.  ``lipschitz_M``, a Lipschitz bound of f in x, must be
+    >= 0 and is not read by the sweep.  ``alpha`` is the validated float
+    order.  ``initial`` is checked as a public march's start is, before any
+    callback runs: a non-finite one raises ``NonFiniteError`` at node 0.
     """
 
     d: int
@@ -149,6 +150,8 @@ class OcpProblem:
         object.__setattr__(self, "alpha", _order_value(self.alpha))
         object.__setattr__(self, "d", _integer(self.d, "d", 1))
         object.__setattr__(self, "m", _integer(self.m, "m", 1))
+        if not isinstance(self.grid, Grid):
+            raise ValueError(f"grid must be a Grid, got grid={self.grid!r}")
         _check_bound(self.lipschitz_M)
         a = _checked_start(self.initial, "initial", 0)
         if a.size != self.d:

@@ -1,4 +1,4 @@
-"""Weight recurrences, difference operators, shifts and summation by parts."""
+"""Weight recurrences, difference operators and summation by parts."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracoc import (Grid, TimeSeq, delta_minus, delta_plus, dfibp_residual,
-                    gl_coefficients, shift)
+                    gl_coefficients)
 from fracoc.gl_ops import _SECTION, _integer
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0)
@@ -343,46 +343,6 @@ def test_operator_output_blocks_invalid_endpoint():
     dp = delta_plus(0.5, grid, seq)
     with pytest.raises(IndexError):
         dp[5]
-
-
-# -- index shifts ---------------------------------------------------------------
-
-def test_shift_forward_and_backward():
-    seq = TimeSeq(np.arange(5.0))
-
-    fwd = shift(seq, 2)
-    assert (fwd.lo, fwd.hi) == (0, 2)
-    npt.assert_array_equal(fwd.valid_values()[:, 0], [2.0, 3.0, 4.0])
-
-    back = shift(seq, -1)
-    assert (back.lo, back.hi) == (1, 4)
-    npt.assert_array_equal(back.valid_values()[:, 0], [0.0, 1.0, 2.0, 3.0])
-
-
-def test_shift_padding_and_range_interaction():
-    seq = TimeSeq(np.arange(5.0))
-    padded = shift(seq, 3, pad_with_zero=True)
-    assert (padded.lo, padded.hi) == (0, 4)
-    npt.assert_array_equal(padded.values[:, 0], [3.0, 4.0, 0.0, 0.0, 0.0])
-
-    sub = TimeSeq(np.arange(5.0), 2, 3)
-    moved = shift(sub, 1)
-    assert (moved.lo, moved.hi) == (1, 2)
-    npt.assert_array_equal(moved.valid_values()[:, 0], [2.0, 3.0])
-
-
-def test_shift_rejects_oversized_or_empty_results():
-    seq = TimeSeq(np.arange(5.0))
-    with pytest.raises(ValueError):
-        shift(seq, 5)
-    narrow = TimeSeq(np.arange(5.0), 0, 0)
-    with pytest.raises(ValueError):
-        shift(narrow, 1)
-    padded = shift(narrow, 1, pad_with_zero=True)
-    npt.assert_array_equal(padded.values, 0.0)
-    with pytest.raises(ValueError, match="k=1.5"):  # not a shift by 1
-        shift(seq, 1.5)
-    npt.assert_array_equal(shift(seq, np.int64(1)).values, shift(seq, 1).values)
 
 
 # -- summation by parts ---------------------------------------------------------

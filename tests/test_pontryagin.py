@@ -718,6 +718,13 @@ def test_a_non_finite_initial_value_is_refused_at_node_0(bad):
         dataclasses.replace(problem, initial=np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("grid", (None, 50, (0.0, 1.0, 50)), ids=("None", "int", "tuple"))
+def test_a_grid_that_is_not_a_grid_is_refused_by_name(grid):
+    # not an AttributeError from the first sweep that reads grid.n
+    with pytest.raises(ValueError, match="^grid must be a Grid"):
+        dataclasses.replace(build_example("lq", 0.5, 50), grid=grid)
+
+
 def test_anderson_mix_drops_an_all_zero_difference():
     # the cap counts 0 / 0 as infinite, so a zero column is dropped with
     # every column older than it, and a lone zero column leaves the damped step
