@@ -51,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gl_ops import Grid, TimeSeq, _integer, _order_value, gl_coefficients
+from .gl_ops import Grid, TimeSeq, _FLOAT, _integer, _order_value, _real, gl_coefficients
 
 __all__ = [
     "CauchyRhs",
@@ -225,22 +225,6 @@ def _checked_start(value, name: str, node: int) -> np.ndarray:
     if not np.isfinite(start).all():
         raise NonFiniteError(node, f"{name} value")
     return start
-
-
-_FLOAT = np.dtype(float)
-
-
-def _real(value, name: str, verb: str = "returned") -> np.ndarray:
-    """``value`` as a float array; a complex one raises ``ValueError`` naming
-    ``name`` ("rhs returned a complex value", "initial is a complex value"),
-    where a float conversion would drop its imaginary part with only a
-    warning."""
-    value = np.asarray(value)
-    if value.dtype is not _FLOAT:
-        if value.dtype.kind == "c":
-            raise ValueError(f"{name} {verb} a complex value, expected a real one")
-        value = value.astype(float)
-    return value
 
 
 def _sized(value, d: int) -> np.ndarray:

@@ -56,6 +56,22 @@ def _order_value(alpha) -> float:
     return a
 
 
+_FLOAT = np.dtype(float)
+
+
+def _real(value, name: str, verb: str = "returned") -> np.ndarray:
+    """``value`` as a float array; a complex one raises ``ValueError`` naming
+    ``name`` ("rhs returned a complex value", "initial is a complex value"),
+    where a float conversion would drop its imaginary part with only a
+    warning."""
+    value = np.asarray(value)
+    if value.dtype is not _FLOAT:
+        if value.dtype.kind == "c":
+            raise ValueError(f"{name} {verb} a complex value, expected a real one")
+        value = value.astype(float)
+    return value
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform partition of [a, b] into n subintervals (n + 1 nodes)."""
@@ -155,7 +171,7 @@ class TimeSeq:
     __slots__ = ("values", "lo", "hi")
 
     def __init__(self, values, lo: int = 0, hi: int | None = None):
-        arr = np.asarray(values, dtype=float)
+        arr = _real(values, "TimeSeq values", "hold")
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2 or arr.shape[0] < 2:
@@ -175,7 +191,7 @@ class TimeSeq:
 
     @classmethod
     def constant(cls, vec, n: int) -> "TimeSeq":
-        v = np.atleast_1d(np.asarray(vec, dtype=float))
+        v = np.atleast_1d(vec)  # refused in __init__ if complex
         return cls(np.tile(v, (n + 1, 1)))
 
     @property

@@ -23,9 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .frac_cauchy import _real
-from .gl_ops import (Grid, TimeSeq, _causal_product, _order_value, _require_window,
-                     delta_minus, delta_plus, gl_coefficients)
+from .gl_ops import (Grid, TimeSeq, _causal_product, _order_value, _real,
+                     _require_window, delta_minus, delta_plus, gl_coefficients)
 from .pontryagin import OcpProblem, PontryaginSolution, _walk
 
 __all__ = [

@@ -25,9 +25,9 @@ over the nodes, ``_walk``, which makes one call per callback on a
 vectorized problem and one per node otherwise.  Its N rows, nodes 1..N,
 are what each linear march takes as they stand: the state's operands for
 nodes 1..N, and the adjoint's for nodes 0..N-1, since node k of the
-adjoint reads node k + 1.  A vectorized ``df_dx`` or ``df_dv`` that
-returns one value stays one matrix, which each march takes as one
-Toeplitz solve.
+adjoint reads node k + 1.  Only a vectorized ``df_dx`` or ``df_dv`` may
+return one value instead (see ``OcpProblem``); it stays one matrix, which
+each march takes as one Toeplitz solve.
 A closed-form control update is one such call too; without one, it is a
 bracketed root solve at every node at once, from the stationarity walk's
 rows and one walk per further evaluation.  The public solvers check their
@@ -45,8 +45,8 @@ from typing import Callable
 import numpy as np
 
 from .frac_cauchy import (FixedPointDivergenceError, FixedPointOpts, NonFiniteError,
-                          _check_bound, _checked_start, _linear_march, _real)
-from .gl_ops import (Grid, TimeSeq, _integer, _node_norms, _order_value,
+                          _check_bound, _checked_start, _linear_march)
+from .gl_ops import (Grid, TimeSeq, _integer, _node_norms, _order_value, _real,
                      _require_window, delta_minus, delta_plus)
 
 __all__ = [
@@ -116,19 +116,20 @@ class OcpProblem:
     takes one node, x of shape (d,), v of shape (m,) and a float t, and is
     called once per node.  With ``vectorized`` set it always takes K
     stacked nodes, x of shape (K, d), v of shape (K, m) and t of shape
-    (K,), and is called once per walk over the nodes.  It returns either K
-    stacked values, node first, or one value that holds at every node
-    (``df_dx = lambda x, v, t: np.eye(d)``), which a ``df_dx`` or ``df_dv``
-    keeps as one matrix through the sweep; a return of any other size,
-    or with another leading axis than K, raises ``ValueError`` naming the
-    callback.  ``control_update(x, w, t)`` follows the same convention,
-    with w stacked as x is.  A callback written with ``x[..., 0]`` and
-    ``(x * x).sum(-1)`` serves both conventions; one written with ``x[0]``
-    reads node 1's row at every stacked node, and the sweep quietly solves
-    another problem.  ``lipschitz_M``, a Lipschitz bound of f in x, must be
-    >= 0 and is not read by the sweep.  ``alpha`` is the validated float
-    order.  ``initial`` is checked as a public march's start is, before any
-    callback runs: a non-finite one raises ``NonFiniteError`` at node 0.
+    (K,), and is called once per walk over the nodes.  It returns K stacked
+    values, node first (at K = 1 a single value is that node's row); only a
+    ``df_dx`` or ``df_dv`` may return one value instead, kept as one matrix
+    at every node (``df_dx = lambda x, v, t: np.eye(d)``).  Any other return
+    raises ``ValueError`` naming the callback and the node count.
+    ``control_update(x, w, t)`` follows the same rule, with w stacked as x
+    is.  A callback written with ``x[..., 0]`` and ``(x * x).sum(-1)``
+    serves both conventions.  One written per node with ``x[0]`` needs
+    ``vectorized=False``: stacked, its one value is refused, except a
+    Jacobian's, read as node 1's matrix at every node.  ``lipschitz_M``, a
+    Lipschitz bound of f in x, must be >= 0 and is not read by the sweep.
+    ``alpha`` is the validated float order.  ``initial`` is checked as a
+    public march's start is, before any callback runs: a non-finite one
+    raises ``NonFiniteError`` at node 0.
     """
 
     d: int
@@ -159,13 +160,10 @@ class OcpProblem:
         object.__setattr__(self, "initial", a)
 
     # -- normalized callback evaluation -------------------------------------
-    def _rows(self, name: str, x: np.ndarray, v: np.ndarray,
-              t: np.ndarray, one: bool = False) -> np.ndarray:
-        """Callback ``name`` at K stacked nodes, normalized to (K, *shape).
-
-        One call if the problem is vectorized, else one call per row.  With
-        ``one``, a vectorized callback's one value is returned unbroadcast.
-        """
+    def _rows(self, name: str, x: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Callback ``name`` at K stacked nodes, normalized to (K, *shape), or to
+        (*shape) for a vectorized Jacobian's one value (see the class docstring);
+        one call if the problem is vectorized, else one call per row."""
         d, m = self.d, self.m
         shape = {"L": (), "f": (d,), "dL_dx": (d,), "dL_dv": (m,),
                  "df_dx": (d, d), "df_dv": (d, m), "control_update": (m,)}[name]
@@ -180,20 +178,22 @@ class OcpProblem:
                 rows.append(value.reshape(shape))
             return np.array(rows).reshape(k, *shape)  # (0, *shape) for no rows
         value = _real(fn(x, v, t), name)
-        if value.size == size:  # one value that holds at every node
-            value = value.reshape(shape)
-            return value if one else np.broadcast_to(value, (k, *shape))
-        if value.size == k * size and value.shape[0] == k:
+        jacobian = name in ("df_dx", "df_dv")
+        if jacobian and value.size == size:  # one matrix at every node
+            return value.reshape(shape)
+        if value.size == k * size and (k == 1 or value.shape[0] == k):
             return value.reshape(k, *shape)
-        expected = f"{size}" if k == 1 else f"{size} or {k * size}"
+        expected = f"{size} or {k * size}" if jacobian and k != 1 else f"{k * size}"
         raise ValueError(f"{name} returned {value.size} values, expected {expected}: "
-                         f"one of shape {shape}, or one per node stacked node first "
-                         f"(got shape {value.shape})")
+                         f"{'one matrix or ' * jacobian}one for each of the {k} nodes, "
+                         f"stacked node first (got shape {value.shape}); a callback "
+                         f"written for one node needs vectorized=False")
 
     def _at_node(self, name: str, x, v, t) -> np.ndarray:
-        return self._rows(name, np.asarray(x, dtype=float).reshape(1, -1),
+        rows = self._rows(name, np.asarray(x, dtype=float).reshape(1, -1),
                           np.asarray(v, dtype=float).reshape(1, -1),
-                          np.array([t], dtype=float))[0]
+                          np.array([t], dtype=float))
+        return rows if self.vectorized and name in ("df_dx", "df_dv") else rows[0]
 
     def f_at(self, x, v, t) -> np.ndarray:
         return self._at_node("f", x, v, t)
@@ -248,6 +248,8 @@ class SweepOpts:
         if not (self.tol_stationarity > 0 and self.tol_control > 0):  # NaN too
             raise ValueError("tolerances must be positive")
         _integer(self.max_outer_iters, "max_outer_iters", 1)
+        if not isinstance(self.inner, FixedPointOpts):
+            raise ValueError(f"inner must be a FixedPointOpts, got inner={self.inner!r}")
 
 
 @dataclass
@@ -267,12 +269,11 @@ def _walk(problem: OcpProblem, x: np.ndarray, v: np.ndarray, *names: str) -> lis
 
     ``x`` and ``v`` are node arrays of N + 1 rows, read from row 1 on.  Each
     callback takes rows 1..N in one call, or one call per row if the problem
-    is not vectorized, and gives N stacked rows, except that a vectorized
-    ``df_dx`` or ``df_dv`` that returns one value stays that one matrix.
+    is not vectorized, and gives N stacked rows, or, from a vectorized
+    ``df_dx`` or ``df_dv`` that returns one value, that one matrix.
     """
     t = problem.grid.times[1:]
-    return [problem._rows(name, x[1:], v[1:], t, one=name in ("df_dx", "df_dv"))
-            for name in names]
+    return [problem._rows(name, x[1:], v[1:], t) for name in names]
 
 
 def _check_windows(problem: OcpProblem, u: TimeSeq, q: TimeSeq | None = None,
@@ -396,8 +397,8 @@ def gateaux_derivative(problem: OcpProblem, u: TimeSeq, ubar: TimeSeq,
 def _dh_dv(problem: OcpProblem, x: np.ndarray, v: np.ndarray, w: np.ndarray,
            t: np.ndarray) -> np.ndarray:
     """dH/dv(x_k, v_k, w_k, t_k) at every row k, one call per callback on a
-    vectorized problem; a ``df_dv`` that returns one value stays one matrix."""
-    lv, fv = (problem._rows(name, x, v, t, one=True) for name in ("dL_dv", "df_dv"))
+    vectorized problem; ``df_dv`` gives the rows or one matrix, einsum takes either."""
+    lv, fv = (problem._rows(name, x, v, t) for name in ("dL_dv", "df_dv"))
     return lv + np.einsum("...dm,...d->...m", fv, w)
 
 
@@ -590,13 +591,13 @@ def euler_lagrange_residual(problem: OcpProblem, q: TimeSeq, u: TimeSeq) -> Time
         raise ValueError("dynamics are not identity in v; no reduced form")
 
     _require_window(u, n, "control", 1, dim=problem.m)
+    _require_window(q, n, "state", 0, dim=problem.d)  # the difference reads Q_0
     dq = delta_minus(problem.alpha, grid, q, caputo=True)
     mismatch = float(np.max(np.abs(u.values[1:] - dq.values[1:])))
     if mismatch > 1e-6:
         raise ValueError(
             f"control differs from the regularized state difference by {mismatch:.3e}")
 
-    _require_window(q, n, "state", 1, dim=problem.d)
     lv, lx = _walk(problem, q.values, dq.values, "dL_dv", "dL_dx")
     # row k takes node k + 1; row N is zero
     lv, lx = (np.concatenate((rows, np.zeros((1, problem.d)))) for rows in (lv, lx))

@@ -56,13 +56,13 @@ def _zero_problem(alpha: float, n: int) -> OcpProblem:
     return OcpProblem(
         d=1, m=1, alpha=alpha, grid=Grid(0.0, 1.0, n), initial=np.array([1.0]),
         L=lambda x, v, t: 0.5 * v[..., 0] ** 2,
-        dL_dx=lambda x, v, t: 0.0,
+        dL_dx=lambda x, v, t: np.zeros_like(x),
         dL_dv=lambda x, v, t: v,
-        f=lambda x, v, t: 0.0,
+        f=lambda x, v, t: np.zeros_like(x),
         df_dx=lambda x, v, t: 0.0,
         df_dv=lambda x, v, t: 0.0,
         lipschitz_M=0.0,
-        control_update=lambda x, w, t: np.zeros(1),
+        control_update=lambda x, w, t: np.zeros_like(w),
         vectorized=True,
     )
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frac_cauchy import _real
-from .gl_ops import Grid, TimeSeq, _node_norms, _order_value, _require_window
+from .gl_ops import Grid, TimeSeq, _node_norms, _order_value, _real, _require_window
 
 __all__ = [
     "DegenerateDataError",

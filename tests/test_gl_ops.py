@@ -177,6 +177,16 @@ def test_timeseq_constructors_and_norm():
     assert c.values[0, 0] == 3.0
 
 
+def test_timeseq_refuses_complex_values_by_name():
+    # a float conversion would keep the real part and only warn
+    with pytest.raises(ValueError, match="^TimeSeq values hold a complex value"):
+        TimeSeq(np.array([1 + 2j, 3.0, 4.0]))
+    with pytest.raises(ValueError, match="^TimeSeq values hold a complex value"):
+        TimeSeq.constant([1.0, 2j], 3)
+    floats = np.arange(6.0).reshape(3, 2)
+    assert TimeSeq(floats).values is floats  # float rows are kept, not copied
+
+
 # -- difference operators -----------------------------------------------------
 
 def test_integer_order_reduces_to_difference_quotients():

@@ -915,6 +915,13 @@ def test_sweep_option_validation():
     SweepOpts(max_outer_iters=np.int64(3))
 
 
+def test_sweep_options_refuse_inner_options_of_another_type():
+    # each was taken, and the sweep failed at its first read of inner.tol
+    for bad in (None, 1e-9, {"tol": 1e-9}):
+        with pytest.raises(ValueError, match=r"^inner must be a FixedPointOpts, got inner="):
+            SweepOpts(inner=bad)
+
+
 # -- scalar control updates without a closed form -------------------------------------
 
 def root_controls(problem, x, w, t, v, tol):
@@ -1059,7 +1066,7 @@ def test_root_solve_starts_from_the_stationarity_walk(monkeypatch):
 
     def start_checked(problem, x, w, t, v, g, tol):
         own = closed._rows("dL_dv", x, v, t) + np.einsum(
-            "kdm,kd->km", closed._rows("df_dv", x, v, t), w)
+            "...dm,...d->...m", closed._rows("df_dv", x, v, t), w)
         starts.append(np.array_equal(g, own))
         before = len(calls)
         try:
@@ -1172,6 +1179,21 @@ def test_reduced_residual_input_guards():
         df_dv=lambda x, v, t: np.zeros((2, 1)), lipschitz_M=0.0)
     with pytest.raises(ValueError, match="matching"):
         euler_lagrange_residual(mixed, TimeSeq.zeros(8, 2), TimeSeq.zeros(8))
+
+
+def test_reduced_residual_checks_the_state_before_differencing_it():
+    # the regularized difference reads Q_0, so the state must be valid on
+    # [0, N]; each of these was misreported by the difference or by the
+    # control comparison
+    problem = reduced_problem(0.5, 10)
+    sol = solve_pontryagin(problem)
+    with pytest.raises(ValueError, match=r"^state must be valid on all of \[0, 10\], "
+                                         r"got \[1, 10\]"):
+        euler_lagrange_residual(problem, TimeSeq(sol.Q.values, 1), sol.U)
+    with pytest.raises(ValueError, match="^state has 12 slots but the grid has 11 nodes"):
+        euler_lagrange_residual(problem, TimeSeq(np.ones(12)), sol.U)
+    with pytest.raises(ValueError, match="^state has dimension 2, expected 1"):
+        euler_lagrange_residual(problem, TimeSeq(np.repeat(sol.Q.values, 2, axis=1)), sol.U)
 
 
 # -- problem container -------------------------------------------------------------------
@@ -1317,10 +1339,10 @@ def test_callback_values_of_the_wrong_size_are_refused():
     with pytest.raises(ValueError, match=r"df_dx returned 3 values, expected 1: "):
         three.fx_at(np.ones(1), np.zeros(1), 0.5)
     short = dataclasses.replace(stacked, f=lambda x, v, t: (x + v)[1:])
-    with pytest.raises(ValueError, match=r"f returned 7 values, expected 1 or 8: "):
+    with pytest.raises(ValueError, match=r"f returned 7 values, expected 8: "):
         state_solve(short, u)
     rot = build_example("rotation", 0.5, 8)
-    with pytest.raises(ValueError, match=r"L returned 16 values, expected 1 or 8: "):
+    with pytest.raises(ValueError, match=r"L returned 16 values, expected 8: "):
         cost(dataclasses.replace(rot, L=lambda x, v, t: x * x), TimeSeq.zeros(8, 2))
     # the right count laid out node last is refused, not read as rows
     node_last = dataclasses.replace(rot, dL_dx=lambda x, v, t: x.T)
@@ -1335,12 +1357,47 @@ def test_callback_values_of_the_wrong_size_are_refused():
                                         f=lambda x, v, t: np.ones(2)), u)
 
 
+
+def test_one_value_for_many_stacked_nodes_is_refused_but_from_a_jacobian():
+    lq = build_example("lq", 0.5, 8)
+    one = dataclasses.replace(lq, f=lambda x, v, t: x[0] + v[0])
+    with pytest.raises(ValueError, match=r"^f returned 1 values, expected 8: one for each "
+                                         r"of the 8 nodes.* needs vectorized=False$"):
+        state_solve(one, TimeSeq.zeros(8))
+    # at one node a single value is that node's row
+    npt.assert_array_equal(one.f_at([2.0], [3.0], 0.5), [5.0])
+    # lq's df_dx and df_dv return one matrix for every node
+    assert pontryagin._walk(lq, np.ones((9, 1)), np.ones((9, 1)), "df_dx")[0].shape == (1, 1)
+
+
+def test_a_per_node_callback_built_vectorized_is_refused():
+    # acceptance test 7's problem as written there, with x[0]; built vectorized,
+    # its L and df_dx read node 1's row as one value for every node, and the
+    # sweep converged to another problem's U, with cost 1.67 against 0.71
+    per_node = OcpProblem(
+        d=1, m=1, alpha=0.5, grid=Grid(0.0, 1.0, 50), initial=np.array([1.0]),
+        L=lambda x, v, t: 0.5 * (x[0] ** 2 + v[0] ** 2),
+        dL_dx=lambda x, v, t: x,
+        dL_dv=lambda x, v, t: v,
+        f=lambda x, v, t: np.sin(x) + v,
+        df_dx=lambda x, v, t: np.cos(x[0]),
+        df_dv=lambda x, v, t: 1.0,
+        lipschitz_M=1.0,
+        control_update=lambda x, w, t: -w,
+    )
+    assert solve_pontryagin(per_node).cost == pytest.approx(0.71, abs=0.005)
+    with pytest.raises(ValueError, match=r"^L returned 1 values, expected 50: .*"
+                                         r"needs vectorized=False$"):
+        solve_pontryagin(dataclasses.replace(per_node, vectorized=True))
+
 @pytest.mark.parametrize("vectorized", (True, False))
 def test_callbacks_at_no_nodes_keep_their_value_shape(vectorized):
-    # a walk over no nodes still gives (0, *shape), per node as stacked
+    # a walk over no nodes still gives (0, *shape), per node as stacked, except
+    # that a vectorized Jacobian's one value stays one matrix
     rot = dataclasses.replace(build_example("rotation", 0.5, 8), vectorized=vectorized)
     none, t = np.zeros((0, 2)), np.zeros(0)
-    for name, shape in (("L", (0,)), ("f", (0, 2)), ("df_dv", (0, 2, 2))):
+    fv = (2, 2) if vectorized else (0, 2, 2)
+    for name, shape in (("L", (0,)), ("f", (0, 2)), ("df_dv", fv)):
         assert rot._rows(name, none, none, t).shape == shape
 
 
