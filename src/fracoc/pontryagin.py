@@ -161,9 +161,9 @@ class OcpProblem:
 
     # -- normalized callback evaluation -------------------------------------
     def _rows(self, name: str, x: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Callback ``name`` at K stacked nodes, normalized to (K, *shape), or to
-        (*shape) for a vectorized Jacobian's one value (see the class docstring);
-        one call if the problem is vectorized, else one call per row."""
+        """Callback ``name`` at K stacked nodes as (K, *shape), or as (*shape)
+        for a vectorized Jacobian's one value at K != 1 (see the class
+        docstring); one call if the problem is vectorized, else one per row."""
         d, m = self.d, self.m
         shape = {"L": (), "f": (d,), "dL_dx": (d,), "dL_dv": (m,),
                  "df_dx": (d, d), "df_dv": (d, m), "control_update": (m,)}[name]
@@ -178,22 +178,23 @@ class OcpProblem:
                 rows.append(value.reshape(shape))
             return np.array(rows).reshape(k, *shape)  # (0, *shape) for no rows
         value = _real(fn(x, v, t), name)
-        jacobian = name in ("df_dx", "df_dv")
-        if jacobian and value.size == size:  # one matrix at every node
+        one = name in ("df_dx", "df_dv") and k != 1  # at K = 1 one value is the row
+        if one and value.size == size:  # one matrix at every node
             return value.reshape(shape)
         if value.size == k * size and (k == 1 or value.shape[0] == k):
             return value.reshape(k, *shape)
-        expected = f"{size} or {k * size}" if jacobian and k != 1 else f"{k * size}"
+        expected = f"{size} or {k * size}" if one else k * size
+        alt = "one matrix or " if one else ""
+        nodes = "the one node" if k == 1 else f"each of the {k} nodes"
         raise ValueError(f"{name} returned {value.size} values, expected {expected}: "
-                         f"{'one matrix or ' * jacobian}one for each of the {k} nodes, "
-                         f"stacked node first (got shape {value.shape}); a callback "
-                         f"written for one node needs vectorized=False")
+                         f"{alt}one for {nodes}, stacked node first (got shape "
+                         f"{value.shape}); a callback written for one node needs "
+                         f"vectorized=False")
 
     def _at_node(self, name: str, x, v, t) -> np.ndarray:
-        rows = self._rows(name, np.asarray(x, dtype=float).reshape(1, -1),
+        return self._rows(name, np.asarray(x, dtype=float).reshape(1, -1),
                           np.asarray(v, dtype=float).reshape(1, -1),
-                          np.array([t], dtype=float))
-        return rows if self.vectorized and name in ("df_dx", "df_dv") else rows[0]
+                          np.array([t], dtype=float))[0]
 
     def f_at(self, x, v, t) -> np.ndarray:
         return self._at_node("f", x, v, t)

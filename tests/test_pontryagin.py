@@ -1357,7 +1357,6 @@ def test_callback_values_of_the_wrong_size_are_refused():
                                         f=lambda x, v, t: np.ones(2)), u)
 
 
-
 def test_one_value_for_many_stacked_nodes_is_refused_but_from_a_jacobian():
     lq = build_example("lq", 0.5, 8)
     one = dataclasses.replace(lq, f=lambda x, v, t: x[0] + v[0])
@@ -1389,6 +1388,7 @@ def test_a_per_node_callback_built_vectorized_is_refused():
     with pytest.raises(ValueError, match=r"^L returned 1 values, expected 50: .*"
                                          r"needs vectorized=False$"):
         solve_pontryagin(dataclasses.replace(per_node, vectorized=True))
+
 
 @pytest.mark.parametrize("vectorized", (True, False))
 def test_callbacks_at_no_nodes_keep_their_value_shape(vectorized):
