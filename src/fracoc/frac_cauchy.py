@@ -498,9 +498,10 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
     order.  Node k solves
     (I - h^alpha A_k) y_k = const_k + h^alpha b_k through an inverse built,
     with every other, before a block loop that adds each node's near sum
-    first.  A non-finite A_k or b_k (``SingularNodeError`` or
-    ``NonFiniteError``) and a singular I - h^alpha A_k (``SingularNodeError``)
-    are named before any node is solved, at the first such node in march order.
+    first; one matrix A has one inverse, read at every node.  A non-finite
+    A_k or b_k (``SingularNodeError`` or ``NonFiniteError``) and a singular
+    I - h^alpha A_k (``SingularNodeError``) are named before any node is
+    solved, at the first such node in march order.
 
     When A_k is one matrix, or a stack whose rows all equal the first
     exactly, the march is the lower-triangular Toeplitz system
@@ -546,11 +547,11 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
             rows[0] = start
             np.add(start, dev, out=rows[1:])
             return y
-        g = np.broadcast_to(g, (n, d, d))
     try:
         inv = np.linalg.inv(g)
     except np.linalg.LinAlgError:  # an exact zero pivot, which det sees too
         raise SingularNodeError(nodes[int(np.argmax(np.linalg.det(g) == 0.0))]) from None
+    inv = np.broadcast_to(inv, (n, d, d))  # one matrix's inverse at every node
     hb = ha * b_k
     blk, views, dots = _near_sums(alpha, n, d)
 

@@ -253,15 +253,37 @@ def _causal_product(c: np.ndarray, values: np.ndarray,
     keeps integer orders exact.  From there on it is a sectioned FFT product
     (Stockham 1966) in O(n^2 / _SECTION + n log _SECTION) work, which adds a
     round-off of about eps log n sum_j |c_j| |values - origin| to each row,
-    norm-wise, not relative to each term.  A non-finite entry would spread
-    through an FFT to every later row, so the rows from the first section
-    that holds one on take the direct sum, in O(_SECTION n) work when that
-    section is the last; it spoils only the rows from that entry's on.
+    norm-wise, not relative to each term.  c and values - origin are cut
+    into sections of B = ``_SECTION`` rows, each transformed at size 2B, and
+    output section s is the inverse transform of sum_{p <= s} C_p X_{s-p},
+    overlap-added onto the next.  Besides its output the product holds the
+    two operands' transforms, each about the size of ``np.convolve``'s
+    2n + 1 outputs per column, and no full-size copy of values - origin;
+    one product at full size would hold several times that.
+
+    A non-finite entry would spread through an FFT to every later row, so
+    the rows from the first section that holds one on take the direct sum,
+    in O(_SECTION n) work when that section is the last; it spoils only the
+    rows from that entry's on.
     """
-    rows = len(values)
-    out, top = (_sectioned_product(c, values, origin) if rows >= _SECTION
-                else (np.empty_like(values), 0))
-    for j in range(values.shape[1] if top < rows else 0):
+    rows, d = values.shape
+    sections = -(-rows // _SECTION) if rows >= _SECTION else 0
+    size = 2 * _SECTION
+    c_hat = np.empty((sections, _SECTION + 1), dtype=complex)
+    x_hat = np.empty((sections, _SECTION + 1, d), dtype=complex)
+    out = np.zeros((rows, d))
+    top = 0  # rows the sections have summed
+    for s in range(sections):
+        piece = values[top:top + _SECTION] - origin
+        if not np.isfinite(piece).all():
+            break  # output sections from s on would take this piece
+        c_hat[s] = np.fft.rfft(c[top:top + _SECTION], size)
+        x_hat[s] = np.fft.rfft(piece, size, axis=0)
+        y = np.fft.irfft(np.einsum("pf,pfd->fd", c_hat[:s + 1], x_hat[s::-1]),
+                         size, axis=0)
+        out[top:top + size] += y[:rows - top]
+        top += len(piece)
+    for j in range(d if top < rows else 0):
         x = values[:, j] - origin[j]
         if top:  # rows - 1 - top zeros ahead, so that row k takes c_0..c_k
             x = np.concatenate((np.zeros(rows - 1 - top), x))
@@ -269,42 +291,6 @@ def _causal_product(c: np.ndarray, values: np.ndarray,
         else:
             out[:, j] = np.convolve(c[:rows], x)[:rows]
     return out
-
-
-def _sectioned_product(c: np.ndarray, values: np.ndarray,
-                       origin: np.ndarray) -> tuple[np.ndarray, int]:
-    """The causal product of c with each column of values - origin on its
-    rows before the first section that holds a non-finite entry, and the
-    count of those rows; the later rows are left for the caller.
-
-    c and values - origin are cut into sections of B = ``_SECTION`` rows,
-    each transformed at size 2B.  Output section s is the inverse transform
-    of sum_{p <= s} C_p X_{s-p}, overlap-added onto the next.  Besides its
-    output it holds the two operands' transforms, each about the size of
-    ``np.convolve``'s 2n + 1 outputs per column, and no full-size copy of
-    values - origin; one product at full size would hold several times that.
-    """
-    rows, d = values.shape
-    count = -(-rows // _SECTION)
-    size = 2 * _SECTION
-    c_hat = np.empty((count, _SECTION + 1), dtype=complex)
-    x_hat = np.empty((count, _SECTION + 1, d), dtype=complex)
-    for p in range(count):
-        part = slice(p * _SECTION, (p + 1) * _SECTION)
-        piece = values[part] - origin
-        if not np.isfinite(piece).all():
-            count = p  # output sections from p on would take this piece
-            break
-        c_hat[p] = np.fft.rfft(c[part], size)
-        x_hat[p] = np.fft.rfft(piece, size, axis=0)
-    out = np.zeros((rows, d))
-    for s in range(count):
-        lo = s * _SECTION
-        hi = min(lo + size, rows)
-        y = np.fft.irfft(np.einsum("pf,pfd->fd", c_hat[:s + 1], x_hat[s::-1]),
-                         size, axis=0)
-        out[lo:hi] += y[:hi - lo]
-    return out, min(rows, count * _SECTION)
 
 
 def delta_minus(alpha, grid: Grid, seq: TimeSeq, caputo: bool = False) -> TimeSeq:

@@ -192,9 +192,9 @@ class OcpProblem:
                          f"vectorized=False")
 
     def _at_node(self, name: str, x, v, t) -> np.ndarray:
-        return self._rows(name, np.asarray(x, dtype=float).reshape(1, -1),
-                          np.asarray(v, dtype=float).reshape(1, -1),
-                          np.array([t], dtype=float))[0]
+        return self._rows(name, _real(x, "x", "is").reshape(1, -1),
+                          _real(v, "v", "is").reshape(1, -1),
+                          _real(t, "t", "is").reshape(1))[0]
 
     def f_at(self, x, v, t) -> np.ndarray:
         return self._at_node("f", x, v, t)
@@ -213,15 +213,15 @@ class OcpProblem:
 
     def hamiltonian(self, x, v, w, t) -> float:
         """L(x, v, t) + w . f(x, v, t)."""
-        w = np.asarray(w, dtype=float).reshape(self.d)
+        w = _real(w, "w", "is").reshape(self.d)
         return float(self._at_node("L", x, v, t)) + float(w @ self.f_at(x, v, t))
 
     def dh_dv(self, x, v, w, t) -> np.ndarray:
-        w = np.asarray(w, dtype=float).reshape(self.d)
+        w = _real(w, "w", "is").reshape(self.d)
         return self.lv_at(x, v, t) + self.fv_at(x, v, t).T @ w
 
     def dh_dx(self, x, v, w, t) -> np.ndarray:
-        w = np.asarray(w, dtype=float).reshape(self.d)
+        w = _real(w, "w", "is").reshape(self.d)
         return self.lx_at(x, v, t) + self.fx_at(x, v, t).T @ w
 
 

@@ -779,11 +779,14 @@ def test_time_varying_jacobian_marches_node_by_node(monkeypatch, reverse):
     assert calls == [1]
 
 
-@pytest.mark.parametrize("lam, alpha, n", (
+GROWING = (
     (5.0, 0.5, 4096),   # W grows 1e10-fold: an unguarded FFT loses 5 digits
     (20.0, 0.9, 800),   # 1e12-fold: it loses 9
     (20.0, 0.5, 800),   # W overflows to NaN
-))
+)
+
+
+@pytest.mark.parametrize("lam, alpha, n", GROWING)
 def test_growing_dynamics_keep_the_node_loop(monkeypatch, lam, alpha, n):
     grid = Grid(0.0, 1.0, n)
     a_mats = np.full((n + 1, 1, 1), lam)
@@ -794,6 +797,31 @@ def test_growing_dynamics_keep_the_node_loop(monkeypatch, lam, alpha, n):
         got = linear_march(alpha, grid, a_mats, b, start)
     npt.assert_allclose(got, loop, rtol=1e-12, atol=0.0)
 
+
+@pytest.mark.parametrize("lam, alpha, n", GROWING)
+def test_a_refused_series_inverts_one_matrix_once(monkeypatch, lam, alpha, n):
+    # where the series is refused, the node loop inverts I - h^alpha A once
+    # and reads that inverse at every node, for one matrix and for a stack
+    # of equal rows alike, rather than inverting N copies of it
+    grid = Grid(0.0, 1.0, n)
+    b, start = np.ones((n + 1, 1)), np.ones(1)
+    loop = node_loop_linear_march(alpha, grid, np.full((n + 1, 1, 1), lam), b, start,
+                                  False)
+    inv, shapes = np.linalg.inv, []
+
+    def counted(m):
+        shapes.append(np.shape(m))
+        return inv(m)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    frac_cauchy._toeplitz_inverse.cache_clear()
+    one = linear_march(alpha, grid, np.array([[lam]]), b, start)
+    stacked = linear_march(alpha, grid, np.full((n + 1, 1, 1), lam), b, start)
+    # the series' own inverse, then one per march; the second march's
+    # series is a cache hit
+    assert shapes == [(1, 1)] * 3
+    npt.assert_array_equal(one, stacked)
+    npt.assert_allclose(one, loop, rtol=1e-12, atol=0.0)
 
 
 def test_convolution_round_off_is_bounded_norm_wise(monkeypatch):
@@ -872,7 +900,7 @@ def test_toeplitz_path_inverts_no_node_stack(monkeypatch, d, reverse):
     fast = linear_march(0.5, grid, a_mats, b, start, reverse)
     assert shapes == [(d, d)]
     loop = node_loop_march(monkeypatch, 0.5, grid, a_mats, b, start, reverse)
-    assert shapes[1:] == [(n, d, d)]  # the node loop does invert the stack
+    assert shapes[1:] == [(d, d)]  # the node loop inverts the one matrix once
     npt.assert_allclose(fast, loop, rtol=0.0, atol=1e-12 * np.abs(loop).max())
 
 

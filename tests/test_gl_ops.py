@@ -311,14 +311,22 @@ def test_non_finite_input_spoils_only_later_rows(bad):
                         atol=1e-14 * np.abs(clean).max())
 
 
-@pytest.mark.parametrize("alpha", [0.6, 1.0])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_input_past_the_first_section_keeps_the_fft_rows_before_it(bad, alpha):
+# rows of the bad entry among 3 * _SECTION + 201: mid-way through a middle
+# section, row 0, a middle section's first and last rows, and the last row,
+# in the partial last section
+BAD_ROWS = {"": 2 * _SECTION + 100, "-row0": 0, "-middle-first": _SECTION,
+            "-middle-last": 3 * _SECTION - 1, "-partial-last": 3 * _SECTION + 200}
+
+
+@pytest.mark.parametrize("bad, alpha, k", [
+    pytest.param(bad, alpha, k, id=f"{bad}-{alpha}{tag}")
+    for tag, k in BAD_ROWS.items() for bad in (np.nan, np.inf) for alpha in (0.6, 1.0)])
+def test_non_finite_input_past_the_first_section_keeps_the_fft_rows_before_it(bad, alpha, k):
     # only the rows from the section that holds the bad entry on take the
     # direct sum: those before it are the finite input's FFT rows bit for
     # bit, and the rows it spoils, NaN or inf, are the direct sum's
     rng = np.random.default_rng(17)
-    n, k = 3 * _SECTION + 200, 2 * _SECTION + 100
+    n, top = 3 * _SECTION + 200, k // _SECTION * _SECTION
     grid = Grid(0.0, 1.0, n)
     seq = random_seq(rng, n, dim=2)
     clean = delta_minus(alpha, grid, seq).values
@@ -326,11 +334,12 @@ def test_non_finite_input_past_the_first_section_keeps_the_fft_rows_before_it(ba
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spoiled = delta_minus(alpha, grid, seq).values
-    npt.assert_array_equal(spoiled[:2 * _SECTION], clean[:2 * _SECTION])
+    npt.assert_array_equal(spoiled[:top], clean[:top])
     ref = convolve_oracle(delta_minus, alpha, grid, seq.values, False)  # rows 1..n
     npt.assert_array_equal(np.isnan(spoiled[1:]), np.isnan(ref))
     npt.assert_array_equal(np.isinf(spoiled[1:]), np.isinf(ref))
-    assert np.isfinite(ref[:k - 1]).all() and not np.isfinite(ref[k - 1:, 1]).any()
+    first = max(k - 1, 0)  # ref's row of node max(k, 1), the first spoiled
+    assert np.isfinite(ref[:first]).all() and not np.isfinite(ref[first:, 1]).any()
     finite = np.isfinite(ref)
     npt.assert_allclose(spoiled[1:][finite], clean[1:][finite], rtol=0,
                         atol=1e-14 * np.abs(clean[1:]).max())

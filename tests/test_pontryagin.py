@@ -1406,6 +1406,23 @@ def test_a_complex_initial_value_is_refused_by_name():
         dataclasses.replace(build_example("lq", 0.5, 20), initial=np.array([1.0 + 2j]))
 
 
+@pytest.mark.parametrize("accessor, arg", [
+    *((name, arg) for name in ("f_at", "lx_at", "lv_at", "fx_at", "fv_at")
+      for arg in ("x", "v", "t")),
+    *((name, arg) for name in ("hamiltonian", "dh_dv", "dh_dx")
+      for arg in ("x", "v", "w", "t"))])
+def test_one_node_accessors_refuse_a_complex_argument_by_name(accessor, arg):
+    # a float conversion would keep the real part and only warn:
+    # hamiltonian(1 + 2j, 0, 1, 0.5) would be the 1.5 of x = 1
+    lq = build_example("lq", 0.5, 8)
+    args = {"x": np.array([1.0]), "v": [0.0], "w": [1.0], "t": 0.5}
+    if accessor not in ("hamiltonian", "dh_dv", "dh_dx"):
+        del args["w"]
+    args[arg] = np.add(args[arg], 2j)
+    with pytest.raises(ValueError, match=f"^{arg} is a complex value"):
+        getattr(lq, accessor)(**args)
+
+
 @pytest.mark.parametrize("vectorized", (True, False))
 def test_complex_callback_values_are_refused(vectorized):
     # a float conversion would keep the real part and only warn
