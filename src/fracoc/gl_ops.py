@@ -279,10 +279,11 @@ def _causal_product(c: np.ndarray, values: np.ndarray,
             break  # output sections from s on would take this piece
         c_hat[s] = np.fft.rfft(c[top:top + _SECTION], size)
         x_hat[s] = np.fft.rfft(piece, size, axis=0)
+        del piece  # not held through the section product
         y = np.fft.irfft(np.einsum("pf,pfd->fd", c_hat[:s + 1], x_hat[s::-1]),
                          size, axis=0)
         out[top:top + size] += y[:rows - top]
-        top += len(piece)
+        top = min(rows, top + _SECTION)
     for j in range(d if top < rows else 0):
         x = values[:, j] - origin[j]
         if top:  # rows - 1 - top zeros ahead, so that row k takes c_0..c_k
