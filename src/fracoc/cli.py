@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     try:
         return runner(args)
     except (ValueError, SweepDivergenceError, FixedPointDivergenceError,
-            ControlUpdateError) as exc:
+            ControlUpdateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -235,15 +235,6 @@ def _require_window(seq: TimeSeq, n: int, name: str, lo: int = 0,
         raise ValueError(f"{name} has dimension {seq.dim}, expected {dim}")
 
 
-def _left_difference(alpha, grid: Grid, values: np.ndarray,
-                     origin: np.ndarray) -> np.ndarray:
-    """Columnwise sum_j c_j (values_{k-j} - origin) / h^alpha at every node k = 0..n."""
-    a = _order_value(alpha)
-    out = _causal_product(gl_coefficients(a, grid.n).coeffs, values, origin)
-    out /= grid.h ** a
-    return out
-
-
 def _causal_product(c: np.ndarray, values: np.ndarray,
                     origin: np.ndarray) -> np.ndarray:
     """Columnwise sum_{j<=k} c_j (values_{k-j} - origin) at every row k of
@@ -303,8 +294,10 @@ def delta_minus(alpha, grid: Grid, seq: TimeSeq, caputo: bool = False) -> TimeSe
     the final division by h.
     """
     _require_window(seq, grid.n, "seq")
+    a = _order_value(alpha)
     origin = seq.values[0] if caputo else np.zeros(seq.dim)
-    out = _left_difference(alpha, grid, seq.values, origin)
+    out = _causal_product(gl_coefficients(a, grid.n).coeffs, seq.values, origin)
+    out /= grid.h ** a
     out[0] = 0.0  # slot kept but not part of the valid range
     return TimeSeq(out, 1, grid.n)
 
@@ -312,15 +305,13 @@ def delta_minus(alpha, grid: Grid, seq: TimeSeq, caputo: bool = False) -> TimeSe
 def delta_plus(alpha, grid: Grid, seq: TimeSeq, caputo: bool = False) -> TimeSeq:
     """Right fractional difference; valid on [0, n - 1].
 
-    The mirror of :func:`delta_minus`: weights run forward from each node,
-    and ``caputo=True`` subtracts the terminal value G_n.
+    The mirror of :func:`delta_minus`: it is the left difference of the
+    nodes in reverse order, read back in reverse, so its weights run forward
+    from each node and ``caputo=True`` subtracts the terminal value G_n.
     """
     _require_window(seq, grid.n, "seq")
-    n = grid.n
-    origin = seq.values[n] if caputo else np.zeros(seq.dim)
-    out = _left_difference(alpha, grid, seq.values[::-1], origin)[::-1]  # on reversed nodes
-    out[n] = 0.0
-    return TimeSeq(out, 0, n - 1)
+    out = delta_minus(alpha, grid, TimeSeq(seq.values[::-1]), caputo).values[::-1]
+    return TimeSeq(out, 0, grid.n - 1)
 
 
 def dfibp_residual(alpha, grid: Grid, g1: TimeSeq, g2: TimeSeq) -> float:

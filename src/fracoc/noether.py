@@ -78,12 +78,6 @@ def group_axiom_defect(group: OneParamGroup, points: Sequence[np.ndarray]) -> fl
     return float(np.max(gaps, initial=0.0))  # NaN stays NaN, unlike max()
 
 
-def _band_entry(r: int, i: int, j: int, n: int) -> float:
-    pos = 1.0 if (1 <= i <= n - 1 and 1 <= j <= n - r and 0 <= i - j <= r - 1) else 0.0
-    neg = 1.0 if (j == 0 and r <= i) else 0.0
-    return pos - neg
-
-
 def matrix_entry(kind: str, r: int, i: int, j: int, alpha, n: int) -> float:
     """Entry (i, j) of the depth-r matrix of the requested family.
 
@@ -97,7 +91,9 @@ def matrix_entry(kind: str, r: int, i: int, j: int, alpha, n: int) -> float:
     if kind == "B":
         if r == 1:
             return 1.0 if i == j else 0.0
-        return _band_entry(r, i, j, n)
+        pos = 1.0 if (1 <= i <= n - 1 and 1 <= j <= n - r and 0 <= i - j <= r - 1) else 0.0
+        neg = 1.0 if (j == 0 and r <= i) else 0.0
+        return pos - neg
     if kind == "C":
         return 1.0 if (j == 0 and i >= r) else 0.0
     if kind == "A":
@@ -126,9 +122,13 @@ def _weighted_shift_sum(alpha: float, n: int, g: np.ndarray,
 
         sum of c_{m-j+1} g_j . p_m over 1 <= j <= i <= m <= n-1, m > j,
 
-    to row i = 1..n-1, which ``_band_pairs`` forms."""
+    to row i = 1..n-1.  That is, for any p, the sum over 1 <= k <= i of
+    g_k . U_k - p_{k-1} . V_{k-1}, with U_k = sum_{k<m<n} c_{m-k+1} p_m and
+    V_k = sum_{1<=j<k} c_{k-j+1} g_j: causal products with c_2..c_{n-1} on
+    p reversed and on g, and one cumulative sum."""
     co = gl_coefficients(alpha, n)
     c, b = co.coeffs, co.partial_sums
+    zero = np.zeros(g.shape[1])
     # += on zeros keeps a -0.0 product out of the result
     out = np.zeros(n + 1)
     # an inf in g or p meets zero weights and opposite infs in the products
@@ -139,24 +139,13 @@ def _weighted_shift_sum(alpha: float, n: int, g: np.ndarray,
         dots0 = p[:n] @ g[0]  # dots0[r-1] = g_0 . p_{r-1}, r = 1..n
         out[1:] += np.cumsum(b[1:] * dots0)
         out[2:] -= np.cumsum(c[2:] * dots0[1:])
-        _band_pairs(c, g, p, out, 1, n)
+        u = _causal_product(c[2:], p[n - 1:1:-1], zero)[::-1]  # U_1..U_{n-2}
+        v = _causal_product(c[2:], g[1:n - 1], zero)  # V_2..V_{n-1}
+        steps = np.zeros(n - 1)  # U_{n-1} = V_1 = 0
+        steps[:-1] += np.einsum("kd,kd->k", g[1:n - 1], u)
+        steps[2:] -= np.einsum("kd,kd->k", p[2:n - 1], v[:-1])
+        out[1:n] += np.cumsum(steps)
     return out
-
-
-def _band_pairs(c, g, p, out: np.ndarray, lo: int, hi: int) -> None:
-    """Add c_{m-j+1} g_j . p_m to rows j..m of ``out``, lo <= j < m < hi:
-    for any p, row i gets the sum over lo <= k <= i of g_k . U_k - p_{k-1} .
-    V_{k-1}, U_k = sum_{k<m<hi} c_{m-k+1} p_m, V_k = sum_{lo<=j<k} c_{k-j+1}
-    g_j, causal products with c_2..c_{hi-lo} on p reversed and on g."""
-    if hi - lo < 2:  # no pair
-        return
-    zero = np.zeros(g.shape[1])
-    u = _causal_product(c[2:], p[hi - 1:lo:-1], zero)[::-1]  # U_lo..U_{hi-2}
-    v = _causal_product(c[2:], g[lo:hi - 1], zero)  # V_{lo+1}..V_{hi-1}
-    steps = np.zeros(hi - lo)  # U_{hi-1} = V_lo = 0
-    steps[:-1] += np.einsum("kd,kd->k", g[lo:hi - 1], u)
-    steps[2:] -= np.einsum("kd,kd->k", p[lo + 1:hi - 1], v[:-1])
-    out[lo:hi] += np.cumsum(steps)
 
 
 def conserved_quantity(alpha, grid: Grid, gen: TimeSeq, p: TimeSeq) -> TimeSeq:

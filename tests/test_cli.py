@@ -215,6 +215,17 @@ def test_nan_tolerance_is_a_clean_failure(tmp_path, capsys):
     assert "tolerances must be positive" in capsys.readouterr().err
 
 
+def test_unwritable_output_is_a_clean_failure(tmp_path, capsys):
+    # the solve succeeds, then its CSV cannot be opened: an error line and
+    # exit 1, as for any other failure, not a traceback
+    out = tmp_path / "missing" / "x.csv"
+    code = main(["solve", "--example", "lq", "--n", "10", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "x.csv" in err
+
+
 def test_module_entry_point_runs_the_cli(tmp_path):
     # both run from a source tree with no install: PYTHONPATH=src python -m fracoc
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))

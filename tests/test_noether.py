@@ -17,7 +17,6 @@ from fracoc import (Grid, OcpProblem, OneParamGroup, SweepOpts, TimeSeq,
                     gl_coefficients, group_axiom_defect, invariance_residual,
                     matrix_entry, rotation_groups, solve_pontryagin,
                     transfer_residual)
-from fracoc import noether
 from fracoc.gl_ops import _SECTION
 
 ALPHAS = (0.25, 0.5, 0.75, 1.0)
@@ -179,17 +178,17 @@ def gram_leaf(c, g, p, out, lo, hi):
     out[lo:hi] += np.triu(tails).sum(axis=0)
 
 
-def recursive_band_sum(c, g, p, out, lo, hi, leaf=gram_leaf):
+def recursive_band_sum(c, g, p, out, lo, hi):
     """The band pairs lo <= j < m < hi added into rows lo..hi-1 by halving
     the rows: each block's halves first, then its cross terms, in which a
     pair with j < mid <= m adds c_{m-j+1} g_j . p_m to each row in [j, m]."""
     w = hi - lo
     if w <= 64:
-        leaf(c, g, p, out, lo, hi)
+        gram_leaf(c, g, p, out, lo, hi)
         return
     mid = (lo + hi) // 2
-    recursive_band_sum(c, g, p, out, lo, mid, leaf)
-    recursive_band_sum(c, g, p, out, mid, hi, leaf)
+    recursive_band_sum(c, g, p, out, lo, mid)
+    recursive_band_sum(c, g, p, out, mid, hi)
     nl, nr = mid - lo, hi - mid
     size = 1 << (w - 2).bit_length()
     kernel = np.fft.rfft(c[2:w + 1], size)[:, None]
@@ -213,25 +212,6 @@ def recursive_shift_sum(alpha, n, g, p):
         out[2:] -= np.cumsum(c[2:] * dots0[1:])
         recursive_band_sum(c, g, p, out, 1, n)
     return out
-
-
-@pytest.mark.parametrize("w", (1, 2, 3, 49, 50, 63, 64))
-def test_product_leaf_matches_the_gram_leaf(w):
-    # three blocks of w rows, none starting at row 1, each by the band
-    # sum's causal products against its Gram sum
-    rng = np.random.default_rng(w)
-    for alpha in (0.3, 0.6, 1.0):
-        c = gl_coefficients(alpha, 64).coeffs
-        for d in (1, 2, 3):
-            g, p = rng.normal(size=(4 * w, d)), rng.normal(size=(4 * w, d))
-            got, ref = np.zeros(4 * w), np.zeros(4 * w)
-            for lo in (0, w, 3 * w):
-                noether._band_pairs(c, g, p, got, lo, lo + w)
-                gram_leaf(c, g, p, ref, lo, lo + w)
-            if alpha == 1.0:  # every band weight is 0, so nothing is rounded
-                npt.assert_array_equal(got, ref)
-            else:
-                assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 50, 51, 63, 64, 65, 67, 127, 128, 129, 130,

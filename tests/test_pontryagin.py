@@ -891,6 +891,98 @@ def test_a_random_affine_sweep_that_wanders_still_converges():
     assert_near_dense(solve_pontryagin(problem), exact, (alpha, d, m))
 
 
+def dense_optimality_system(problem):
+    """The residual map of ``problem``'s discrete optimality system, written
+    out densely for any stacked ``OcpProblem``, with no march, FFT or
+    difference operator of the package.
+
+    The unknowns z hold Q_1..Q_N, P_0..P_{N-1} and U_1..U_N, node by node.
+    T is the N x N lower-triangular Toeplitz matrix of c_0..c_{N-1}, and each
+    callback takes the stacked rows of nodes 1..N in one call, so row k of
+    each block below is node k + 1 (k = 0..N-1):
+
+        T (Q - Q_0) - h^a f(Q_{k+1}, U_{k+1}, t_{k+1}) = 0
+        T' P - h^a (dL/dx + (df/dx)' P_k)|_{k+1} = 0
+        dL/dv(Q_{k+1}, U_{k+1}, t_{k+1}) + (df/dv|_{k+1})' P_k = 0
+    """
+    d, m, n = problem.d, problem.m, problem.grid.n
+    ha, t = problem.grid.h ** problem.alpha, problem.grid.times[1:]
+    c = gl_coefficients(problem.alpha, n).coeffs[:n]
+    k = np.arange(n)
+    lower = np.where(k[:, None] >= k, c[np.abs(k[:, None] - k)], 0.0)
+
+    def rows(value, *shape):  # n stacked values, or one Jacobian at every node
+        return np.broadcast_to(np.asarray(value, dtype=float).reshape(-1, *shape),
+                               (n, *shape))
+
+    def residual(z):
+        q, p, u = np.split(z, [n * d, 2 * n * d])
+        q, p, u = q.reshape(n, d), p.reshape(n, d), u.reshape(n, m)
+        fx = rows(problem.df_dx(q, u, t), d, d)
+        fv = rows(problem.df_dv(q, u, t), d, m)
+        state = lower @ (q - problem.initial) - ha * rows(problem.f(q, u, t), d)
+        adjoint = lower.T @ p - ha * (rows(problem.dL_dx(q, u, t), d)
+                                      + np.einsum("kij,ki->kj", fx, p))
+        control = rows(problem.dL_dv(q, u, t), m) + np.einsum("kij,ki->kj", fv, p)
+        return np.concatenate((state.ravel(), adjoint.ravel(), control.ravel()))
+
+    return residual
+
+
+def newton_optimality_solve(problem):
+    """Q_1..Q_N, P_0..P_{N-1} and U_1..U_N solving ``dense_optimality_system``
+    by Newton with a dense central-difference Jacobian (step 1e-6), halving
+    the step until ||r||_2 decreases, from Q = Q_0, P = 0, U = 0 to
+    ||r||_inf <= 1e-13."""
+    d, m, n = problem.d, problem.m, problem.grid.n
+    residual = dense_optimality_system(problem)
+    z = np.concatenate((np.tile(problem.initial, n), np.zeros(n * (d + m))))
+    r = residual(z)
+    steps = 1e-6 * np.eye(z.size)
+    for _ in range(20):
+        if np.abs(r).max() <= 1e-13:
+            q, p, u = np.split(z, [n * d, 2 * n * d])
+            return q.reshape(n, d), p.reshape(n, d), u.reshape(n, m)
+        jac = np.column_stack([residual(z + e) - residual(z - e) for e in steps]) / 2e-6
+        dz, lam = np.linalg.solve(jac, -r), 1.0
+        while np.linalg.norm(trial := residual(z + lam * dz)) >= np.linalg.norm(r):
+            lam /= 2
+            assert lam >= 2.0 ** -30, "no step decreases the residual"
+        z, r = z + lam * dz, trial
+    raise AssertionError(f"Newton left a residual of {np.abs(r).max():.3e}")
+
+
+def quartic_problem(alpha, n):
+    """f = x + v and L = (|x|^2 + |v|^2) / 2 + |x|^4 / 4 from x_0 = (1, 2), stacked."""
+    return OcpProblem(
+        d=2, m=2, alpha=alpha, grid=Grid(0.0, 1.0, n), initial=np.array([1.0, 2.0]),
+        L=lambda x, v, t: (0.5 * ((x * x).sum(-1) + (v * v).sum(-1))
+                           + 0.25 * (x * x).sum(-1) ** 2),
+        dL_dx=lambda x, v, t: x * (1.0 + (x * x).sum(-1, keepdims=True)),
+        dL_dv=lambda x, v, t: v,
+        f=lambda x, v, t: x + v,
+        df_dx=lambda x, v, t: np.eye(2),
+        df_dv=lambda x, v, t: np.eye(2),
+        lipschitz_M=1.0,
+        control_update=lambda x, w, t: -w,
+        vectorized=True)
+
+
+@pytest.mark.parametrize("problem", [
+    *(nonlinear_problem(alpha, n, vectorized=True)
+      for alpha in (0.5, 0.75, 1.0) for n in (50, 100)),
+    *(quartic_problem(alpha, n) for alpha in (0.5, 1.0) for n in (25, 50))],
+    ids=lambda problem: f"d{problem.d}-a{problem.alpha}-n{problem.grid.n}")
+def test_nonlinear_sweeps_match_the_newton_oracle(problem):
+    # the sweep's converged (Q, P, U) against Newton on the whole discrete
+    # system; each gap is at most 1e-8
+    q, p, u = newton_optimality_solve(problem)
+    sol = solve_pontryagin(problem)
+    assert np.abs(sol.Q.values[1:] - q).max() <= 1e-8
+    assert np.abs(sol.P.values[:-1] - p).max() <= 1e-8
+    assert np.abs(sol.U.values[1:] - u).max() <= 1e-8
+
+
 def test_warm_start_accepts_and_checks_u_init():
     problem = build_example("solved", 0.5, 40)
     cold = solve_pontryagin(problem)
