@@ -31,6 +31,10 @@ CASES = (
     ["converge", "--example", "solved", "--alpha", "0.5", "--n-list", "50,100,200,400"],
     ["converge", "--example", "solved", "--alpha", "0.75", "--n-list", "100,200,400,800"],
     ["converge", "--example", "lq", "--alpha", "1", "--n-list", "100,200,400,800"],
+    # grid times that do not nest, so each grid's slice of one reference call
+    # holds times no other grid has
+    ["converge", "--example", "solved", "--alpha", "0.25", "--n-list", "30,50,70,90"],
+    ["converge", "--example", "lq", "--alpha", "1", "--n-list", "33,64,100"],
     ["noether", "--example", "rotation", "--alpha", "0.75", "--n", "300"],
     ["noether", "--example", "rotation", "--alpha", "1", "--n", "400"],
 )

@@ -445,6 +445,8 @@ def _fixed_point_march(alpha: float, grid: Grid, field, start: np.ndarray,
 _GROWTH_CAP = 100.0
 
 
+# a one-shot CLI run keys at most two entries a grid (A and its transpose), so
+# 8 holds a four-grid study; only many runs in one process cycle through more
 @functools.lru_cache(maxsize=8)
 def _toeplitz_inverse(alpha: float, n: int, d: int, ha_a: bytes):
     """Spectrum of the march's inverse Toeplitz symbol, or None where unusable.
@@ -530,14 +532,14 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
     if a.ndim == 3:  # a stack is one matrix when every A_k equals the first
         a = a[order]
         a = a[0] if (a == a[0]).all() else a
-    g = np.eye(d) - ha * a
-    if not (np.isfinite(g).all() and np.isfinite(b_k).all()):
-        singular = np.broadcast_to(~np.isfinite(g).all(axis=(-2, -1)), n)
+    ha_a = ha * a  # finite exactly where I - h^alpha A_k is
+    if not (np.isfinite(ha_a).all() and np.isfinite(b_k).all()):
+        singular = np.broadcast_to(~np.isfinite(ha_a).all(axis=(-2, -1)), n)
         bad = singular | ~np.isfinite(b_k).all(axis=1)
         j = int(np.argmax(bad))  # a non-finite A_k also spoils b_k of a linearization
         raise (SingularNodeError if singular[j] else NonFiniteError)(nodes[j])
     if a.ndim == 2:
-        series = _toeplitz_inverse(alpha, n, d, (ha * a).tobytes())
+        series = _toeplitz_inverse(alpha, n, d, ha_a.tobytes())
         if series is not None:
             size, w_hat = series
             s_hat = np.fft.rfft(ha * (b_k + a @ start), size, axis=0)
@@ -547,6 +549,7 @@ def _linear_march(alpha: float, grid: Grid, a_mats: np.ndarray, b_vecs: np.ndarr
             rows[0] = start
             np.add(start, dev, out=rows[1:])
             return y
+    g = np.eye(d) - ha_a  # only the node loop reads it
     try:
         inv = np.linalg.inv(g)
     except np.linalg.LinAlgError:  # an exact zero pivot, which det sees too

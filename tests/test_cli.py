@@ -18,6 +18,8 @@ import pytest
 from fracoc import Grid, build_example, solve_pontryagin
 from fracoc import cli
 from fracoc.cli import build_parser, main
+from fracoc.reference import (lq_exact_control, max_control_error,
+                              solved_example_exact_control)
 
 
 def run(tmp_path, name, *args):
@@ -109,6 +111,36 @@ def test_converge_small_study_fits_an_order(tmp_path, capsys):
     assert [int(r[0]) for r in rows] == [100, 200, 400, 800]
     assert all(0.9 <= float(r[3]) <= 1.1 for r in rows[1:])
     assert 0.9 <= float(comments[-1].split("=")[1]) <= 1.1
+
+
+@pytest.mark.parametrize("example, alpha, n_list", (
+    ("solved", 0.5, "50,100,200"),  # nested grid times
+    ("solved", 0.25, "30,50,70,90"),  # times that do not nest
+    ("lq", 1.0, "33,64,100"),
+))
+def test_converge_evaluates_its_closed_form_once(tmp_path, monkeypatch, example, alpha,
+                                                 n_list):
+    # one call on every grid's times at once gives each grid the errors a
+    # call on its own times gives, bit for bit
+    calls = []
+    for name in ("solved_example_exact_control", "lq_exact_control"):
+        def counted(*args, _exact=getattr(cli, name)):
+            calls.append(args)
+            return _exact(*args)
+        monkeypatch.setattr(cli, name, counted)
+    argv = ["converge", "--example", example, "--alpha", str(alpha), "--n-list", n_list]
+    code, out = run(tmp_path, "c.csv", *argv)
+    assert code == 0 and len(calls) == 1
+    monkeypatch.undo()
+
+    cfg = build_parser().parse_args(argv)
+    rows = read_rows(out)[1]
+    assert [int(r[0]) for r in rows] == sorted(cfg.n_list)
+    for n, row in zip(sorted(cfg.n_list), rows):
+        solution, problem = cli._solve(cfg, n)
+        alone = (lq_exact_control(problem.grid.times[1:]) if example == "lq" else
+                 solved_example_exact_control(alpha, problem.grid.times[1:]))
+        assert float(row[2]) == max_control_error(solution.U, lambda t: alone, problem.grid)
 
 
 def test_converge_rejects_orders_without_reference(tmp_path, capsys):
@@ -308,8 +340,10 @@ def test_readme_flags_and_examples_match_the_parser(tmp_path, capsys):
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction)).choices
     accepted = {flag for p in subparsers.values() for flag in p._option_string_actions}
-    # pip's own flags sit on the install lines
-    flags = {flag for line in text.splitlines() if not line.lstrip().startswith("pip ")
+    # pip's own flags sit on the install lines, and the scripts' own on the
+    # lines that run scripts/
+    flags = {flag for line in text.splitlines()
+             if not re.match(r"\s*(pip |(python3? )?scripts/)", line)
              for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line)}
     assert flags and not flags - accepted, sorted(flags - accepted)
 

@@ -931,6 +931,16 @@ def test_one_matrix_refusals_name_the_first_node_in_march_order(d, reverse):
 
 
 @pytest.mark.parametrize("reverse", (False, True))
+def test_a_finite_matrix_whose_node_matrix_overflows_is_refused(reverse):
+    # h = 100, so h^alpha A = 10 * 1e308 overflows though A is finite; the
+    # march refuses it at its first node like a non-finite A
+    grid = Grid(0.0, 1e3, 10)
+    with np.errstate(over="ignore"), pytest.raises(frac_cauchy.SingularNodeError) as exc:
+        linear_march(0.5, grid, np.array([[1e308]]), np.zeros((11, 1)), np.zeros(1), reverse)
+    assert exc.value.node == (9 if reverse else 1)
+
+
+@pytest.mark.parametrize("reverse", (False, True))
 @pytest.mark.parametrize("d", (1, 2))
 def test_one_matrix_march_equals_its_stacked_copies(monkeypatch, d, reverse):
     # on the convolution and on the node loop alike, and the start row is
